@@ -19,8 +19,8 @@ from .gate import (AtomDriveSpec, GateParams, StepControl, TwoAtomState,
 from .laser import (LaserNoiseModel, ServoBump, error_vs_rabi_curve,
                     fit_heterodyne, heterodyne_spectrum, psd_frequency,
                     psd_phase, rabi_error)
-from .noise import (MechanismMask, NoiseSample, bell_test_error,
-                    resolve_drives, sample_shot)
+from .noise import (MechanismMask, resolve_drive_batch, resolve_drives,
+                    sample_shots)
 from .params import SystemParams, load_params, load_preset, save_params
 from .qnd import (NoiseChannelParams, PlaquetteCircuit, exact_distribution,
                   parse_circuit, predicted_fqnd, simulate)

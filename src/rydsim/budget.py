@@ -2,9 +2,11 @@
 
 The noiseless optimization includes decay and finite blockade but no
 shot-to-shot noise.  Monte Carlo runs draw one sample per shot, resolve it to
-drive-level perturbations, and score the Bell-test error; shots are batched
-through the vectorized integrator and the reduction is a stable sum over shot
-index, so results do not depend on chunking or thread scheduling.
+drive-level perturbations under the run's mechanism mask, and score the
+Bell-test error; runs over several masks (the exclusion table, the adiabatic
+trace) sample once and resolve the same draws under each mask.  Shots are
+batched through the vectorized integrator and the reduction is a stable sum
+over shot index, so results do not depend on chunking or thread scheduling.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .gate import (DriveBatch, GateParams, IntegrationError, StepControl,
+from .gate import (GateParams, IntegrationError, StepControl,
                    bell_error_from_pulse_state, bell_errors_batch,
                    optimal_virtual_rz, pulse_state_nominal)
-from .noise import MechanismMask, NoiseSample, resolve_drive_batch, resolve_drives, sample_shots
+from .noise import MechanismMask, resolve_drive_batch, resolve_drives, sample_shots
 from .params import SystemParams
 
 # dimensionless pulse seeds (detuning/Omega, Omega*T, rate/Omega, depth, delay/T)
@@ -55,11 +57,6 @@ def _gate_from_x(x, omega: float, rz=(0.0, 0.0)) -> GateParams:
         virtual_rz=rz)
 
 
-def _nominal_batch(params: SystemParams, gate: GateParams) -> DriveBatch:
-    drive_a, drive_b, blockade = resolve_drives(params, None, gate)
-    return DriveBatch.from_drives(drive_a, drive_b, blockade)
-
-
 def decay_floor(params: SystemParams, gate: GateParams,
                 step_ctrl: StepControl | None = None) -> float:
     """First-order decay-limited Bell error of the pulse.
@@ -68,13 +65,13 @@ def decay_floor(params: SystemParams, gate: GateParams,
     per-state population-time integrals, then weights them with the nominal
     scattering and Rydberg decay rates.
     """
-    drive_a, drive_b, blockade = resolve_drives(params, None, gate)
-    stripped = [replace(d, decay_rate_1=0.0, decay_rate_r=0.0,
-                        rydberg_decay_rate=0.0) for d in (drive_a, drive_b)]
-    batch = DriveBatch.from_drives(stripped[0], stripped[1], blockade)
-    _, acc = pulse_state_nominal(gate, batch, step_ctrl, accumulate=True)
-    rate_a = np.array([0.0, drive_a.decay_rate_1, drive_a.total_r_decay])
-    rate_b = np.array([0.0, drive_b.decay_rate_1, drive_b.total_r_decay])
+    batch = resolve_drives(params, gate)
+    zero = np.zeros(1)
+    stripped = replace(batch, gamma1_a=zero, gammar_a=zero,
+                       gamma1_b=zero, gammar_b=zero)
+    _, acc = pulse_state_nominal(gate, stripped, step_ctrl, accumulate=True)
+    rate_a = np.array([0.0, batch.gamma1_a[0], batch.gammar_a[0]])
+    rate_b = np.array([0.0, batch.gamma1_b[0], batch.gammar_b[0]])
     rates = np.add.outer(rate_a, rate_b).reshape(9)
     return float(np.sum(acc[0] * rates))
 
@@ -100,7 +97,7 @@ def _objective(params: SystemParams, omega: float, ctrl: StepControl):
             return 1.0
         if not (3.0 <= x[1] <= 16.0):
             return 1.0
-        batch = _nominal_batch(params, gate)
+        batch = resolve_drives(params, gate)
         psi = pulse_state_nominal(gate, batch, ctrl)[0]
         rz = optimal_virtual_rz(psi)
         return float(bell_error_from_pulse_state(psi, rz))
@@ -169,7 +166,7 @@ def optimize_gate(params: SystemParams, seed: int = 0,
             best_val, best_x = res.fun, res.x
 
         gate = _gate_from_x(best_x, omega)
-        batch = _nominal_batch(params, gate)
+        batch = resolve_drives(params, gate)
         psi = pulse_state_nominal(gate, batch, fine)[0]
         rz = optimal_virtual_rz(psi)
         error = max(float(bell_error_from_pulse_state(psi, rz)), 0.0)
@@ -231,27 +228,38 @@ def monte_carlo_error(params: SystemParams, gate: GateParams,
 
     Deterministic in (params, gate, mask, shots, seed).  Integration failures
     are counted per shot; more than ``max_failure_fraction`` of them aborts
-    the run.
+    the run.  The draws do not depend on the mask, so ``rejected_shots``
+    counts the same separation-floor redraws under every mask.
     """
+    return _score_shots(params, gate, mask or MechanismMask(),
+                        sample_shots(params, seed, shots), seed, step_ctrl,
+                        chunk, keep_errors, max_failure_fraction)
+
+
+def _score_shots(params: SystemParams, gate: GateParams,
+                 mask: MechanismMask, samples: np.recarray, seed: int,
+                 step_ctrl: StepControl | None, chunk: int = 1024,
+                 keep_errors: bool = False,
+                 max_failure_fraction: float = 0.01) -> MonteCarloReport:
+    """`monte_carlo_error` on draws already sampled for run ``seed``."""
+    shots = len(samples)
     if shots < 100:
         raise ValueError("shots must be >= 100")
-    mask = mask or MechanismMask()
-    samples = sample_shots(params, mask, seed, shots)
-    rejected = sum(s.redraws for s in samples)
+    rejected = int(np.sum(samples.redraws))
 
     errors = np.full(shots, np.nan)
     slices = [slice(i, min(i + chunk, shots)) for i in range(0, shots, chunk)]
 
     def run_chunk(sl: slice):
-        batch_samples = samples[sl]
         try:
-            batch = resolve_drive_batch(params, batch_samples, gate)
+            batch = resolve_drive_batch(params, samples[sl], mask, gate)
             errors[sl] = bell_errors_batch(gate, batch, step_ctrl)
         except IntegrationError:
             # isolate the failing shots
-            for j, s in enumerate(batch_samples, start=sl.start):
+            for j in range(sl.start, sl.stop):
                 try:
-                    b1 = resolve_drive_batch(params, [s], gate)
+                    b1 = resolve_drive_batch(params, samples[j:j + 1], mask,
+                                             gate)
                     errors[j] = bell_errors_batch(gate, b1, step_ctrl)[0]
                 except IntegrationError:
                     errors[j] = np.nan
@@ -330,16 +338,18 @@ def exclusion_table(params: SystemParams, gate: GateParams,
                     base_mask: MechanismMask | None = None) -> ExclusionReport:
     """Per-mechanism contributions: baseline minus baseline-without-mechanism.
 
-    All runs share the same seed stream (common random numbers), so each
-    row's uncertainty comes from the paired per-shot differences.
+    The shots are sampled once and every mask resolves the same draws
+    (common random numbers), so each row's uncertainty comes from the paired
+    per-shot differences.
     """
     base_mask = base_mask or MechanismMask()
-    baseline = monte_carlo_error(params, gate, base_mask, shots, seed,
-                                 step_ctrl, keep_errors=True)
+    samples = sample_shots(params, seed, shots)
+    baseline = _score_shots(params, gate, base_mask, samples, seed,
+                            step_ctrl, keep_errors=True)
     rows = []
     for flag, name in EXCLUSION_MECHANISMS:
-        excl = monte_carlo_error(params, gate, base_mask.without(flag),
-                                 shots, seed, step_ctrl, keep_errors=True)
+        excl = _score_shots(params, gate, base_mask.without(flag), samples,
+                            seed, step_ctrl, keep_errors=True)
         diff = baseline.errors - excl.errors
         diff = diff[~np.isnan(diff)]
         contribution = float(np.mean(diff))
@@ -424,8 +434,9 @@ def adiabatic_trace(params: SystemParams, gate: GateParams, powers_mw,
     for i, (p, t) in enumerate(zip(powers_mw, temps)):
         local = replace(params, atom_temperature_uk=float(t),
                         trap_power_mw=float(p))
+        samples = sample_shots(local, seed, shots)
         for key, mask in masks.items():
-            rep = monte_carlo_error(local, gate, mask, shots, seed, step_ctrl)
+            rep = _score_shots(local, gate, mask, samples, seed, step_ctrl)
             out[key][0][i] = rep.mean_error
             out[key][1][i] = rep.std_error
     return AdiabaticTrace(

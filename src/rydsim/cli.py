@@ -122,17 +122,36 @@ def _load_config(args) -> SystemParams:
     return params
 
 
+def _read_json(path: str, build):
+    """``build(text)`` on the JSON file at ``path``.
+
+    An unreadable file, invalid JSON, a missing key or a wrongly shaped
+    document is a data-format error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            TypeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing key {exc}") from exc
+
+
+def _gate_from_json(text: str) -> GateParams:
+    doc = json.loads(text)
+    return GateParams(
+        detuning=doc["detuning"], duration=doc["duration"],
+        phase_mod_rate=doc["phase_mod_rate"],
+        phase_mod_depth=doc["phase_mod_depth"],
+        phase_mod_delay=doc["phase_mod_delay"],
+        virtual_rz=tuple(doc["virtual_rz"]))
+
+
 def _gate_for(params: SystemParams, args) -> tuple[GateParams, dict]:
     """Load an optimized gate from --gate, or optimize now (deterministic)."""
     if getattr(args, "gate", None):
-        with open(args.gate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        gate = GateParams(
-            detuning=doc["detuning"], duration=doc["duration"],
-            phase_mod_rate=doc["phase_mod_rate"],
-            phase_mod_depth=doc["phase_mod_depth"],
-            phase_mod_delay=doc["phase_mod_delay"],
-            virtual_rz=tuple(doc["virtual_rz"]))
+        gate = _read_json(args.gate, _gate_from_json)
         return gate, {"gate_source": args.gate}
     res = budget.optimize_gate(params, seed=0)
     return res.gate, {"gate_source": "optimized",
@@ -299,8 +318,7 @@ def cmd_laser_fit(args) -> int:
         freqs, vals = laser.read_trace(args.trace)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
-    with open(args.initial, "r", encoding="utf-8") as fh:
-        initial = laser.model_from_json(fh.read())
+    initial = _read_json(args.initial, laser.model_from_json)
     fit = laser.fit_heterodyne(freqs, vals, initial)
     run.write_json("fit.json", fit.as_dict())
     run.finish(trace=args.trace, seed=args.seed)
@@ -312,8 +330,7 @@ def cmd_laser_fit(args) -> int:
 
 def cmd_laser_rabi_error(args) -> int:
     run = _Run(args, "laser rabi-error")
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = laser.model_from_json(fh.read())
+    model = _read_json(args.model, laser.model_from_json)
     omegas_mhz = _parse_grid(args.omega_grid)
     omegas = omegas_mhz * 2.0 * np.pi * 1e6
     curve = laser.error_vs_rabi_curve(model, omegas, n_half=args.n)
@@ -371,8 +388,11 @@ def cmd_analyze_rb(args) -> int:
 def cmd_analyze_qnd(args) -> int:
     run = _Run(args, "analyze qnd")
     rows = _read_csv_rows(args.data, 3, (str, int, int))
-    counts = [analysis.QndCounts(state=r[0], correct=r[1], incorrect=r[2])
-              for r in rows]
+    try:
+        counts = [analysis.QndCounts(state=r[0], correct=r[1], incorrect=r[2])
+                  for r in rows]
+    except ValueError as exc:
+        raise DataFormatError(f"{args.data}: {exc}") from exc
     res = analysis.dirichlet_qnd(counts)
     doc = {
         "per_state": {k: {"mean": v[0], "std": v[1]}

@@ -1,10 +1,12 @@
-"""Shot-to-shot noise: mechanism masks, per-shot sampling, drive resolution.
+"""Shot-to-shot noise: mechanism masks, shot sampling, drive resolution.
 
 Every mechanism in the error model can be switched off individually.  A shot
 is addressed by (seed, index): the same pair always yields the identical
-sample, and all underlying draws are consumed whether or not a mechanism is
-enabled, so runs with different masks share a common random-number stream
-(which tightens exclusion-table differences).  Static beam misalignment is
+draws.  Sampling takes no mask: `sample_shots` returns the unmasked draws as
+one record array, and `resolve_drive_batch` applies the mask when it turns
+them into drives.  Runs with different masks therefore share their draws by
+construction (common random numbers, which tighten exclusion-table
+differences), and one sample serves every mask.  Static beam misalignment is
 drawn once per run (per seed), not per shot.
 """
 
@@ -16,16 +18,15 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .constants import KHZ
-from .gate import AtomDriveSpec, DriveBatch, GateParams, StepControl, waveform_phase
-from .params import SystemParams
+from .gate import DriveBatch, GateParams, waveform_phase
+from .params import ConfigError, SystemParams
 from .trap import SEPARATION_FLOOR_UM
 
 MAX_REDRAWS = 100
 
 # one flag per switchable mechanism; the exclusion table iterates over all of
-# these except atom_localization, which is a sampling-level switch used by the
-# temperature/power sweeps (it subsumes blockade fluctuation and beam-profile
-# position effects).
+# these except atom_localization, which the adiabatic sweep switches (it
+# subsumes blockade fluctuation and beam-profile position effects).
 MECHANISM_FLAGS = (
     "intermediate_state_decay",
     "rydberg_decay",
@@ -86,150 +87,150 @@ class MechanismMask:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class NoiseSample:
-    """One Monte Carlo shot's resolved draws (nominal-valued where masked)."""
+# One record per shot.  Every field holds the unmasked draw; the masks act
+# only in `resolve_drive_batch`.
+SHOT_DTYPE = np.dtype([
+    ("position_rb_um", float, 3),
+    ("position_cs_um", float, 3),
+    ("velocity_rb_ms", float, 3),
+    ("velocity_cs_ms", float, 3),
+    ("energy_red_rb", float),
+    ("energy_blue_rb", float),
+    ("energy_red_cs", float),
+    ("energy_blue_cs", float),
+    ("pointing_rb_nm", float, 2),
+    ("pointing_cs_nm", float, 2),
+    ("static_rb_nm", float, 2),           # per-run draw
+    ("static_cs_nm", float, 2),
+    ("rabi_mismatch_rb", float),
+    ("rabi_mismatch_cs", float),
+    ("detuning_magnetic_khz", float),     # correlated between atoms
+    ("detuning_electric_khz", float),     # correlated between atoms
+    ("detuning_laser_rb_khz", float),     # uncorrelated per atom
+    ("detuning_laser_cs_khz", float),
+    # a Python int, so per-record counts sum to a plain (JSON-ready) int
+    ("redraws", object),
+])
 
-    index: int
-    mask: MechanismMask
-    position_rb_um: np.ndarray      # (3,)
-    position_cs_um: np.ndarray
-    velocity_rb_ms: np.ndarray      # (3,)
-    velocity_cs_ms: np.ndarray
-    energy_red_rb: float
-    energy_blue_rb: float
-    energy_red_cs: float
-    energy_blue_cs: float
-    pointing_rb_nm: np.ndarray      # (2,)
-    pointing_cs_nm: np.ndarray
-    static_rb_nm: np.ndarray        # (2,), per-run draw
-    static_cs_nm: np.ndarray
-    rabi_mismatch_rb: float
-    rabi_mismatch_cs: float
-    detuning_magnetic_khz: float    # correlated between atoms
-    detuning_electric_khz: float    # correlated between atoms
-    detuning_laser_rb_khz: float    # uncorrelated per atom
-    detuning_laser_cs_khz: float
-    redraws: int = 0
+# draw-level mask flags: the record fields each one switches off, and the
+# nominal value those fields then take
+_DRAW_FIELDS = {
+    "atom_localization": (("position_rb_um", "position_cs_um"), 0.0),
+    "atom_velocity": (("velocity_rb_ms", "velocity_cs_ms"), 0.0),
+    "pulse_energy_red": (("energy_red_rb", "energy_red_cs"), 1.0),
+    "pulse_energy_blue": (("energy_blue_rb", "energy_blue_cs"), 1.0),
+    "pointing_fluctuation": (("pointing_rb_nm", "pointing_cs_nm"), 0.0),
+    "static_misalignment": (("static_rb_nm", "static_cs_nm"), 0.0),
+    "rabi_mismatch": (("rabi_mismatch_rb", "rabi_mismatch_cs"), 1.0),
+    "magnetic_noise": (("detuning_magnetic_khz",), 0.0),
+    "electric_noise": (("detuning_electric_khz",), 0.0),
+    "laser_frequency_noise": (("detuning_laser_rb_khz",
+                               "detuning_laser_cs_khz"), 0.0),
+}
 
-    @classmethod
-    def nominal(cls, mask: MechanismMask | None = None) -> "NoiseSample":
-        z3, z2 = np.zeros(3), np.zeros(2)
-        return cls(
-            index=-1, mask=mask or MechanismMask(),
-            position_rb_um=z3.copy(), position_cs_um=z3.copy(),
-            velocity_rb_ms=z3.copy(), velocity_cs_ms=z3.copy(),
-            energy_red_rb=1.0, energy_blue_rb=1.0,
-            energy_red_cs=1.0, energy_blue_cs=1.0,
-            pointing_rb_nm=z2.copy(), pointing_cs_nm=z2.copy(),
-            static_rb_nm=z2.copy(), static_cs_nm=z2.copy(),
-            rabi_mismatch_rb=1.0, rabi_mismatch_cs=1.0,
-            detuning_magnetic_khz=0.0, detuning_electric_khz=0.0,
-            detuning_laser_rb_khz=0.0, detuning_laser_cs_khz=0.0)
+
+def masked_draws(shots: np.recarray, mask: MechanismMask) -> np.recarray:
+    """Copy of ``shots`` with every draw that ``mask`` switches off set to
+    its nominal value."""
+    shots = shots.copy()
+    for flag, (names, nominal) in _DRAW_FIELDS.items():
+        if not getattr(mask, flag):
+            for name in names:
+                shots[name] = nominal
+    return shots
+
+
+def nominal_shot() -> np.recarray:
+    """One record with every draw at its nominal value."""
+    return masked_draws(np.zeros(1, dtype=SHOT_DTYPE).view(np.recarray),
+                        MechanismMask.all_off())
 
 
 def _shot_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, index)))
 
 
-def static_offsets_nm(params: SystemParams, mask: MechanismMask,
+def _fixed_draws(rng: np.random.Generator, halfwidth: float):
+    """One shot's draws in stream order.
+
+    20 normals (positions, velocities, pulse energies, pointing), the two
+    Rabi-mismatch uniforms, then 4 normals (magnetic, electric and the two
+    laser detunings).  Separation-floor redraws come after this block.
+    """
+    return (rng.normal(size=20), rng.uniform(-halfwidth, halfwidth, size=2),
+            rng.normal(size=4))
+
+
+def static_offsets_nm(params: SystemParams,
                       seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-run static misalignment: fixed radius, uniform random direction."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
     r = params.pointing_static_nm
-    offs = [r * np.array([math.cos(a), math.sin(a)]) for a in angles]
-    if not mask.static_misalignment:
-        return np.zeros(2), np.zeros(2)
-    return offs[0], offs[1]
+    rb, cs = (r * np.array([math.cos(a), math.sin(a)]) for a in angles)
+    return rb, cs
 
 
-def _positions(rng, sig_rb, sig_cs):
-    return rng.normal(size=3) * sig_rb, rng.normal(size=3) * sig_cs
+def sample_shots(params: SystemParams, seed: int, shots: int,
+                 start_index: int = 0) -> np.recarray:
+    """Draw shots ``start_index ..`` of run ``seed``, unmasked.
 
-
-def sample_shot(params: SystemParams, mask: MechanismMask, seed: int,
-                index: int,
-                _static: tuple[np.ndarray, np.ndarray] | None = None) -> NoiseSample:
-    """Draw one shot.  Deterministic in (seed, index, params, mask)."""
-    rng = _shot_rng(seed, index)
+    Shot i depends only on (params, seed, i).  Positions that land below the
+    separation floor are redrawn from the shot's own stream; the count is in
+    ``redraws``.  Since sampling ignores the mask, a geometry whose draws
+    cannot clear the floor raises ConfigError even for a run that switches
+    atom_localization off.
+    """
     srho_rb, sz_rb = params.localization_um("rb")
     srho_cs, sz_cs = params.localization_um("cs")
     sig_rb = np.array([srho_rb, srho_rb, sz_rb])
     sig_cs = np.array([srho_cs, srho_cs, sz_cs])
-
-    pos_rb, pos_cs = _positions(rng, sig_rb, sig_cs)
-    vel_rb = rng.normal(size=3) * params.velocity_sigma_ms("rb")
-    vel_cs = rng.normal(size=3) * params.velocity_sigma_ms("cs")
-    e_red_rb = 1.0 + rng.normal() * params.red_pulse_energy_std
-    e_blue_rb = 1.0 + rng.normal() * params.blue_pulse_energy_std
-    e_red_cs = 1.0 + rng.normal() * params.red_pulse_energy_std
-    e_blue_cs = 1.0 + rng.normal() * params.blue_pulse_energy_std
-    point_rb = rng.normal(size=2) * params.pointing_dynamic_nm
-    point_cs = rng.normal(size=2) * params.pointing_dynamic_nm
     hw = params.rabi_mismatch_halfwidth
-    mis_rb = 1.0 + rng.uniform(-hw, hw)
-    mis_cs = 1.0 + rng.uniform(-hw, hw)
-    mag = rng.normal() * params.detuning_magnetic_khz
-    elec = rng.normal() * params.detuning_electric_khz
-    las_rb = rng.normal() * params.detuning_laser_khz
-    las_cs = rng.normal() * params.detuning_laser_khz
 
-    # re-draw positions that land below the separation floor (only possible
-    # with localization on); extra draws sit after the fixed block so masked
-    # runs stay stream-aligned
-    redraws = 0
-    if mask.atom_localization:
-        sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
+    z, u, d = np.empty((shots, 20)), np.empty((shots, 2)), np.empty((shots, 4))
+    for i in range(shots):
+        z[i], u[i], d[i] = _fixed_draws(_shot_rng(seed, start_index + i), hw)
+
+    out = np.zeros(shots, dtype=SHOT_DTYPE).view(np.recarray)
+    out.position_rb_um = z[:, 0:3] * sig_rb
+    out.position_cs_um = z[:, 3:6] * sig_cs
+    out.velocity_rb_ms = z[:, 6:9] * params.velocity_sigma_ms("rb")
+    out.velocity_cs_ms = z[:, 9:12] * params.velocity_sigma_ms("cs")
+    out.energy_red_rb = 1.0 + z[:, 12] * params.red_pulse_energy_std
+    out.energy_blue_rb = 1.0 + z[:, 13] * params.blue_pulse_energy_std
+    out.energy_red_cs = 1.0 + z[:, 14] * params.red_pulse_energy_std
+    out.energy_blue_cs = 1.0 + z[:, 15] * params.blue_pulse_energy_std
+    out.pointing_rb_nm = z[:, 16:18] * params.pointing_dynamic_nm
+    out.pointing_cs_nm = z[:, 18:20] * params.pointing_dynamic_nm
+    out.static_rb_nm, out.static_cs_nm = static_offsets_nm(params, seed)
+    out.rabi_mismatch_rb = 1.0 + u[:, 0]
+    out.rabi_mismatch_cs = 1.0 + u[:, 1]
+    out.detuning_magnetic_khz = d[:, 0] * params.detuning_magnetic_khz
+    out.detuning_electric_khz = d[:, 1] * params.detuning_electric_khz
+    out.detuning_laser_rb_khz = d[:, 2] * params.detuning_laser_khz
+    out.detuning_laser_cs_khz = d[:, 3] * params.detuning_laser_khz
+
+    # screen with a margin of a few ulp, then decide on the exact per-shot
+    # norm; redraws continue the shot's stream after its fixed block
+    sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
+    sep = sep0 + out.position_cs_um - out.position_rb_um
+    floor2 = (1 + 1e-9) * SEPARATION_FLOOR_UM ** 2
+    near = np.einsum("ij,ij->i", sep, sep) < floor2
+    for i in np.flatnonzero(near):
+        rng = _shot_rng(seed, start_index + i)
+        _fixed_draws(rng, hw)
+        pos_rb, pos_cs = out.position_rb_um[i], out.position_cs_um[i]
         while np.linalg.norm(sep0 + pos_cs - pos_rb) < SEPARATION_FLOOR_UM:
-            redraws += 1
-            if redraws > MAX_REDRAWS:
-                raise RuntimeError("separation floor redraw limit exceeded")
-            pos_rb, pos_cs = _positions(rng, sig_rb, sig_cs)
-
-    if not mask.atom_localization:
-        pos_rb = np.zeros(3)
-        pos_cs = np.zeros(3)
-    if not mask.atom_velocity:
-        vel_rb = np.zeros(3)
-        vel_cs = np.zeros(3)
-    if not mask.pulse_energy_red:
-        e_red_rb = e_red_cs = 1.0
-    if not mask.pulse_energy_blue:
-        e_blue_rb = e_blue_cs = 1.0
-    if not mask.pointing_fluctuation:
-        point_rb = np.zeros(2)
-        point_cs = np.zeros(2)
-    if not mask.rabi_mismatch:
-        mis_rb = mis_cs = 1.0
-    if not mask.magnetic_noise:
-        mag = 0.0
-    if not mask.electric_noise:
-        elec = 0.0
-    if not mask.laser_frequency_noise:
-        las_rb = las_cs = 0.0
-
-    static_rb, static_cs = (_static if _static is not None
-                            else static_offsets_nm(params, mask, seed))
-    return NoiseSample(
-        index=index, mask=mask,
-        position_rb_um=pos_rb, position_cs_um=pos_cs,
-        velocity_rb_ms=vel_rb, velocity_cs_ms=vel_cs,
-        energy_red_rb=e_red_rb, energy_blue_rb=e_blue_rb,
-        energy_red_cs=e_red_cs, energy_blue_cs=e_blue_cs,
-        pointing_rb_nm=point_rb, pointing_cs_nm=point_cs,
-        static_rb_nm=static_rb.copy(), static_cs_nm=static_cs.copy(),
-        rabi_mismatch_rb=mis_rb, rabi_mismatch_cs=mis_cs,
-        detuning_magnetic_khz=mag, detuning_electric_khz=elec,
-        detuning_laser_rb_khz=las_rb, detuning_laser_cs_khz=las_cs,
-        redraws=redraws)
-
-
-def sample_shots(params: SystemParams, mask: MechanismMask, seed: int,
-                 shots: int, start_index: int = 0) -> list[NoiseSample]:
-    static = static_offsets_nm(params, mask, seed)
-    return [sample_shot(params, mask, seed, start_index + i, _static=static)
-            for i in range(shots)]
+            out.redraws[i] += 1
+            if out.redraws[i] > MAX_REDRAWS:
+                raise ConfigError(
+                    f"atom_separation_um = {params.atom_separation_um}: "
+                    f"{MAX_REDRAWS} position redraws did not clear the "
+                    f"{SEPARATION_FLOOR_UM} um separation floor")
+            pos_rb = rng.normal(size=3) * sig_rb
+            pos_cs = rng.normal(size=3) * sig_cs
+        out.position_rb_um[i], out.position_cs_um[i] = pos_rb, pos_cs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +241,13 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 def _resolve_atom(params: SystemParams, species: str, gate: GateParams,
-                  mask: MechanismMask, pos_um, vel_ms, e_red, e_blue,
-                  pointing_nm, static_nm, mismatch, extra_detuning_rad_s):
-    """Per-atom (rabi, detuning, gamma1, gammar_total) from one shot's draws.
-
-    Vectorized: scalar inputs give scalars, (n,...) arrays give (n,) outputs.
-    """
+                  mask: MechanismMask, shots: np.recarray,
+                  extra_detuning_rad_s):
+    """Per-atom (rabi, detuning, gamma1, gammar_scatter) arrays over shots."""
     sp = params.species(species)
-    pos_um = np.asarray(pos_um, dtype=float)
-    beam_off_um = (np.asarray(pointing_nm, dtype=float)
-                   + np.asarray(static_nm, dtype=float)) * 1e-3
+    pos_um = shots[f"position_{species}_um"]
+    beam_off_um = (shots[f"pointing_{species}_nm"]
+                   + shots[f"static_{species}_nm"]) * 1e-3
     dx = pos_um[..., 0] - beam_off_um[..., 0]
     dy = pos_um[..., 1] - beam_off_um[..., 1]
     rho2 = dx * dx + dy * dy
@@ -257,12 +255,13 @@ def _resolve_atom(params: SystemParams, species: str, gate: GateParams,
         if mask.finite_beam_blue else np.ones_like(rho2)
     g_red = np.exp(-2.0 * rho2 / sp.red_waist_um ** 2) \
         if mask.finite_beam_red else np.ones_like(rho2)
-    i_blue = np.asarray(e_blue, dtype=float) * g_blue
-    i_red = np.asarray(e_red, dtype=float) * g_red
+    i_blue = shots[f"energy_blue_{species}"] * g_blue
+    i_red = shots[f"energy_red_{species}"] * g_red
 
-    rabi = params.rabi_rad_s() * np.sqrt(i_blue * i_red) * np.asarray(mismatch)
+    rabi = (params.rabi_rad_s() * np.sqrt(i_blue * i_red)
+            * shots[f"rabi_mismatch_{species}"])
     axis = _AXIS_INDEX[params.doppler_axis]
-    doppler = sp.doppler_k_eff() * np.asarray(vel_ms, dtype=float)[..., axis]
+    doppler = sp.doppler_k_eff() * shots[f"velocity_{species}_ms"][..., axis]
     delta = (gate.detuning + doppler
              + sp.stark_coeff_blue() * (i_blue - 1.0)
              + sp.stark_coeff_red() * (i_red - 1.0)
@@ -280,85 +279,38 @@ def _blockade_rad_s(params: SystemParams, mask: MechanismMask,
                     pos_rb_um, pos_cs_um):
     b0 = params.blockade_rad_s()
     if not mask.blockade_fluctuation:
-        shape = np.shape(np.asarray(pos_rb_um)[..., 0])
-        return np.full(shape, b0) if shape else b0
-    sep0 = np.zeros(np.shape(pos_rb_um))
-    sep0[..., 0] = params.atom_separation_um
-    sep = sep0 + np.asarray(pos_cs_um) - np.asarray(pos_rb_um)
+        return np.full(len(pos_rb_um), b0)
+    sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
+    sep = sep0 + pos_cs_um - pos_rb_um
     r = np.maximum(np.linalg.norm(sep, axis=-1), SEPARATION_FLOOR_UM)
     return b0 * (params.atom_separation_um / r) ** 6
 
 
-def resolve_drives(params: SystemParams, sample: NoiseSample | None,
-                   gate: GateParams) -> tuple[AtomDriveSpec, AtomDriveSpec, float]:
-    """Turn one shot's draws into concrete per-atom drives and a blockade.
+def resolve_drive_batch(params: SystemParams, shots: np.recarray,
+                        mask: MechanismMask, gate: GateParams) -> DriveBatch:
+    """Per-shot drives and blockades of ``shots`` with ``mask`` applied.
 
-    With ``sample=None`` the nominal (noise-free, decay-on) drives are
-    returned.
+    This is the one place a mechanism flag acts: the draw-level flags set
+    their fields nominal (`masked_draws`); the beam-profile and scattering
+    flags act in `_resolve_atom`, Rydberg decay here, and blockade
+    fluctuation in `_blockade_rad_s`.
     """
-    if sample is None:
-        sample = NoiseSample.nominal()
-    mask = sample.mask
+    if len(shots) == 0:
+        raise ValueError("no shots to resolve")
+    shots = masked_draws(shots, mask)
 
     def phase(t):
         return waveform_phase(gate, t)
 
     bandwidth = abs(gate.phase_mod_rate) * max(1.0, gate.phase_mod_depth)
-    corr = (sample.detuning_magnetic_khz + sample.detuning_electric_khz) * KHZ
-
-    drives = []
-    for species, pos, vel, e_red, e_blue, point, static, mis, las in (
-            ("rb", sample.position_rb_um, sample.velocity_rb_ms,
-             sample.energy_red_rb, sample.energy_blue_rb,
-             sample.pointing_rb_nm, sample.static_rb_nm,
-             sample.rabi_mismatch_rb, sample.detuning_laser_rb_khz),
-            ("cs", sample.position_cs_um, sample.velocity_cs_ms,
-             sample.energy_red_cs, sample.energy_blue_cs,
-             sample.pointing_cs_nm, sample.static_cs_nm,
-             sample.rabi_mismatch_cs, sample.detuning_laser_cs_khz)):
-        rabi, delta, gamma1, gammar_sc = _resolve_atom(
-            params, species, gate, mask, pos, vel, e_red, e_blue,
-            point, static, mis, corr + las * KHZ)
-        ryd = (params.species(species).rydberg_decay_rate
-               if mask.rydberg_decay else 0.0)
-        drives.append(AtomDriveSpec(
-            rabi_two_photon=float(rabi), two_photon_detuning=float(delta),
-            phase=phase, decay_rate_1=float(gamma1),
-            decay_rate_r=float(gammar_sc), rydberg_decay_rate=ryd,
-            phase_bandwidth=bandwidth))
-    blockade = float(_blockade_rad_s(params, mask, sample.position_rb_um,
-                                     sample.position_cs_um))
-    return drives[0], drives[1], blockade
-
-
-def resolve_drive_batch(params: SystemParams, samples: list[NoiseSample],
-                        gate: GateParams) -> DriveBatch:
-    """Vectorized `resolve_drives` over a list of shots from one run."""
-    if not samples:
-        raise ValueError("empty sample list")
-    mask = samples[0].mask
-
-    def stack(attr):
-        return np.array([getattr(s, attr) for s in samples], dtype=float)
-
-    def phase(t):
-        return waveform_phase(gate, t)
-
-    bandwidth = abs(gate.phase_mod_rate) * max(1.0, gate.phase_mod_depth)
-    corr = (stack("detuning_magnetic_khz") + stack("detuning_electric_khz")) * KHZ
+    corr = (shots["detuning_magnetic_khz"]
+            + shots["detuning_electric_khz"]) * KHZ
 
     out = {}
-    for key, species, pos, vel, e_red, e_blue, point, static, mis, las in (
-            ("a", "rb", "position_rb_um", "velocity_rb_ms", "energy_red_rb",
-             "energy_blue_rb", "pointing_rb_nm", "static_rb_nm",
-             "rabi_mismatch_rb", "detuning_laser_rb_khz"),
-            ("b", "cs", "position_cs_um", "velocity_cs_ms", "energy_red_cs",
-             "energy_blue_cs", "pointing_cs_nm", "static_cs_nm",
-             "rabi_mismatch_cs", "detuning_laser_cs_khz")):
+    for key, species in (("a", "rb"), ("b", "cs")):
         rabi, delta, gamma1, gammar_sc = _resolve_atom(
-            params, species, gate, mask, stack(pos), stack(vel),
-            stack(e_red), stack(e_blue), stack(point), stack(static),
-            stack(mis), corr + stack(las) * KHZ)
+            params, species, gate, mask, shots,
+            corr + shots[f"detuning_laser_{species}_khz"] * KHZ)
         ryd = (params.species(species).rydberg_decay_rate
                if mask.rydberg_decay else 0.0)
         out[f"omega_{key}"] = rabi
@@ -366,16 +318,12 @@ def resolve_drive_batch(params: SystemParams, samples: list[NoiseSample],
         out[f"gamma1_{key}"] = gamma1
         out[f"gammar_{key}"] = gammar_sc + ryd
 
-    blockade = np.atleast_1d(_blockade_rad_s(
-        params, mask, stack("position_rb_um"), stack("position_cs_um")))
+    blockade = _blockade_rad_s(params, mask, shots["position_rb_um"],
+                               shots["position_cs_um"])
     return DriveBatch(phase_a=phase, phase_b=phase, bandwidth=bandwidth,
                       blockade=blockade, **out)
 
 
-def bell_test_error(gate: GateParams, params: SystemParams,
-                    sample: NoiseSample | None = None,
-                    step_ctrl: StepControl | None = None) -> float:
-    """Bell-circuit error for one shot (nominal drives when sample is None)."""
-    from .gate import bell_error_from_drives
-    drive_a, drive_b, blockade = resolve_drives(params, sample, gate)
-    return bell_error_from_drives(gate, drive_a, drive_b, blockade, step_ctrl)
+def resolve_drives(params: SystemParams, gate: GateParams) -> DriveBatch:
+    """The nominal (noise-free, decay-on) drives as a batch of one."""
+    return resolve_drive_batch(params, nominal_shot(), MechanismMask(), gate)

@@ -16,17 +16,17 @@ import pytest
 from rydsim.analysis import QndCounts, cz_fidelity, dirichlet_qnd, fit_geometric_decay
 from rydsim.budget import exclusion_table, monte_carlo_error, optimize_gate
 from rydsim.cli import main
-from rydsim.gate import StepControl
+from rydsim.gate import StepControl, bell_errors_batch
 from rydsim.laser import (LaserNoiseModel, ServoBump, carrier_weight,
                           fit_heterodyne, heterodyne_spectrum, rabi_error)
-from rydsim.noise import bell_test_error, resolve_drives
+from rydsim.noise import resolve_drives
 from rydsim.params import load_preset
 from rydsim.qnd import NoiseChannelParams, exact_distribution, parse_circuit, predicted_fqnd, simulate
 from rydsim.trap import (BlockadeModel, GaussianCloud, TrapSpec,
                          adiabatic_temperature, average_blockade,
                          blockade_point, localization_sigmas)
 
-from oracles import trajectory_rabi_error
+from oracles import drive_specs, trajectory_rabi_error
 
 
 def report(num, description, ok):
@@ -302,7 +302,8 @@ def test_integrator_cross_validation(current_params, current_opt):
     from rydsim.gate import bell_prep_state, build_hamiltonian, \
         bell_error_from_pulse_state
     gate = current_opt.gate
-    da, db, blockade = resolve_drives(current_params, None, gate)
+    batch = resolve_drives(current_params, gate)
+    da, db, blockade = drive_specs(batch)
 
     def rhs(t, y):
         return -1j * (build_hamiltonian(da, db, blockade, t) @ y)
@@ -310,7 +311,7 @@ def test_integrator_cross_validation(current_params, current_opt):
     sol = solve_ivp(rhs, (0.0, gate.duration), bell_prep_state(),
                     rtol=1e-10, atol=1e-12, method="DOP853")
     err_ref = bell_error_from_pulse_state(sol.y[:, -1], gate.virtual_rz)
-    err_fix = bell_test_error(gate, current_params)
+    err_fix = bell_errors_batch(gate, batch)[0]
     diff = abs(err_ref - err_fix)
     print(f"\n  fixed-step {err_fix:.8f} vs adaptive {err_ref:.8f} "
           f"(diff {diff:.2e})")

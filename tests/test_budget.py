@@ -7,7 +7,8 @@ from rydsim.budget import (EXCLUSION_MECHANISMS, MonteCarloReport,
                            adiabatic_trace, decay_floor, exclusion_table,
                            monte_carlo_error, optimize_gate,
                            sweep_temperature_power)
-from rydsim.noise import MechanismMask, bell_test_error
+from rydsim.gate import bell_errors_batch
+from rydsim.noise import MechanismMask, nominal_shot, resolve_drive_batch
 
 
 def test_optimized_error_sits_at_decay_floor(current_opt):
@@ -29,12 +30,12 @@ def test_projected_optimum(projected_opt):
 def test_monte_carlo_all_off_equals_noiseless(current_params, current_opt):
     # no sampling spread: every shot reproduces the single noiseless error of
     # the all-mechanisms-off system (decay bits included in the mask)
-    from rydsim.noise import NoiseSample
     gate = current_opt.gate
     mask = MechanismMask.all_off()
     rep = monte_carlo_error(current_params, gate, mask,
                             shots=100, seed=3, keep_errors=True)
-    noiseless = bell_test_error(gate, current_params, NoiseSample.nominal(mask))
+    noiseless = bell_errors_batch(gate, resolve_drive_batch(
+        current_params, nominal_shot(), mask, gate))[0]
     assert rep.std_error == 0.0
     assert np.all(rep.errors == rep.errors[0])
     assert rep.mean_error == pytest.approx(max(noiseless, 0.0), abs=1e-12)

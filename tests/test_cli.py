@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_unknown_config_path_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_separation_floor_redraw_limit_exit_code(tmp_path, gate_file, capsys):
+    # atoms held 10 nm apart and nearly at rest can never clear the floor
+    params = load_preset("current")
+    cfg = tmp_path / "close.cfg"
+    save_params(replace(params, atom_separation_um=0.01,
+                        atom_temperature_uk=0.01), cfg)
+    rc = main(["budget", "run", "--config", str(cfg), "--gate", gate_file,
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "atom_separation_um = 0.01" in err and "0.5 um" in err
+
+
 # ---------------------------------------------------------------------------
 # budget commands
 # ---------------------------------------------------------------------------
@@ -101,6 +115,17 @@ def test_budget_run_and_determinism(tmp_path, gate_file):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == {"report.json", "report.txt"}
     assert manifest["config_digest"]
+
+
+def test_budget_run_gate_missing_key_exit_code(tmp_path, gate_file, capsys):
+    doc = json.loads(read(gate_file))
+    del doc["duration"]
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(doc))
+    rc = main(["budget", "run", "--config", "current", "--gate", str(gate),
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "duration" in capsys.readouterr().err
 
 
 def test_budget_exclude_structure(tmp_path, gate_file):
@@ -194,6 +219,21 @@ def test_laser_rabi_error_curve(tmp_path):
     assert at_1mhz[2] < 1e-3
 
 
+def test_laser_rabi_error_model_without_h0_exit_code(tmp_path, capsys):
+    mf = tmp_path / "model.json"
+    mf.write_text(json.dumps({"bumps": [], "t_d": 48.9e-6}))
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", "0.5:4:5", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "h0" in capsys.readouterr().err
+
+
+def test_laser_rabi_error_missing_model_file_exit_code(tmp_path):
+    rc = main(["laser", "rabi-error", "--model", str(tmp_path / "nope.json"),
+               "--omega-grid", "0.5:4:5", "--out", str(tmp_path / "out")])
+    assert rc == 4
+
+
 def test_laser_fit_bad_trace_exit_code(tmp_path):
     trace = tmp_path / "bad.txt"
     trace.write_text("1e3 0.5 99\n")
@@ -271,6 +311,13 @@ def test_analyze_decay_failure_exit_code(tmp_path):
 def test_analyze_qnd_malformed_csv_exit_code(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("00,93\n")
+    rc = main(["analyze", "qnd", "--data", str(data), "--out", str(tmp_path)])
+    assert rc == 4
+
+
+def test_analyze_qnd_negative_counts_exit_code(tmp_path):
+    data = tmp_path / "negative.csv"
+    data.write_text("state,correct,incorrect\n00,93,-7\n")
     rc = main(["analyze", "qnd", "--data", str(data), "--out", str(tmp_path)])
     assert rc == 4
 

@@ -6,7 +6,8 @@ import pytest
 from rydsim.constants import MHZ
 from rydsim.gate import (AtomDriveSpec, DriveBatch, GateParams, IntegrationError,
                          StepControl, TwoAtomState, bell_error_from_drives,
-                         bell_error_from_pulse_state, bell_prep_state,
+                         bell_error_from_pulse_state, bell_errors_batch,
+                         bell_prep_state,
                          build_hamiltonian, evolve, evolve_dense_reference,
                          ideal_cz_unitary, pair_index, pulse_state_nominal,
                          waveform_phase, G0, G1, RYD)
@@ -209,18 +210,17 @@ def test_ideal_cz_gives_zero_bell_error():
 
 
 def test_bell_error_in_unit_interval(current_params, current_opt):
-    from rydsim.noise import bell_test_error
-    err = bell_test_error(current_opt.gate, current_params)
+    gate = current_opt.gate
+    err = bell_errors_batch(gate, resolve_drives(current_params, gate))[0]
     assert 0.0 <= err <= 1.0
 
 
 def test_norm_conservation_decay_free(current_params, current_opt):
     gate = current_opt.gate
-    da, db, blockade = resolve_drives(current_params, None, gate)
     from dataclasses import replace
-    da = replace(da, decay_rate_1=0.0, decay_rate_r=0.0, rydberg_decay_rate=0.0)
-    db = replace(db, decay_rate_1=0.0, decay_rate_r=0.0, rydberg_decay_rate=0.0)
-    batch = DriveBatch.from_drives(da, db, blockade)
+    zero = np.zeros(1)
+    batch = replace(resolve_drives(current_params, gate), gamma1_a=zero,
+                    gammar_a=zero, gamma1_b=zero, gammar_b=zero)
     psi = pulse_state_nominal(gate, batch)[0]
     assert abs(np.sum(np.abs(psi) ** 2) - 1.0) <= 1e-9
 
@@ -242,12 +242,10 @@ def test_blockade_symmetry_under_atom_swap(current_opt):
 
 
 def test_convergence_under_step_halving(current_params, current_opt):
-    from rydsim.noise import bell_test_error
     gate = current_opt.gate
-    e1 = bell_test_error(gate, current_params,
-                         step_ctrl=StepControl(steps_per_period=100))
-    e2 = bell_test_error(gate, current_params,
-                         step_ctrl=StepControl(steps_per_period=200))
+    batch = resolve_drives(current_params, gate)
+    e1 = bell_errors_batch(gate, batch, StepControl(steps_per_period=100))[0]
+    e2 = bell_errors_batch(gate, batch, StepControl(steps_per_period=200))[0]
     assert abs(e1 - e2) < 1e-6
 
 

@@ -6,9 +6,16 @@ import pytest
 
 from rydsim.constants import KB, KHZ, MASS_CS133, MASS_RB87, MHZ
 from rydsim.gate import GateParams
-from rydsim.noise import (MECHANISM_FLAGS, MechanismMask, NoiseSample,
-                          resolve_drives, sample_shot, sample_shots,
-                          static_offsets_nm)
+from rydsim.noise import (MECHANISM_FLAGS, MechanismMask, masked_draws,
+                          nominal_shot, resolve_drive_batch, resolve_drives,
+                          sample_shots, static_offsets_nm)
+
+BATCH_FIELDS = ("omega_a", "delta_a", "gamma1_a", "gammar_a", "omega_b",
+                "delta_b", "gamma1_b", "gammar_b", "blockade")
+
+
+def one_shot(params, seed, index):
+    return sample_shots(params, seed, shots=1, start_index=index)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +30,8 @@ def gate():
 # ---------------------------------------------------------------------------
 
 def test_all_off_mask_is_nominal(current_params):
-    s = sample_shot(current_params, MechanismMask.all_off(), seed=3, index=17)
+    s = masked_draws(one_shot(current_params, seed=3, index=17),
+                     MechanismMask.all_off())[0]
     assert np.all(s.position_rb_um == 0) and np.all(s.position_cs_um == 0)
     assert np.all(s.velocity_rb_ms == 0) and np.all(s.velocity_cs_ms == 0)
     assert s.energy_red_rb == 1.0 and s.energy_blue_rb == 1.0
@@ -39,8 +47,8 @@ def test_position_spreads_converge(current_params):
     # Rb at 15.4 uK in the 1.1 mK trap: sigma_rho 0.10 um, sigma_z 0.71 um
     params = replace(current_params, atom_temperature_uk=15.4,
                      trap_power_mw=40.0)
-    shots = sample_shots(params, MechanismMask(), seed=5, shots=100_000)
-    pos = np.array([s.position_rb_um for s in shots])
+    shots = sample_shots(params, seed=5, shots=100_000)
+    pos = shots.position_rb_um
     assert np.std(pos[:, 0]) == pytest.approx(0.10, rel=0.02)
     assert np.std(pos[:, 1]) == pytest.approx(0.10, rel=0.02)
     assert np.std(pos[:, 2]) == pytest.approx(0.71, rel=0.02)
@@ -48,38 +56,43 @@ def test_position_spreads_converge(current_params):
 
 def test_magnetic_only_mask(current_params):
     mask = MechanismMask.only("magnetic_noise")
-    shots = sample_shots(current_params, mask, seed=8, shots=20_000)
-    mags = np.array([s.detuning_magnetic_khz for s in shots])
+    shots = masked_draws(sample_shots(current_params, seed=8, shots=20_000),
+                         mask)
+    mags = shots.detuning_magnetic_khz
     assert np.std(mags) == pytest.approx(7.0, rel=0.03)
     assert all(s.detuning_electric_khz == 0.0 for s in shots[:100])
     assert all(np.all(s.position_rb_um == 0) for s in shots[:100])
 
 
 def test_velocity_distribution_both_species(current_params):
-    shots = sample_shots(current_params, MechanismMask(), seed=2, shots=100_000)
+    shots = sample_shots(current_params, seed=2, shots=100_000)
     for attr, mass in (("velocity_rb_ms", MASS_RB87),
                        ("velocity_cs_ms", MASS_CS133)):
-        v = np.array([getattr(s, attr) for s in shots])
+        v = shots[attr]
         expected = math.sqrt(KB * current_params.atom_temperature_uk * 1e-6 / mass)
         for axis in range(3):
             assert np.std(v[:, axis]) == pytest.approx(expected, rel=0.02)
 
 
 def test_sampling_determinism(current_params):
-    a = sample_shot(current_params, MechanismMask(), seed=11, index=123)
-    b = sample_shot(current_params, MechanismMask(), seed=11, index=123)
+    a = one_shot(current_params, seed=11, index=123)[0]
+    b = one_shot(current_params, seed=11, index=123)[0]
     for f in ("position_rb_um", "velocity_cs_ms", "pointing_rb_nm"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
     for f in ("energy_red_rb", "rabi_mismatch_cs", "detuning_magnetic_khz",
               "detuning_laser_rb_khz"):
         assert getattr(a, f) == getattr(b, f)
-    c = sample_shot(current_params, MechanismMask(), seed=11, index=124)
+    c = one_shot(current_params, seed=11, index=124)[0]
     assert not np.array_equal(a.position_rb_um, c.position_rb_um)
 
 
-def test_mask_linearity_field_by_field(current_params):
-    """Disabling one mechanism zeroes exactly its fields and no others."""
-    base = sample_shot(current_params, MechanismMask(), seed=7, index=5)
+def test_mask_linearity_field_by_field(current_params, gate):
+    """Disabling one mechanism zeroes exactly its fields and no others.
+
+    Resolving with the flag off equals resolving the draws with exactly
+    those fields at their nominal value.
+    """
+    base = one_shot(current_params, seed=7, index=5)
     zeroed_fields = {
         "atom_velocity": ("velocity_rb_ms", "velocity_cs_ms"),
         "atom_localization": ("position_rb_um", "position_cs_um"),
@@ -95,28 +108,36 @@ def test_mask_linearity_field_by_field(current_params):
         "pulse_energy_blue": ("energy_blue_rb", "energy_blue_cs"),
         "rabi_mismatch": ("rabi_mismatch_rb", "rabi_mismatch_cs"),
     }
-    sample_fields = [f for f in vars(base)
-                     if f not in ("index", "mask", "redraws")]
+    sample_fields = [f for f in base.dtype.names if f != "redraws"]
     for flag, affected in {**zeroed_fields, **unit_fields}.items():
-        s = sample_shot(current_params, MechanismMask().without(flag),
-                        seed=7, index=5)
+        mask = MechanismMask().without(flag)
+        s = masked_draws(base, mask)
+        target = 0.0 if flag in zeroed_fields else 1.0
         for f in sample_fields:
-            val = getattr(s, f)
-            ref = getattr(base, f)
+            val = s[f]
+            ref = base[f]
             if f in affected:
-                target = 0.0 if flag in zeroed_fields else 1.0
                 assert np.all(np.asarray(val) == target), (flag, f)
             else:
                 assert np.array_equal(np.asarray(val), np.asarray(ref)), (flag, f)
+        nominal = base.copy()
+        for f in affected:
+            nominal[f] = target
+        masked = resolve_drive_batch(current_params, base, mask, gate)
+        direct = resolve_drive_batch(current_params, nominal, MechanismMask(),
+                                     gate)
+        for f in BATCH_FIELDS:
+            assert np.array_equal(getattr(masked, f), getattr(direct, f)), \
+                (flag, f)
 
 
 def test_static_offset_is_per_run(current_params):
-    shots = sample_shots(current_params, MechanismMask(), seed=4, shots=10)
+    shots = sample_shots(current_params, seed=4, shots=10)
     first = shots[0].static_rb_nm
     assert all(np.array_equal(s.static_rb_nm, first) for s in shots)
     assert np.linalg.norm(first) == pytest.approx(
         current_params.pointing_static_nm, rel=1e-12)
-    other = static_offsets_nm(current_params, MechanismMask(), seed=5)[0]
+    other = static_offsets_nm(current_params, seed=5)[0]
     assert not np.array_equal(first, other)
 
 
@@ -126,7 +147,7 @@ def test_separation_floor_redraw():
     # shrink the separation so the floor engages with realistic spreads
     params = replace(params, atom_separation_um=0.62,
                      atom_temperature_uk=15.0, trap_power_mw=2.8)
-    shots = sample_shots(params, MechanismMask(), seed=1, shots=300)
+    shots = sample_shots(params, seed=1, shots=300)
     sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
     seps = [np.linalg.norm(sep0 + s.position_cs_um - s.position_rb_um)
             for s in shots]
@@ -138,103 +159,110 @@ def test_separation_floor_redraw():
 # drive resolution
 # ---------------------------------------------------------------------------
 
+def resolve(params, shot, gate, mask=None):
+    return resolve_drive_batch(params, shot, mask or MechanismMask(), gate)
+
+
 def test_nominal_drives_match_table(current_params, gate):
-    da, db, blockade = resolve_drives(current_params, None, gate)
-    assert da.rabi_two_photon == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
-    assert db.rabi_two_photon == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
-    assert da.two_photon_detuning == pytest.approx(gate.detuning, rel=1e-12)
-    assert blockade == pytest.approx(2 * np.pi * 12e6, rel=1e-12)
-    assert da.rydberg_decay_rate == pytest.approx(1 / 112e-6, rel=1e-12)
-    assert db.rydberg_decay_rate == pytest.approx(1 / 115e-6, rel=1e-12)
-    assert da.decay_rate_1 > 0 and da.decay_rate_r > 0
+    b = resolve_drives(current_params, gate)
+    assert b.omega_a[0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
+    assert b.omega_b[0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
+    assert b.delta_a[0] == pytest.approx(gate.detuning, rel=1e-12)
+    assert b.blockade[0] == pytest.approx(2 * np.pi * 12e6, rel=1e-12)
+    # the Rydberg share of the |r> loss rate is what switching off
+    # intermediate-state scattering leaves
+    ryd = resolve(current_params, nominal_shot(), gate,
+                  MechanismMask().without("intermediate_state_decay"))
+    assert ryd.gammar_a[0] == pytest.approx(1 / 112e-6, rel=1e-12)
+    assert ryd.gammar_b[0] == pytest.approx(1 / 115e-6, rel=1e-12)
+    assert b.gamma1_a[0] > 0 and b.gammar_a[0] - ryd.gammar_a[0] > 0
 
 
 def test_blockade_r6_scaling(current_params, gate):
-    s = NoiseSample.nominal()
+    s = nominal_shot()
     s.position_cs_um = np.array([5.27 - 5.85, 0.0, 0.0])   # separation 5.27
-    _, _, blockade = resolve_drives(current_params, s, gate)
+    blockade = resolve(current_params, s, gate).blockade[0]
     expected = 2 * np.pi * 12e6 * (5.85 / 5.27) ** 6
     assert blockade == pytest.approx(expected, rel=1e-12)
     assert blockade / (2 * np.pi * 12e6) == pytest.approx(1.88, abs=0.01)
 
 
 def test_blockade_frozen_when_masked(current_params, gate):
-    s = NoiseSample.nominal(MechanismMask().without("blockade_fluctuation"))
+    s = nominal_shot()
     s.position_cs_um = np.array([-0.5, 0.3, 0.4])
-    _, _, blockade = resolve_drives(current_params, s, gate)
+    blockade = resolve(current_params, s, gate,
+                       MechanismMask().without("blockade_fluctuation")).blockade[0]
     assert blockade == pytest.approx(2 * np.pi * 12e6, rel=1e-12)
 
 
 def test_doppler_shift_from_wavelengths(current_params, gate):
-    s = NoiseSample.nominal()
+    s = nominal_shot()
     v = 0.02
     s.velocity_rb_ms = np.array([0.0, 0.0, v])
-    da, db, _ = resolve_drives(current_params, s, gate)
+    b = resolve(current_params, s, gate)
     k_eff = 2 * np.pi * (1.0 / 421e-9 - 1.0 / 1005e-9)
-    assert da.two_photon_detuning - gate.detuning == pytest.approx(
-        k_eff * v, rel=1e-12)
-    assert db.two_photon_detuning == pytest.approx(gate.detuning, rel=1e-12)
+    assert b.delta_a[0] - gate.detuning == pytest.approx(k_eff * v, rel=1e-12)
+    assert b.delta_b[0] == pytest.approx(gate.detuning, rel=1e-12)
 
 
 def test_doppler_uses_configured_axis(current_params, gate):
     params = replace(current_params, doppler_axis="x")
-    s = NoiseSample.nominal()
+    s = nominal_shot()
     s.velocity_rb_ms = np.array([0.013, 0.0, 0.0])
-    da, _, _ = resolve_drives(params, s, gate)
+    b = resolve(params, s, gate)
     k_eff = current_params.rb.doppler_k_eff()
-    assert da.two_photon_detuning - gate.detuning == pytest.approx(
+    assert b.delta_a[0] - gate.detuning == pytest.approx(
         k_eff * 0.013, rel=1e-12)
 
 
 def test_pulse_energy_affects_rabi_and_detuning(current_params, gate):
-    s = NoiseSample.nominal()
+    s = nominal_shot()
     s.energy_blue_rb = 1.04
-    da, db, _ = resolve_drives(current_params, s, gate)
-    assert da.rabi_two_photon == pytest.approx(
+    b = resolve(current_params, s, gate)
+    assert b.omega_a[0] == pytest.approx(
         2 * np.pi * 1.2e6 * math.sqrt(1.04), rel=1e-12)
     shift = current_params.rb.stark_coeff_blue() * 0.04
-    assert da.two_photon_detuning - gate.detuning == pytest.approx(
-        shift, rel=1e-12)
-    assert db.two_photon_detuning == pytest.approx(gate.detuning, rel=1e-12)
+    assert b.delta_a[0] - gate.detuning == pytest.approx(shift, rel=1e-12)
+    assert b.delta_b[0] == pytest.approx(gate.detuning, rel=1e-12)
 
 
 def test_finite_beam_mask_flattens_profile(current_params, gate):
-    s = NoiseSample.nominal(MechanismMask().without("finite_beam_blue",
-                                                    "finite_beam_red"))
+    s = nominal_shot()
     s.position_rb_um = np.array([1.0, 0.5, 0.0])
-    da, _, _ = resolve_drives(current_params, s, gate)
-    assert da.rabi_two_photon == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
+    b = resolve(current_params, s, gate,
+                MechanismMask().without("finite_beam_blue", "finite_beam_red"))
+    assert b.omega_a[0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
 
-    s2 = NoiseSample.nominal()
-    s2.position_rb_um = np.array([1.0, 0.5, 0.0])
-    da2, _, _ = resolve_drives(current_params, s2, gate)
+    b2 = resolve(current_params, s, gate)
     rho2 = 1.0 ** 2 + 0.5 ** 2
     g_blue = math.exp(-2 * rho2 / current_params.rb.blue_waist_um ** 2)
     g_red = math.exp(-2 * rho2 / current_params.rb.red_waist_um ** 2)
-    assert da2.rabi_two_photon == pytest.approx(
+    assert b2.omega_a[0] == pytest.approx(
         2 * np.pi * 1.2e6 * math.sqrt(g_blue * g_red), rel=1e-12)
 
 
 def test_decay_masks(current_params, gate):
-    s = NoiseSample.nominal(MechanismMask().without("intermediate_state_decay"))
-    da, _, _ = resolve_drives(current_params, s, gate)
-    assert da.decay_rate_1 == 0.0 and da.decay_rate_r == 0.0
-    assert da.rydberg_decay_rate > 0.0
-    s2 = NoiseSample.nominal(MechanismMask().without("rydberg_decay"))
-    da2, _, _ = resolve_drives(current_params, s2, gate)
-    assert da2.rydberg_decay_rate == 0.0
-    assert da2.decay_rate_1 > 0.0
+    # gammar is the total |r> loss: scattering plus Rydberg decay
+    b = resolve(current_params, nominal_shot(), gate,
+                MechanismMask().without("intermediate_state_decay"))
+    assert b.gamma1_a[0] == 0.0
+    assert b.gammar_a[0] == current_params.rb.rydberg_decay_rate
+    assert b.gammar_a[0] > 0.0
+    b2 = resolve(current_params, nominal_shot(), gate,
+                 MechanismMask().without("rydberg_decay"))
+    assert b2.gammar_a[0] == current_params.rb.scattering_rate_r()
+    assert b2.gamma1_a[0] > 0.0
 
 
 def test_correlated_vs_uncorrelated_detunings(current_params, gate):
-    s = NoiseSample.nominal()
+    s = nominal_shot()
     s.detuning_magnetic_khz = 3.0
     s.detuning_electric_khz = 2.0
     s.detuning_laser_rb_khz = 1.5
-    da, db, _ = resolve_drives(current_params, s, gate)
-    assert da.two_photon_detuning - gate.detuning == pytest.approx(
+    b = resolve(current_params, s, gate)
+    assert b.delta_a[0] - gate.detuning == pytest.approx(
         (3.0 + 2.0 + 1.5) * KHZ, rel=1e-12)
-    assert db.two_photon_detuning - gate.detuning == pytest.approx(
+    assert b.delta_b[0] - gate.detuning == pytest.approx(
         (3.0 + 2.0) * KHZ, rel=1e-12)
 
 
@@ -244,3 +272,46 @@ def test_mask_helpers():
     assert set(m.as_dict()) == set(MECHANISM_FLAGS)
     with pytest.raises(KeyError):
         MechanismMask().without("not_a_mechanism")
+
+
+# ---------------------------------------------------------------------------
+# golden stream
+# ---------------------------------------------------------------------------
+
+def _golden():
+    import json
+    from pathlib import Path
+    return json.loads((Path(__file__).parent / "golden_stream.json").read_text())
+
+
+def _record_hex(params, seed, index):
+    s = one_shot(params, seed, index)[0]
+    static = ("static_rb_nm", "static_cs_nm")
+    names = [f for f in s.dtype.names if f not in static + ("redraws",)]
+
+    def flat_hex(fields):
+        return [float(v).hex()
+                for v in np.concatenate([np.atleast_1d(s[f]) for f in fields])]
+    return int(s.redraws), flat_hex(names), flat_hex(static)
+
+
+def test_golden_stream_pins_draws():
+    """(seed, index) -> draws is fixed; a stream change fails here."""
+    from rydsim.params import load_preset
+    golden = _golden()
+    for preset, records in golden["shots"].items():
+        params = load_preset(preset)
+        statics = golden["static"][preset]
+        for seed, values in statics.items():
+            offsets = np.concatenate(static_offsets_nm(params, int(seed)))
+            assert [float(v).hex() for v in offsets] == values, (preset, seed)
+        for rec in records:
+            assert _record_hex(params, rec["seed"], rec["index"]) == (
+                rec["redraws"], rec["values"], statics[str(rec["seed"])]), \
+                (preset, rec["index"])
+    params = replace(load_preset("current"), atom_separation_um=0.62,
+                     atom_temperature_uk=15.0, trap_power_mw=2.8)
+    rec = golden["redrawn"]
+    assert rec["redraws"] > 0
+    redraws, values, _ = _record_hex(params, rec["seed"], rec["index"])
+    assert (redraws, values) == (rec["redraws"], rec["values"])
