@@ -5,15 +5,14 @@ shot-to-shot noise.  Monte Carlo runs draw one sample per shot, resolve it to
 drive-level perturbations under the run's mechanism mask, and score the
 Bell-test error; runs over several masks (the exclusion table, the adiabatic
 trace) sample once and resolve the same draws under each mask.  Shots are
-batched through the vectorized integrator and the reduction is a stable sum
-over shot index, so results do not depend on chunking or thread scheduling.
+scored in chunks, one after another, through the batched gate propagator;
+a chunk whose propagation fails is rescored shot by shot, so the failing
+shots are counted as integration failures and left out of the mean.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,12 +210,6 @@ class MonteCarloReport:
         }
 
 
-def _worker_count(n_chunks: int) -> int:
-    cap = os.environ.get("RYDSIM_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_chunks))
-
-
 def monte_carlo_error(params: SystemParams, gate: GateParams,
                       mask: MechanismMask | None = None,
                       shots: int = 10_000, seed: int = 0,
@@ -248,9 +241,8 @@ def _score_shots(params: SystemParams, gate: GateParams,
     rejected = int(np.sum(samples.redraws))
 
     errors = np.full(shots, np.nan)
-    slices = [slice(i, min(i + chunk, shots)) for i in range(0, shots, chunk)]
-
-    def run_chunk(sl: slice):
+    for start in range(0, shots, chunk):
+        sl = slice(start, min(start + chunk, shots))
         try:
             batch = resolve_drive_batch(params, samples[sl], mask, gate)
             errors[sl] = bell_errors_batch(gate, batch, step_ctrl)
@@ -263,14 +255,6 @@ def _score_shots(params: SystemParams, gate: GateParams,
                     errors[j] = bell_errors_batch(gate, b1, step_ctrl)[0]
                 except IntegrationError:
                     errors[j] = np.nan
-
-    n_workers = _worker_count(len(slices))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_chunk, slices))
-    else:
-        for sl in slices:
-            run_chunk(sl)
 
     failures = int(np.count_nonzero(np.isnan(errors)))
     if failures > max_failure_fraction * shots:

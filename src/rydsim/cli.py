@@ -56,25 +56,25 @@ def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
     """Numeric/str CSV reader; '#' comments and an optional header allowed."""
     rows = []
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = [p.strip() for p in body.split(",")]
-            if len(parts) != n_cols:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
-            try:
-                rows.append(tuple(kind(p) for kind, p in zip(kinds, parts)))
-            except ValueError:
-                if lineno == 1 or (rows == [] and not any(
-                        ch.isdigit() for ch in parts[-1])):
-                    continue    # header row
-                raise DataFormatError(f"{path}:{lineno}: non-numeric value")
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = [p.strip() for p in body.split(",")]
+        if len(parts) != n_cols:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
+        try:
+            rows.append(tuple(kind(p) for kind, p in zip(kinds, parts)))
+        except ValueError:
+            if lineno == 1 or (rows == [] and not any(
+                    ch.isdigit() for ch in parts[-1])):
+                continue    # header row
+            raise DataFormatError(f"{path}:{lineno}: non-numeric value")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return rows
@@ -125,14 +125,13 @@ def _load_config(args) -> SystemParams:
 def _read_json(path: str, build):
     """``build(text)`` on the JSON file at ``path``.
 
-    An unreadable file, invalid JSON, a missing key or a wrongly shaped
-    document is a data-format error.
+    An unreadable file, invalid JSON, a missing key, a wrongly shaped
+    document or a value that ``build`` rejects is a data-format error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(fh.read())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing key {exc}") from exc

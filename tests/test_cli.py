@@ -117,6 +117,18 @@ def test_budget_run_and_determinism(tmp_path, gate_file):
     assert manifest["config_digest"]
 
 
+def test_budget_run_gate_negative_duration_exit_code(tmp_path, capsys):
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps({
+        "detuning": 0.0, "duration": -1.0, "phase_mod_rate": 1e6,
+        "phase_mod_depth": 1.0, "phase_mod_delay": 0.0,
+        "virtual_rz": [0.0, 0.0]}))
+    rc = main(["budget", "run", "--config", "current", "--gate", str(gate),
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "duration" in capsys.readouterr().err
+
+
 def test_budget_run_gate_missing_key_exit_code(tmp_path, gate_file, capsys):
     doc = json.loads(read(gate_file))
     del doc["duration"]
@@ -228,6 +240,15 @@ def test_laser_rabi_error_model_without_h0_exit_code(tmp_path, capsys):
     assert "h0" in capsys.readouterr().err
 
 
+def test_laser_rabi_error_negative_h0_exit_code(tmp_path, capsys):
+    mf = tmp_path / "model.json"
+    mf.write_text(json.dumps({"h0": -1.0, "bumps": [], "t_d": 48.9e-6}))
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", "0.5:4:5", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "h0" in capsys.readouterr().err
+
+
 def test_laser_rabi_error_missing_model_file_exit_code(tmp_path):
     rc = main(["laser", "rabi-error", "--model", str(tmp_path / "nope.json"),
                "--omega-grid", "0.5:4:5", "--out", str(tmp_path / "out")])
@@ -311,6 +332,13 @@ def test_analyze_decay_failure_exit_code(tmp_path):
 def test_analyze_qnd_malformed_csv_exit_code(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("00,93\n")
+    rc = main(["analyze", "qnd", "--data", str(data), "--out", str(tmp_path)])
+    assert rc == 4
+
+
+def test_analyze_qnd_non_utf8_exit_code(tmp_path):
+    data = tmp_path / "utf16.csv"
+    data.write_bytes(b"\xff\xfe" + "00,93,7\n".encode("utf-16-le"))
     rc = main(["analyze", "qnd", "--data", str(data), "--out", str(tmp_path)])
     assert rc == 4
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rydsim.constants import MHZ
 from rydsim.gate import (AtomDriveSpec, DriveBatch, GateParams, IntegrationError,
                          StepControl, TwoAtomState, bell_error_from_drives,
                          bell_error_from_pulse_state, bell_errors_batch,
                          bell_prep_state,
-                         build_hamiltonian, evolve, evolve_dense_reference,
+                         build_hamiltonian, evolve, evolve_batch,
+                         evolve_dense_reference,
                          ideal_cz_unitary, pair_index, pulse_state_nominal,
                          waveform_phase, G0, G1, RYD)
 from rydsim.noise import resolve_drives
@@ -292,3 +294,121 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
     ss_res = np.sum((np.array(errs) - fit) ** 2)
     ss_tot = np.sum((np.array(errs) - np.mean(errs)) ** 2)
     assert 1.0 - ss_res / ss_tot > 0.999
+
+
+# ---------------------------------------------------------------------------
+# batched CFM4 propagator
+# ---------------------------------------------------------------------------
+
+def _phase_mod(t):
+    return 1.3 * np.sin(2 * np.pi * 1.1e6 * (np.asarray(t) - 2e-7))
+
+
+def _batch_of(pairs, blockade):
+    """One DriveBatch holding a shot per (drive_a, drive_b) pair."""
+    ones = [DriveBatch.from_drives(da, db, blockade) for da, db in pairs]
+    fields = ("omega_a", "delta_a", "gamma1_a", "gammar_a", "omega_b",
+              "delta_b", "gamma1_b", "gammar_b", "blockade")
+    return DriveBatch(*[np.concatenate([getattr(b, f) for b in ones])
+                        for f in fields],
+                      phase_a=ones[0].phase_a, phase_b=ones[0].phase_b,
+                      bandwidth=max(b.bandwidth for b in ones))
+
+
+@pytest.mark.parametrize("b_mhz, ref_steps",
+                         [(12.0, 1000), (100.0, 2000), (1000.0, 16000)])
+def test_batched_cfm4_matches_dense_reference(b_mhz, ref_steps):
+    # the reference RK4 resolves the blockade (B dt ~ 0.016 at 1 GHz); the
+    # CFM4 batch takes its default 100 steps at every blockade
+    rng = np.random.default_rng(2)
+    amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+    amps /= np.linalg.norm(amps)
+    bw = 2 * np.pi * 1.43e6
+    pairs = [
+        (drive(rabi=2 * np.pi * 1.21e6, detuning=2 * np.pi * 0.3e6, g1=500.0,
+               gr=800.0, ryd=1 / 112e-6, phase=_phase_mod, bw=bw),
+         drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
+               gr=100.0, ryd=1 / 115e-6, phase=_phase_mod, bw=bw)),
+        (drive(rabi=2 * np.pi * 0.9e6, detuning=-2 * np.pi * 0.5e6, g1=5e4,
+               gr=1e4, ryd=1 / 50e-6, phase=_phase_mod, bw=bw),
+         drive(rabi=2 * np.pi * 1.4e6, detuning=2 * np.pi * 0.1e6, g1=1e3,
+               gr=2e4, ryd=1 / 90e-6, phase=_phase_mod, bw=bw)),
+    ]
+    blockade = 2 * np.pi * b_mhz * 1e6
+    duration = 40e-9
+    out = evolve_batch(np.stack([amps, amps]), _batch_of(pairs, blockade),
+                       duration)
+    for row, pair in zip(out, pairs):
+        ref = evolve_dense_reference(TwoAtomState(amps.copy()), pair,
+                                     blockade, duration, nsteps=ref_steps)
+        assert np.max(np.abs(row - ref.amplitudes)) < 1e-7
+
+
+@pytest.mark.parametrize("b_mhz", [12.0, 1000.0])
+def test_constant_drive_matches_exact_propagator(b_mhz):
+    # with a constant phase H is time independent and the exact propagator
+    # is expm(-iHT); at 1 GHz the step exponentials have ||hM|| ~ 13, above
+    # the Taylor limit, so they are scaled and squared
+    from scipy.linalg import expm
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+    amps /= np.linalg.norm(amps)
+    da = drive(rabi=2 * np.pi * 1.21e6, detuning=2 * np.pi * 0.3e6, g1=500.0,
+               gr=800.0, ryd=1 / 112e-6, phase=lambda t: 0.4 + 0 * t)
+    db = drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
+               gr=100.0, ryd=1 / 115e-6, phase=lambda t: -0.3 + 0 * t)
+    blockade, duration = 2 * np.pi * b_mhz * 1e6, 1e-6
+    exact = expm(-1j * duration * build_hamiltonian(da, db, blockade, 0.0)) @ amps
+    out = evolve_batch(amps[None, :], DriveBatch.from_drives(da, db, blockade),
+                       duration)[0]
+    assert np.max(np.abs(out - exact)) < 1e-10
+
+
+def test_step_count_does_not_scale_with_blockade():
+    # a step rule resolving the blockade would need 10^5 steps here; the
+    # phase bandwidth sets 143
+    omega = 2 * np.pi * 1.2e6
+    da = drive(rabi=omega, phase=_phase_mod, bw=2 * np.pi * 1.43e6)
+    batch = DriveBatch.from_drives(da, da, 2 * np.pi * 1000e6)
+    out = evolve_batch(bell_prep_state()[None, :], batch, 1e-6,
+                       StepControl(max_steps=400))
+    assert abs(np.sum(np.abs(out) ** 2) - 1.0) <= 1e-9
+
+
+def test_norm_growth_raises():
+    # a negative |r> loss rate is a gain; one such shot fails the batch
+    omega = 2 * np.pi * 1.2e6
+    da = drive(rabi=omega, g1=100.0, gr=100.0)
+    batch = _batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
+    psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
+    evolve_batch(psi0, batch, 1e-6)
+    batch.gammar_a[1] = -1e5
+    with pytest.raises(IntegrationError, match="norm grew"):
+        evolve_batch(psi0, batch, 1e-6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.floats(0.05e-6, 1.5e-6),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2 * np.pi * 2e6),
+    st.lists(st.floats(0.0, 1.0), min_size=9 * n, max_size=9 * n),
+    st.integers(0, 2 ** 32 - 1))))
+def test_norm_never_grows(case):
+    n, duration, depth, rate, unit, seed = case
+    u = np.array(unit).reshape(9, n)
+    rng = np.random.default_rng(seed)
+    batch = DriveBatch(
+        omega_a=2 * np.pi * 3e6 * u[0], delta_a=2 * np.pi * 4e6 * (u[1] - 0.5),
+        gamma1_a=1e6 * u[2], gammar_a=1e6 * u[3],
+        omega_b=2 * np.pi * 3e6 * u[4], delta_b=2 * np.pi * 4e6 * (u[5] - 0.5),
+        gamma1_b=1e6 * u[6], gammar_b=1e6 * u[7],
+        blockade=2 * np.pi * 1000e6 * u[8],
+        phase_a=lambda t: depth * np.sin(rate * np.asarray(t)),
+        phase_b=lambda t: depth * np.cos(rate * np.asarray(t)),
+        bandwidth=rate * max(1.0, depth))
+    psi0 = rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))
+    psi0 /= np.linalg.norm(psi0, axis=1)[:, None]
+    out = evolve_batch(psi0, batch, duration)
+    assert np.all(np.sum(np.abs(out) ** 2, axis=1) <= 1.0 + 1e-9)
