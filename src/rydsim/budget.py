@@ -38,6 +38,14 @@ _PULSE_SEEDS = (
 # the optimum to well below the acceptance tolerances
 _COARSE_CTRL = StepControl(steps_per_period=12)
 
+# optimizer restarts from perturbed seeds, and the evaluation limit of each
+# coarse simplex search
+_MAX_RESTARTS = 4
+_COARSE_MAXFEV = 800
+
+# a Monte Carlo run with a larger share of failed shots aborts
+_MAX_FAILURE_FRACTION = 0.01
+
 
 class OptimizationFailure(RuntimeError):
     """Optimizer could not reach the decay-floor-limited error target."""
@@ -56,8 +64,7 @@ def _gate_from_x(x, omega: float, rz=(0.0, 0.0)) -> GateParams:
         virtual_rz=rz)
 
 
-def decay_floor(params: SystemParams, gate: GateParams,
-                step_ctrl: StepControl | None = None) -> float:
+def decay_floor(params: SystemParams, gate: GateParams) -> float:
     """First-order decay-limited Bell error of the pulse.
 
     Evolves the nominal pulse with all decay rates zeroed while accumulating
@@ -68,7 +75,7 @@ def decay_floor(params: SystemParams, gate: GateParams,
     zero = np.zeros(1)
     stripped = replace(batch, gamma1_a=zero, gammar_a=zero,
                        gamma1_b=zero, gammar_b=zero)
-    _, acc = pulse_state_nominal(gate, stripped, step_ctrl, accumulate=True)
+    _, acc = pulse_state_nominal(gate, stripped, accumulate=True)
     rate_a = np.array([0.0, batch.gamma1_a[0], batch.gammar_a[0]])
     rate_b = np.array([0.0, batch.gamma1_b[0], batch.gammar_b[0]])
     rates = np.add.outer(rate_a, rate_b).reshape(9)
@@ -88,7 +95,7 @@ class OptimizationResult:
         return self.error - self.decay_floor
 
 
-def _objective(params: SystemParams, omega: float, ctrl: StepControl):
+def _objective(params: SystemParams, omega: float):
     def f(x):
         try:
             gate = _gate_from_x(x, omega)
@@ -97,7 +104,7 @@ def _objective(params: SystemParams, omega: float, ctrl: StepControl):
         if not (3.0 <= x[1] <= 16.0):
             return 1.0
         batch = resolve_drives(params, gate)
-        psi = pulse_state_nominal(gate, batch, ctrl)[0]
+        psi = pulse_state_nominal(gate, batch, _COARSE_CTRL)[0]
         rz = optimal_virtual_rz(psi)
         return float(bell_error_from_pulse_state(psi, rz))
     return f
@@ -112,10 +119,7 @@ def _tight_simplex(x0, scale):
     return np.array(sim)
 
 
-def optimize_gate(params: SystemParams, seed: int = 0,
-                  step_ctrl: StepControl | None = None,
-                  max_restarts: int = 4,
-                  coarse_maxfev: int = 800) -> OptimizationResult:
+def optimize_gate(params: SystemParams, seed: int = 0) -> OptimizationResult:
     """Optimize the five pulse parameters (plus phase corrections) noiselessly.
 
     Decay and finite blockade are included; there is no shot-to-shot noise.
@@ -125,40 +129,26 @@ def optimize_gate(params: SystemParams, seed: int = 0,
     stays above 10x the decay floor (or 1e-6 when decay is off).
     """
     omega = params.rabi_rad_s()
-    fine = step_ctrl or StepControl()
-    fun = _objective(params, omega, _COARSE_CTRL)
-
-    # stiff blockade sectors make each evaluation expensive; the baked seeds
-    # are already near-optimal there, so skip the wide simplex stage
-    probe_gate = _gate_from_x(_PULSE_SEEDS[0], omega)
-    steps = _COARSE_CTRL.steps_for(probe_gate.duration, params.blockade_rad_s())
-    expensive = steps >= 4000
+    fun = _objective(params, omega)
 
     rng = np.random.default_rng(seed)
     nfev = 0
     best_x, best_val = None, np.inf
     starts = [np.array(s) for s in _PULSE_SEEDS]
     restarts_used = 0
-    for attempt in range(max_restarts + 1):
-        if expensive:
-            for x0 in starts:
-                val = fun(x0)
-                nfev += 1
-                if val < best_val:
-                    best_val, best_x = val, x0
-        else:
-            for x0 in starts:
-                res = minimize(fun, x0, method="Nelder-Mead",
-                               options=dict(maxfev=coarse_maxfev, xatol=1e-10,
-                                            fatol=1e-14))
-                nfev += res.nfev
-                if res.fun < best_val:
-                    best_val, best_x = res.fun, res.x
+    for attempt in range(_MAX_RESTARTS + 1):
+        for x0 in starts:
+            res = minimize(fun, x0, method="Nelder-Mead",
+                           options=dict(maxfev=_COARSE_MAXFEV, xatol=1e-10,
+                                        fatol=1e-14))
+            nfev += res.nfev
+            if res.fun < best_val:
+                best_val, best_x = res.fun, res.x
         # tight polish around the incumbent
         res = minimize(fun, best_x, method="Nelder-Mead",
                        options=dict(initial_simplex=_tight_simplex(
                            best_x, [2e-3, 2e-3, 2e-3, 2e-3, 2e-4]),
-                           maxfev=max(250, coarse_maxfev // 2),
+                           maxfev=max(250, _COARSE_MAXFEV // 2),
                            xatol=1e-12, fatol=1e-16))
         nfev += res.nfev
         if res.fun < best_val:
@@ -166,11 +156,11 @@ def optimize_gate(params: SystemParams, seed: int = 0,
 
         gate = _gate_from_x(best_x, omega)
         batch = resolve_drives(params, gate)
-        psi = pulse_state_nominal(gate, batch, fine)[0]
+        psi = pulse_state_nominal(gate, batch)[0]
         rz = optimal_virtual_rz(psi)
         error = max(float(bell_error_from_pulse_state(psi, rz)), 0.0)
         gate = replace(gate, virtual_rz=rz)
-        floor = decay_floor(params, gate, fine)
+        floor = decay_floor(params, gate)
         threshold = max(10.0 * floor, 1e-6)
         if error < threshold:
             return OptimizationResult(gate, error, floor, nfev, restarts_used)
@@ -213,27 +203,24 @@ class MonteCarloReport:
 def monte_carlo_error(params: SystemParams, gate: GateParams,
                       mask: MechanismMask | None = None,
                       shots: int = 10_000, seed: int = 0,
-                      step_ctrl: StepControl | None = None,
                       chunk: int = 1024,
-                      keep_errors: bool = False,
-                      max_failure_fraction: float = 0.01) -> MonteCarloReport:
+                      keep_errors: bool = False) -> MonteCarloReport:
     """Mean Bell-test error over seeded shots.
 
     Deterministic in (params, gate, mask, shots, seed).  Integration failures
-    are counted per shot; more than ``max_failure_fraction`` of them aborts
-    the run.  The draws do not depend on the mask, so ``rejected_shots``
-    counts the same separation-floor redraws under every mask.
+    are counted per shot; more than 1 % of them aborts the run.  The draws
+    do not depend on the mask, so ``rejected_shots`` counts the same
+    separation-floor redraws under every mask.
     """
     return _score_shots(params, gate, mask or MechanismMask(),
-                        sample_shots(params, seed, shots), seed, step_ctrl,
-                        chunk, keep_errors, max_failure_fraction)
+                        sample_shots(params, seed, shots), seed, chunk,
+                        keep_errors)
 
 
 def _score_shots(params: SystemParams, gate: GateParams,
                  mask: MechanismMask, samples: np.recarray, seed: int,
-                 step_ctrl: StepControl | None, chunk: int = 1024,
-                 keep_errors: bool = False,
-                 max_failure_fraction: float = 0.01) -> MonteCarloReport:
+                 chunk: int = 1024,
+                 keep_errors: bool = False) -> MonteCarloReport:
     """`monte_carlo_error` on draws already sampled for run ``seed``."""
     shots = len(samples)
     if shots < 100:
@@ -245,19 +232,19 @@ def _score_shots(params: SystemParams, gate: GateParams,
         sl = slice(start, min(start + chunk, shots))
         try:
             batch = resolve_drive_batch(params, samples[sl], mask, gate)
-            errors[sl] = bell_errors_batch(gate, batch, step_ctrl)
+            errors[sl] = bell_errors_batch(gate, batch)
         except IntegrationError:
             # isolate the failing shots
             for j in range(sl.start, sl.stop):
                 try:
                     b1 = resolve_drive_batch(params, samples[j:j + 1], mask,
                                              gate)
-                    errors[j] = bell_errors_batch(gate, b1, step_ctrl)[0]
+                    errors[j] = bell_errors_batch(gate, b1)[0]
                 except IntegrationError:
                     errors[j] = np.nan
 
     failures = int(np.count_nonzero(np.isnan(errors)))
-    if failures > max_failure_fraction * shots:
+    if failures > _MAX_FAILURE_FRACTION * shots:
         raise MonteCarloAbort(
             f"{failures}/{shots} shots failed to integrate")
     good = errors[~np.isnan(errors)]
@@ -317,23 +304,20 @@ class ExclusionReport:
 
 
 def exclusion_table(params: SystemParams, gate: GateParams,
-                    shots: int = 10_000, seed: int = 0,
-                    step_ctrl: StepControl | None = None,
-                    base_mask: MechanismMask | None = None) -> ExclusionReport:
+                    shots: int = 10_000, seed: int = 0) -> ExclusionReport:
     """Per-mechanism contributions: baseline minus baseline-without-mechanism.
 
     The shots are sampled once and every mask resolves the same draws
     (common random numbers), so each row's uncertainty comes from the paired
     per-shot differences.
     """
-    base_mask = base_mask or MechanismMask()
     samples = sample_shots(params, seed, shots)
-    baseline = _score_shots(params, gate, base_mask, samples, seed,
-                            step_ctrl, keep_errors=True)
+    baseline = _score_shots(params, gate, MechanismMask(), samples, seed,
+                            keep_errors=True)
     rows = []
     for flag, name in EXCLUSION_MECHANISMS:
-        excl = _score_shots(params, gate, base_mask.without(flag), samples,
-                            seed, step_ctrl, keep_errors=True)
+        excl = _score_shots(params, gate, MechanismMask().without(flag),
+                            samples, seed, keep_errors=True)
         diff = baseline.errors - excl.errors
         diff = diff[~np.isnan(diff)]
         contribution = float(np.mean(diff))
@@ -365,8 +349,7 @@ class SweepGrid:
 def sweep_temperature_power(params: SystemParams, gate: GateParams,
                             temperatures_uk, powers_mw,
                             shots: int = 500, seed: int = 0,
-                            mask: MechanismMask | None = None,
-                            step_ctrl: StepControl | None = None) -> SweepGrid:
+                            mask: MechanismMask | None = None) -> SweepGrid:
     """CZ error over an (atom temperature, trap power) grid at fixed gate."""
     temperatures_uk = np.atleast_1d(np.asarray(temperatures_uk, dtype=float))
     powers_mw = np.atleast_1d(np.asarray(powers_mw, dtype=float))
@@ -376,7 +359,7 @@ def sweep_temperature_power(params: SystemParams, gate: GateParams,
         for j, p in enumerate(powers_mw):
             local = replace(params, atom_temperature_uk=float(t),
                             trap_power_mw=float(p))
-            rep = monte_carlo_error(local, gate, mask, shots, seed, step_ctrl)
+            rep = monte_carlo_error(local, gate, mask, shots, seed)
             errs[i, j] = rep.mean_error
             ses[i, j] = rep.std_error
     return SweepGrid(temperatures_uk, powers_mw, errs, ses)
@@ -395,8 +378,7 @@ class AdiabaticTrace:
 
 
 def adiabatic_trace(params: SystemParams, gate: GateParams, powers_mw,
-                    shots: int = 500, seed: int = 0,
-                    step_ctrl: StepControl | None = None) -> AdiabaticTrace:
+                    shots: int = 500, seed: int = 0) -> AdiabaticTrace:
     """CZ error along the adiabatic cooling curve T ~ sqrt(P).
 
     The curve is anchored at the configured operating point (the config's
@@ -420,7 +402,7 @@ def adiabatic_trace(params: SystemParams, gate: GateParams, powers_mw,
                         trap_power_mw=float(p))
         samples = sample_shots(local, seed, shots)
         for key, mask in masks.items():
-            rep = _score_shots(local, gate, mask, samples, seed, step_ctrl)
+            rep = _score_shots(local, gate, mask, samples, seed)
             out[key][0][i] = rep.mean_error
             out[key][1][i] = rep.std_error
     return AdiabaticTrace(

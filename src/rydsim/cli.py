@@ -52,14 +52,26 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, num)
 
 
+def _read_text(path: str, build):
+    """``build(text)`` on the UTF-8 text file at ``path``.
+
+    An unreadable or non-UTF-8 file, and text that ``build`` rejects (invalid
+    JSON, a missing key, a wrongly shaped document, a bad value), is a
+    data-format error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(fh.read())
+    except (OSError, ValueError, TypeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing key {exc}") from exc
+
+
 def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
     """Numeric/str CSV reader; '#' comments and an optional header allowed."""
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path, lambda text: text.split("\n"))
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -122,21 +134,6 @@ def _load_config(args) -> SystemParams:
     return params
 
 
-def _read_json(path: str, build):
-    """``build(text)`` on the JSON file at ``path``.
-
-    An unreadable file, invalid JSON, a missing key, a wrongly shaped
-    document or a value that ``build`` rejects is a data-format error.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return build(fh.read())
-    except (OSError, ValueError, TypeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing key {exc}") from exc
-
-
 def _gate_from_json(text: str) -> GateParams:
     doc = json.loads(text)
     return GateParams(
@@ -150,7 +147,7 @@ def _gate_from_json(text: str) -> GateParams:
 def _gate_for(params: SystemParams, args) -> tuple[GateParams, dict]:
     """Load an optimized gate from --gate, or optimize now (deterministic)."""
     if getattr(args, "gate", None):
-        gate = _read_json(args.gate, _gate_from_json)
+        gate = _read_text(args.gate, _gate_from_json)
         return gate, {"gate_source": args.gate}
     res = budget.optimize_gate(params, seed=0)
     return res.gate, {"gate_source": "optimized",
@@ -315,9 +312,9 @@ def cmd_laser_fit(args) -> int:
     run = _Run(args, "laser fit")
     try:
         freqs, vals = laser.read_trace(args.trace)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(str(exc)) from exc
-    initial = _read_json(args.initial, laser.model_from_json)
+    initial = _read_text(args.initial, laser.model_from_json)
     fit = laser.fit_heterodyne(freqs, vals, initial)
     run.write_json("fit.json", fit.as_dict())
     run.finish(trace=args.trace, seed=args.seed)
@@ -329,7 +326,7 @@ def cmd_laser_fit(args) -> int:
 
 def cmd_laser_rabi_error(args) -> int:
     run = _Run(args, "laser rabi-error")
-    model = _read_json(args.model, laser.model_from_json)
+    model = _read_text(args.model, laser.model_from_json)
     omegas_mhz = _parse_grid(args.omega_grid)
     omegas = omegas_mhz * 2.0 * np.pi * 1e6
     curve = laser.error_vs_rabi_curve(model, omegas, n_half=args.n)
@@ -430,11 +427,7 @@ def cmd_analyze_decay(args) -> int:
 
 def cmd_qnd_simulate(args) -> int:
     run = _Run(args, "qnd simulate")
-    try:
-        with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = qnd.parse_circuit(fh.read())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {args.circuit}: {exc}") from exc
+    circuit = _read_text(args.circuit, qnd.parse_circuit)
     noise = qnd.NoiseChannelParams(depolarizing=args.sigma, leak=args.leak,
                                    loss=args.loss, spam=args.spam)
     labels = (args.inputs.split(",") if args.inputs else

@@ -8,16 +8,21 @@ the four sectors defined by whether each atom occupies |0> or the driven
 {|1>, |r>} manifold.  Each driven sector is propagated for a whole batch of
 shots with the fourth-order commutator-free Magnus method (CFM4), whose step
 exponentials take the constant blockade shift exactly, so the step count does
-not grow with the blockade.  `build_hamiltonian` exposes the full 9x9 matrix,
-and `evolve_dense_reference` integrates it with plain RK4 as an independent
-check.
+not grow with the blockade.
+
+A `DriveBatch` (built by `noise.resolve_drive_batch`) holds the resolved
+drives of n shots, and `evolve_batch`, `pulse_state_nominal` and
+`bell_errors_batch` are the ways into the engine; a single drive is a batch
+of one.  As an independent check, `build_hamiltonian` gives the full 9x9
+matrix of one shot of a batch, and `evolve_dense_reference` integrates it
+with plain RK4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +49,8 @@ SECTOR_AB = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the time stepper cannot satisfy its step-size contract."""
+    """Raised when a batch cannot be propagated: a drive value is not finite,
+    a step count exceeds its limit, or a shot's norm grows."""
 
 
 @dataclass(frozen=True)
@@ -83,92 +89,58 @@ def waveform_phase(params: GateParams, t):
 
 
 @dataclass
-class AtomDriveSpec:
-    """Resolved single-atom drive: coupling, detuning, phase, and decay rates.
+class DriveBatch:
+    """Per-shot drive parameters for batched evolution (all arrays (n,)).
 
-    ``decay_rate_1`` and ``decay_rate_r`` are photon-scattering rates out of
-    |1> and |r> via the off-resonant intermediate state; ``rydberg_decay_rate``
-    is 1/tau_r.  All are treated as pure loss from the three-level system.
-    ``phase_bandwidth`` is a step-control hint: the characteristic angular
-    frequency content of the phase waveform.
+    Atom A drives with ``omega_a`` (two-photon Rabi frequency) at detuning
+    ``delta_a``, with loss rates ``gamma1_a`` out of |1> and ``gammar_a`` out
+    of |r>; atom B likewise; ``blockade`` shifts |rr>.  The phase waveforms
+    and ``bandwidth``, a step-control hint for the phase's fastest angular
+    frequency, are shared by every shot.
     """
 
-    rabi_two_photon: float                 # rad/s
-    two_photon_detuning: float             # rad/s
-    phase: Callable[[np.ndarray], np.ndarray]
-    decay_rate_1: float = 0.0              # 1/s
-    decay_rate_r: float = 0.0              # 1/s
-    rydberg_decay_rate: float = 0.0        # 1/s
-    phase_bandwidth: float = 0.0           # rad/s
+    omega_a: np.ndarray
+    delta_a: np.ndarray
+    gamma1_a: np.ndarray
+    gammar_a: np.ndarray     # total |r> loss rate for atom A
+    omega_b: np.ndarray
+    delta_b: np.ndarray
+    gamma1_b: np.ndarray
+    gammar_b: np.ndarray
+    blockade: np.ndarray
+    phase_a: Callable[[np.ndarray], np.ndarray]
+    phase_b: Callable[[np.ndarray], np.ndarray]
+    bandwidth: float = 0.0
 
-    def __post_init__(self):
-        if self.rabi_two_photon < 0:
-            raise ValueError("rabi_two_photon must be >= 0")
-        for name in ("decay_rate_1", "decay_rate_r", "rydberg_decay_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("rabi_two_photon", "two_photon_detuning", "decay_rate_1",
-                     "decay_rate_r", "rydberg_decay_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-    @property
-    def total_r_decay(self) -> float:
-        return self.decay_rate_r + self.rydberg_decay_rate
+    def __len__(self):
+        return len(self.omega_a)
 
 
-@dataclass
-class TwoAtomState:
-    """Nine complex amplitudes over {0,1,r} x {0,1,r} plus accumulated loss."""
-
-    amplitudes: np.ndarray
-    loss: float = 0.0
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(9)
-        if self.loss < -1e-12:
-            raise ValueError("loss must be in [0, 1]")
-        self.loss = max(self.loss, 0.0)
-
-    @classmethod
-    def from_pair(cls, a: int, b: int) -> "TwoAtomState":
-        amps = np.zeros(9, dtype=complex)
-        amps[pair_index(a, b)] = 1.0
-        return cls(amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def budget_defect(self) -> float:
-        """|sum |amp|^2 + loss - 1|, which stays <= 1e-9 under evolution."""
-        return abs(self.norm_squared + self.loss - 1.0)
-
-
-def _single_atom_hamiltonian(drive: AtomDriveSpec, t: float) -> np.ndarray:
+def _single_atom_hamiltonian(batch: DriveBatch, atom: str, shot: int,
+                             t: float) -> np.ndarray:
+    omega, delta, gamma1, gammar = (
+        float(getattr(batch, f"{name}_{atom}")[shot])
+        for name in ("omega", "delta", "gamma1", "gammar"))
     h = np.zeros((3, 3), dtype=complex)
-    phi = float(np.asarray(drive.phase(t)))
-    coupling = 0.5 * drive.rabi_two_photon * np.exp(1j * phi)
+    phi = float(np.asarray(getattr(batch, f"phase_{atom}")(t)))
+    coupling = 0.5 * omega * np.exp(1j * phi)
     h[G1, RYD] = coupling
     h[RYD, G1] = np.conj(coupling)
-    h[RYD, RYD] = -drive.two_photon_detuning
-    h[G1, G1] += -0.5j * drive.decay_rate_1
-    h[RYD, RYD] += -0.5j * drive.total_r_decay
+    h[RYD, RYD] = -delta
+    h[G1, G1] += -0.5j * gamma1
+    h[RYD, RYD] += -0.5j * gammar
     return h
 
 
-def build_hamiltonian(drive_a: AtomDriveSpec, drive_b: AtomDriveSpec,
-                      blockade: float, t: float) -> np.ndarray:
-    """Full 9x9 two-atom Hamiltonian (rad/s) at time t.
+def build_hamiltonian(batch: DriveBatch, t: float, shot: int = 0) -> np.ndarray:
+    """Full 9x9 two-atom Hamiltonian (rad/s) of one shot of ``batch`` at t.
 
     H = H_a x I + I x H_b + B |rr><rr| with non-Hermitian decay diagonals.
     """
-    if not math.isfinite(blockade):
-        raise ValueError("blockade must be finite")
-    ha = _single_atom_hamiltonian(drive_a, t)
-    hb = _single_atom_hamiltonian(drive_b, t)
+    ha = _single_atom_hamiltonian(batch, "a", shot, t)
+    hb = _single_atom_hamiltonian(batch, "b", shot, t)
     h = np.kron(ha, np.eye(3)) + np.kron(np.eye(3), hb)
-    h[pair_index(RYD, RYD), pair_index(RYD, RYD)] += blockade
+    h[pair_index(RYD, RYD), pair_index(RYD, RYD)] += float(batch.blockade[shot])
     return h
 
 
@@ -176,33 +148,29 @@ def build_hamiltonian(drive_a: AtomDriveSpec, drive_b: AtomDriveSpec,
 # step control and the sector propagator
 # ---------------------------------------------------------------------------
 
+# every sector takes at least this many steps
+_MIN_STEPS = 16
+
+
 @dataclass(frozen=True)
 class StepControl:
     """Fixed-step control of the CFM4 sector propagator.
 
-    With ``max_step`` unset, each sector resolves the period of its fastest
-    non-blockade angular frequency (Rabi, detuning, phase-modulation
-    bandwidth) with ``steps_per_period`` points.  The blockade shift is
-    constant in time and the step exponentials take it exactly, so it does
-    not set the step.  The default of 100 keeps the norm drift of a
-    decay-free gate below 1e-9.  An explicit ``max_step`` applies uniformly
-    to every sector, which makes step-halving convergence checks exact.
+    Each sector resolves the period of its fastest non-blockade angular
+    frequency (Rabi, detuning, phase-modulation bandwidth) with
+    ``steps_per_period`` points, and takes at least 16 steps.  The blockade
+    shift is constant in time and the step exponentials take it exactly, so
+    it does not set the step.  The default of 100 keeps the norm drift of a
+    decay-free gate below 1e-9.  A sector needing more than ``max_steps``
+    steps raises IntegrationError.
     """
 
     steps_per_period: int = 100
-    max_step: float | None = None
     max_steps: int = 5_000_000
-    min_steps: int = 16
 
     def steps_for(self, duration: float, scale: float) -> int:
-        if self.max_step is not None:
-            if self.max_step <= 0:
-                raise IntegrationError("step size underflow: max_step <= 0")
-            n = math.ceil(duration / self.max_step)
-        else:
-            dt_max = TWO_PI / (self.steps_per_period * max(scale, TWO_PI / duration))
-            n = math.ceil(duration / dt_max)
-        n = max(n, self.min_steps)
+        dt_max = TWO_PI / (self.steps_per_period * max(scale, TWO_PI / duration))
+        n = max(math.ceil(duration / dt_max), _MIN_STEPS)
         if n > self.max_steps:
             raise IntegrationError(
                 f"step size underflow: {n} steps exceed limit {self.max_steps}")
@@ -346,46 +314,6 @@ def _cfm4_sector(psi, diag, drives, t0, h, nsteps, accumulate=False):
     return (psi, acc) if accumulate else psi
 
 
-@dataclass
-class DriveBatch:
-    """Per-shot drive parameters for batched evolution (all arrays (n,))."""
-
-    omega_a: np.ndarray
-    delta_a: np.ndarray
-    gamma1_a: np.ndarray
-    gammar_a: np.ndarray     # total |r> loss rate for atom A
-    omega_b: np.ndarray
-    delta_b: np.ndarray
-    gamma1_b: np.ndarray
-    gammar_b: np.ndarray
-    blockade: np.ndarray
-    phase_a: Callable[[np.ndarray], np.ndarray]
-    phase_b: Callable[[np.ndarray], np.ndarray]
-    bandwidth: float = 0.0
-
-    def __len__(self):
-        return len(self.omega_a)
-
-    @classmethod
-    def from_drives(cls, drive_a: AtomDriveSpec, drive_b: AtomDriveSpec,
-                    blockade: float) -> "DriveBatch":
-        one = np.ones(1)
-        return cls(
-            omega_a=one * drive_a.rabi_two_photon,
-            delta_a=one * drive_a.two_photon_detuning,
-            gamma1_a=one * drive_a.decay_rate_1,
-            gammar_a=one * drive_a.total_r_decay,
-            omega_b=one * drive_b.rabi_two_photon,
-            delta_b=one * drive_b.two_photon_detuning,
-            gamma1_b=one * drive_b.decay_rate_1,
-            gammar_b=one * drive_b.total_r_decay,
-            blockade=one * blockade,
-            phase_a=drive_a.phase,
-            phase_b=drive_b.phase,
-            bandwidth=max(drive_a.phase_bandwidth, drive_b.phase_bandwidth),
-        )
-
-
 def evolve_batch(psi, batch: DriveBatch, duration: float,
                  step_ctrl: StepControl | None = None,
                  t0: float = 0.0, accumulate: bool = False):
@@ -395,18 +323,28 @@ def evolve_batch(psi, batch: DriveBatch, duration: float,
     for norm loss.  With ``accumulate``, also returns (n, 9) integrals of
     |psi_i|^2 dt used for first-order decay estimates.  Each sector takes
     one step count for the whole batch, set by the batch's fastest
-    non-blockade frequency.  Raises IntegrationError if any shot's norm
-    grows by more than 1e-9.
+    non-blockade frequency.  Raises IntegrationError before stepping if a
+    shot's drive holds a non-finite value or a negative Rabi frequency, and
+    after stepping if any shot's norm grew by more than 1e-9.
     """
     if step_ctrl is None:
         step_ctrl = StepControl()
     psi = np.array(psi, dtype=complex)
+    n = len(psi)
+    values = np.stack([batch.omega_a, batch.delta_a, batch.gamma1_a,
+                       batch.gammar_a, batch.omega_b, batch.delta_b,
+                       batch.gamma1_b, batch.gammar_b, batch.blockade])
+    bad = (~np.all(np.isfinite(values), axis=0) | (batch.omega_a < 0)
+           | (batch.omega_b < 0) | (not math.isfinite(batch.bandwidth)))
+    if np.any(bad):
+        raise IntegrationError(
+            f"non-finite drive or negative Rabi frequency in "
+            f"{int(np.sum(bad))} of {n} shots")
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
     acc = np.zeros(psi.shape) if accumulate else None
     scale_a, scale_b, scale_ab = _sector_scales(
         batch.omega_a, batch.delta_a, batch.omega_b, batch.delta_b,
         batch.bandwidth)
-    n = len(psi)
     # diagonal of H on (|1>, |r>) per atom; the SECTOR_AB diagonal is the
     # sum of both plus the blockade on |rr>
     diag_a = np.stack([-0.5j * batch.gamma1_a,
@@ -439,35 +377,15 @@ def evolve_batch(psi, batch: DriveBatch, duration: float,
     return psi
 
 
-def evolve(state: TwoAtomState, drives: Sequence[AtomDriveSpec],
-           blockade: float, duration: float,
-           step_ctrl: StepControl | None = None) -> TwoAtomState:
-    """Integrate i dpsi/dt = H(t) psi over [0, duration].
-
-    Norm lost to the non-Hermitian terms is added to ``state.loss``.  Raises
-    IntegrationError if the step-size contract cannot be met or the norm
-    grows.
-    """
-    drive_a, drive_b = drives
-    if not math.isfinite(blockade):
-        raise ValueError("blockade must be finite")
-    batch = DriveBatch.from_drives(drive_a, drive_b, blockade)
-    psi = evolve_batch(state.amplitudes[None, :], batch, duration, step_ctrl)[0]
-    lost = state.norm_squared - float(np.sum(np.abs(psi) ** 2))
-    return TwoAtomState(psi, loss=state.loss + max(lost, 0.0))
-
-
-def evolve_dense_reference(state: TwoAtomState, drives: Sequence[AtomDriveSpec],
-                           blockade: float, duration: float,
-                           nsteps: int) -> TwoAtomState:
-    """Plain RK4 on the full 9x9 `build_hamiltonian` matrix (validation path)."""
-    drive_a, drive_b = drives
-    psi = state.amplitudes.copy()
+def evolve_dense_reference(psi, batch: DriveBatch, duration: float,
+                           nsteps: int, shot: int = 0) -> np.ndarray:
+    """Plain RK4 on the full 9x9 `build_hamiltonian` matrix of one shot
+    (validation path); returns the evolved 9 amplitudes."""
+    psi = np.array(psi, dtype=complex)
     dt = duration / nsteps
-    norm_in = float(np.sum(np.abs(psi) ** 2))
 
     def rhs(t, y):
-        return -1j * build_hamiltonian(drive_a, drive_b, blockade, t) @ y
+        return -1j * build_hamiltonian(batch, t, shot) @ y
 
     t = 0.0
     for _ in range(nsteps):
@@ -477,8 +395,7 @@ def evolve_dense_reference(state: TwoAtomState, drives: Sequence[AtomDriveSpec],
         k4 = rhs(t + dt, psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         t += dt
-    norm_out = float(np.sum(np.abs(psi) ** 2))
-    return TwoAtomState(psi, loss=state.loss + max(norm_in - norm_out, 0.0))
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -547,23 +464,6 @@ def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
     return err if psi_after_pulse.ndim > 1 else float(err[0])
 
 
-def bell_errors_batch(gate: GateParams, batch: DriveBatch,
-                      step_ctrl: StepControl | None = None) -> np.ndarray:
-    """Bell-circuit error per shot for a batch of resolved drives."""
-    n = len(batch)
-    psi0 = np.broadcast_to(bell_prep_state(), (n, 9)).copy()
-    psi = evolve_batch(psi0, batch, gate.duration, step_ctrl)
-    return np.clip(bell_error_from_pulse_state(psi, gate.virtual_rz), 0.0, 1.0)
-
-
-def bell_error_from_drives(gate: GateParams, drive_a: AtomDriveSpec,
-                           drive_b: AtomDriveSpec, blockade: float,
-                           step_ctrl: StepControl | None = None) -> float:
-    """Bell-circuit error for a single resolved drive pair."""
-    batch = DriveBatch.from_drives(drive_a, drive_b, blockade)
-    return float(bell_errors_batch(gate, batch, step_ctrl)[0])
-
-
 def pulse_state_nominal(gate: GateParams, batch: DriveBatch,
                         step_ctrl: StepControl | None = None,
                         accumulate: bool = False):
@@ -572,6 +472,13 @@ def pulse_state_nominal(gate: GateParams, batch: DriveBatch,
     psi0 = np.broadcast_to(bell_prep_state(), (n, 9)).copy()
     return evolve_batch(psi0, batch, gate.duration, step_ctrl,
                         accumulate=accumulate)
+
+
+def bell_errors_batch(gate: GateParams, batch: DriveBatch,
+                      step_ctrl: StepControl | None = None) -> np.ndarray:
+    """Bell-circuit error per shot for a batch of resolved drives."""
+    psi = pulse_state_nominal(gate, batch, step_ctrl)
+    return np.clip(bell_error_from_pulse_state(psi, gate.virtual_rz), 0.0, 1.0)
 
 
 def optimal_virtual_rz(psi_after_pulse: np.ndarray) -> tuple[float, float]:

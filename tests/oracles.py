@@ -2,27 +2,6 @@
 
 import numpy as np
 
-from rydsim.gate import AtomDriveSpec
-
-
-def drive_specs(batch):
-    """(drive_a, drive_b, blockade) of a batch of one, for the 9x9 oracle.
-
-    The total |r> loss goes in ``decay_rate_r``; the Hamiltonian only sees
-    the sum, so it is the same Hamiltonian the batch describes.
-    """
-    def spec(omega, delta, gamma1, gammar, phase):
-        return AtomDriveSpec(
-            rabi_two_photon=float(omega[0]), two_photon_detuning=float(delta[0]),
-            phase=phase, decay_rate_1=float(gamma1[0]),
-            decay_rate_r=float(gammar[0]), phase_bandwidth=batch.bandwidth)
-
-    return (spec(batch.omega_a, batch.delta_a, batch.gamma1_a, batch.gammar_a,
-                 batch.phase_a),
-            spec(batch.omega_b, batch.delta_b, batch.gamma1_b, batch.gammar_b,
-                 batch.phase_b),
-            float(batch.blockade[0]))
-
 
 def trajectory_rabi_error(h0: float, omega0: float, n_half: int,
                           n_traj: int = 1000, seed: int = 0,

@@ -26,7 +26,7 @@ from rydsim.trap import (BlockadeModel, GaussianCloud, TrapSpec,
                          adiabatic_temperature, average_blockade,
                          blockade_point, localization_sigmas)
 
-from oracles import drive_specs, trajectory_rabi_error
+from oracles import trajectory_rabi_error
 
 
 def report(num, description, ok):
@@ -303,10 +303,9 @@ def test_integrator_cross_validation(current_params, current_opt):
         bell_error_from_pulse_state
     gate = current_opt.gate
     batch = resolve_drives(current_params, gate)
-    da, db, blockade = drive_specs(batch)
 
     def rhs(t, y):
-        return -1j * (build_hamiltonian(da, db, blockade, t) @ y)
+        return -1j * (build_hamiltonian(batch, t) @ y)
 
     sol = solve_ivp(rhs, (0.0, gate.duration), bell_prep_state(),
                     rtol=1e-10, atol=1e-12, method="DOP853")

@@ -128,15 +128,16 @@ def test_adiabatic_trace_curve_shapes(current_params, current_opt):
     assert tr.error_position_frozen[-1] > tr.error_position_frozen[0]
 
 
-def test_worker_cap_does_not_change_results(current_params, current_opt,
-                                            monkeypatch):
-    r1 = monte_carlo_error(current_params, current_opt.gate, shots=200,
-                           seed=5, chunk=64)
-    monkeypatch.setenv("RYDSIM_THREADS", "1")
-    r2 = monte_carlo_error(current_params, current_opt.gate, shots=200,
-                           seed=5, chunk=64)
-    assert r1.mean_error == r2.mean_error
-    assert r1.std_error == r2.std_error
+def test_chunk_size_does_not_change_results(current_params, current_opt):
+    # each chunk takes its own step and Taylor term counts from its fastest
+    # shot, so per-shot errors agree to a tolerance, not bit for bit
+    ref = monte_carlo_error(current_params, current_opt.gate, shots=200,
+                            seed=5, keep_errors=True)
+    for chunk in (1, 7, 64):
+        rep = monte_carlo_error(current_params, current_opt.gate, shots=200,
+                                seed=5, chunk=chunk, keep_errors=True)
+        assert np.max(np.abs(rep.errors - ref.errors)) <= 1e-9
+        assert rep.integration_failures == ref.integration_failures
 
 
 def test_report_dict_round_trips(current_params, current_opt):

@@ -265,6 +265,14 @@ def test_laser_fit_bad_trace_exit_code(tmp_path):
     assert rc == 4
 
 
+def test_laser_fit_missing_trace_exit_code(tmp_path):
+    init = tmp_path / "init.json"
+    init.write_text(model_to_json(LaserNoiseModel(h0=1.0, t_d=48.9e-6)))
+    rc = main(["laser", "fit", "--trace", str(tmp_path / "nope.txt"),
+               "--initial", str(init), "--out", str(tmp_path / "out")])
+    assert rc == 4
+
+
 # ---------------------------------------------------------------------------
 # analyze commands
 # ---------------------------------------------------------------------------
@@ -389,5 +397,12 @@ def test_qnd_simulate_ordering(tmp_path):
 def test_qnd_simulate_bad_circuit_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("qubit a rb data\ncz a a\nmeasure a\n")
+    rc = main(["qnd", "simulate", "--circuit", str(bad), "--out", str(tmp_path)])
+    assert rc == 4
+
+
+def test_qnd_simulate_non_utf8_circuit_exit_code(tmp_path):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + "qubit a rb data\n".encode("utf-16-le"))
     rc = main(["qnd", "simulate", "--circuit", str(bad), "--out", str(tmp_path)])
     assert rc == 4

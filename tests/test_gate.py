@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydsim.constants import MHZ
-from rydsim.gate import (AtomDriveSpec, DriveBatch, GateParams, IntegrationError,
-                         StepControl, TwoAtomState, bell_error_from_drives,
+from rydsim.gate import (DriveBatch, GateParams, IntegrationError, StepControl,
                          bell_error_from_pulse_state, bell_errors_batch,
                          bell_prep_state,
-                         build_hamiltonian, evolve, evolve_batch,
+                         build_hamiltonian, evolve_batch,
                          evolve_dense_reference,
                          ideal_cz_unitary, pair_index, pulse_state_nominal,
                          waveform_phase, G0, G1, RYD)
@@ -22,9 +21,42 @@ def zero_phase(t):
 
 def drive(rabi=0.0, detuning=0.0, g1=0.0, gr=0.0, ryd=0.0, phase=zero_phase,
           bw=0.0):
-    return AtomDriveSpec(rabi_two_photon=rabi, two_photon_detuning=detuning,
-                         phase=phase, decay_rate_1=g1, decay_rate_r=gr,
-                         rydberg_decay_rate=ryd, phase_bandwidth=bw)
+    """One atom's drive; the scattering ``gr`` and the Rydberg decay ``ryd``
+    add up to its total |r> loss rate."""
+    return dict(omega=rabi, delta=detuning, gamma1=g1, gammar=gr + ryd,
+                phase=phase, bw=bw)
+
+
+def batch_of(pairs, blockade):
+    """One DriveBatch holding a shot per (drive_a, drive_b) pair; the pairs
+    share the first pair's phase waveforms."""
+    cols = {f"{name}_{atom}": np.array([p[i][name] for p in pairs], dtype=float)
+            for i, atom in enumerate("ab")
+            for name in ("omega", "delta", "gamma1", "gammar")}
+    return DriveBatch(**cols, blockade=np.full(len(pairs), float(blockade)),
+                      phase_a=pairs[0][0]["phase"],
+                      phase_b=pairs[0][1]["phase"],
+                      bandwidth=max(d["bw"] for p in pairs for d in p))
+
+
+def pair(da, db, blockade):
+    """A batch of one shot."""
+    return batch_of([(da, db)], blockade)
+
+
+def evolve_one(amps, da, db, blockade, duration, step_ctrl=None):
+    return evolve_batch(amps[None, :], pair(da, db, blockade), duration,
+                        step_ctrl)[0]
+
+
+def pair_state(a, b):
+    amps = np.zeros(9, dtype=complex)
+    amps[pair_index(a, b)] = 1.0
+    return amps
+
+
+def bell_error_of(gate, da, db, blockade):
+    return float(bell_errors_batch(gate, pair(da, db, blockade))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -34,17 +66,17 @@ def drive(rabi=0.0, detuning=0.0, g1=0.0, gr=0.0, ryd=0.0, phase=zero_phase,
 def test_hamiltonian_no_drive_is_diagonal():
     da = drive(detuning=2 * np.pi * 0.5e6)
     db = drive(detuning=-2 * np.pi * 0.2e6)
-    h = build_hamiltonian(da, db, 2 * np.pi * 3e6, t=0.0)
+    h = build_hamiltonian(pair(da, db, 2 * np.pi * 3e6), t=0.0)
     off = h - np.diag(np.diag(h))
     assert np.max(np.abs(off)) == 0.0
     assert h[pair_index(RYD, G0), pair_index(RYD, G0)] == pytest.approx(
-        -da.two_photon_detuning)
+        -da["delta"])
 
 
 def test_hamiltonian_blockade_on_rr():
     blockade = 2 * np.pi * 12.01e6   # measured blockade anchor
-    h0 = build_hamiltonian(drive(), drive(), 0.0, 0.0)
-    h1 = build_hamiltonian(drive(), drive(), blockade, 0.0)
+    h0 = build_hamiltonian(pair(drive(), drive(), 0.0), 0.0)
+    h1 = build_hamiltonian(pair(drive(), drive(), blockade), 0.0)
     diff = h1 - h0
     rr = pair_index(RYD, RYD)
     assert diff[rr, rr] == pytest.approx(blockade)
@@ -57,24 +89,40 @@ def test_hamiltonian_antihermitian_part_negative_semidefinite():
                ryd=1e4)
     db = drive(rabi=2 * np.pi * 1.1e6, detuning=-2e5, g1=100.0, gr=700.0,
                ryd=9e3)
-    h = build_hamiltonian(da, db, 2 * np.pi * 12e6, t=1e-7)
+    h = build_hamiltonian(pair(da, db, 2 * np.pi * 12e6), t=1e-7)
     anti = (h - h.conj().T) / 2j
     vals = np.linalg.eigvalsh(anti)
     assert np.all(vals <= 1e-12)
 
 
 def test_hamiltonian_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        drive(rabi=np.inf)
-    with pytest.raises(ValueError):
-        build_hamiltonian(drive(), drive(), np.nan, 0.0)
+    psi0 = bell_prep_state()
+    with pytest.raises(IntegrationError):
+        evolve_one(psi0, drive(rabi=np.inf), drive(), 0.0, 1e-6)
+    with pytest.raises(IntegrationError):
+        evolve_one(psi0, drive(), drive(), np.nan, 1e-6)
 
 
 def test_drive_spec_rejects_negative_rates():
-    with pytest.raises(ValueError):
-        drive(g1=-1.0)
-    with pytest.raises(ValueError):
-        drive(rabi=-5.0)
+    psi0 = bell_prep_state()
+    with pytest.raises(IntegrationError):
+        evolve_one(psi0, drive(g1=-1.0), drive(), 0.0, 1e-6)
+    with pytest.raises(IntegrationError):
+        evolve_one(psi0, drive(rabi=-5.0), drive(), 0.0, 1e-6)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega_a", np.inf), ("blockade", np.nan), ("delta_b", np.nan),
+    ("gammar_a", np.inf)])
+def test_nonfinite_drive_raises(field, value):
+    # one bad shot of three fails the batch before any step is taken
+    omega = 2 * np.pi * 1.2e6
+    da = drive(rabi=omega, g1=100.0, gr=100.0)
+    batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
+    getattr(batch, field)[1] = value
+    psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
+    with pytest.raises(IntegrationError, match="in 1 of 3 shots"):
+        evolve_batch(psi0, batch, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +133,9 @@ def test_zero_hamiltonian_identity():
     rng = np.random.default_rng(1)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
-    state = TwoAtomState(amps.copy())
-    out = evolve(state, (drive(), drive()), 0.0, 1e-6)
-    assert np.max(np.abs(out.amplitudes - amps)) < 1e-12
-    assert out.loss < 1e-12
+    out = evolve_one(amps, drive(), drive(), 0.0, 1e-6)
+    assert np.max(np.abs(out - amps)) < 1e-12
+    assert 1.0 - np.sum(np.abs(out) ** 2) < 1e-12
 
 
 def test_pi_pulse_time_matches_rabi_rate():
@@ -96,10 +143,8 @@ def test_pi_pulse_time_matches_rabi_rate():
     omega = 2 * np.pi * 1.2085e6
     t_pi = np.pi / omega
     assert t_pi == pytest.approx(413.7e-9, abs=0.1e-9)
-    state = TwoAtomState.from_pair(G1, G0)
-    out = evolve(state, (drive(rabi=omega), drive()), 0.0, t_pi)
-    assert abs(out.amplitudes[pair_index(RYD, G0)]) ** 2 == pytest.approx(
-        1.0, abs=1e-8)
+    out = evolve_one(pair_state(G1, G0), drive(rabi=omega), drive(), 0.0, t_pi)
+    assert abs(out[pair_index(RYD, G0)]) ** 2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_rabi_oscillation_vs_closed_form():
@@ -108,35 +153,38 @@ def test_rabi_oscillation_vs_closed_form():
     rng = np.random.default_rng(4)
     for frac in rng.uniform(0.05, 1.0, size=4):
         t = frac * 5 * 2 * np.pi / omega   # within 5 Rabi cycles
-        out = evolve(TwoAtomState.from_pair(G1, G0),
-                     (drive(rabi=omega), drive()), 0.0, t, ctrl)
+        out = evolve_one(pair_state(G1, G0), drive(rabi=omega), drive(), 0.0,
+                         t, ctrl)
         expected = math.sin(omega * t / 2.0) ** 2
-        pop = abs(out.amplitudes[pair_index(RYD, G0)]) ** 2
+        pop = abs(out[pair_index(RYD, G0)]) ** 2
         assert pop == pytest.approx(expected, abs=1e-8)
 
 
 def test_decay_only_exponential():
     tau = 112e-6     # Rb Rydberg lifetime
     t = 1e-6
-    state = TwoAtomState.from_pair(RYD, G0)
-    out = evolve(state, (drive(ryd=1.0 / tau), drive()), 0.0, t)
+    out = evolve_one(pair_state(RYD, G0), drive(ryd=1.0 / tau), drive(), 0.0, t)
     expected = math.exp(-t / tau)   # 0.99111 at these values
     assert expected == pytest.approx(0.99111, abs=5e-6)
-    assert abs(out.amplitudes[pair_index(RYD, G0)]) ** 2 == pytest.approx(
+    assert abs(out[pair_index(RYD, G0)]) ** 2 == pytest.approx(
         expected, abs=1e-9)
-    assert out.loss == pytest.approx(1.0 - expected, abs=1e-9)
+    assert 1.0 - np.sum(np.abs(out) ** 2) == pytest.approx(1.0 - expected,
+                                                           abs=1e-9)
 
 
 def test_loss_monotone_and_budget():
     da = drive(rabi=2 * np.pi * 1.2e6, g1=2e3, gr=1e3, ryd=1e4)
     db = drive(rabi=2 * np.pi * 1.2e6, g1=2e3, gr=1e3, ryd=1e4)
-    state = TwoAtomState(bell_prep_state())
+    psi = bell_prep_state()
     losses = [0.0]
     for _ in range(3):
-        state = evolve(state, (da, db), 2 * np.pi * 12e6, 3e-7)
-        assert state.budget_defect() <= 1e-9
-        assert state.loss >= losses[-1]
-        losses.append(state.loss)
+        norm_in = np.sum(np.abs(psi) ** 2)
+        psi = evolve_one(psi, da, db, 2 * np.pi * 12e6, 3e-7)
+        loss = losses[-1] + max(norm_in - np.sum(np.abs(psi) ** 2), 0.0)
+        # the norm plus the accumulated loss stays 1
+        assert abs(np.sum(np.abs(psi) ** 2) + loss - 1.0) <= 1e-9
+        assert loss >= losses[-1]
+        losses.append(loss)
     assert losses[-1] > 0.0
 
 
@@ -153,19 +201,18 @@ def test_block_engine_matches_dense_reference():
     db = drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
                gr=100.0, ryd=1 / 115e-6, phase=ph, bw=2 * np.pi * 1.43e6)
     blockade = 2 * np.pi * 12.01e6
-    o1 = evolve(TwoAtomState(amps.copy()), (da, db), blockade, 1e-6,
-                StepControl(steps_per_period=400))
-    o2 = evolve_dense_reference(TwoAtomState(amps.copy()), (da, db), blockade,
-                                1e-6, nsteps=40000)
-    assert np.max(np.abs(o1.amplitudes - o2.amplitudes)) < 1e-7
+    batch = pair(da, db, blockade)
+    o1 = evolve_batch(amps[None, :], batch, 1e-6,
+                      StepControl(steps_per_period=400))[0]
+    o2 = evolve_dense_reference(amps, batch, 1e-6, nsteps=40000)
+    assert np.max(np.abs(o1 - o2)) < 1e-7
 
 
 def test_integration_error_on_step_underflow():
     ctrl = StepControl(max_steps=8)
     with pytest.raises(IntegrationError):
-        evolve(TwoAtomState.from_pair(G1, G1),
-               (drive(rabi=2 * np.pi * 1e6), drive(rabi=2 * np.pi * 1e6)),
-               2 * np.pi * 1e9, 1e-6, ctrl)
+        evolve_one(pair_state(G1, G1), drive(rabi=2 * np.pi * 1e6),
+                   drive(rabi=2 * np.pi * 1e6), 2 * np.pi * 1e9, 1e-6, ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +283,10 @@ def test_blockade_symmetry_under_atom_swap(current_opt):
     db = drive(rabi=2 * np.pi * 1.17e6, detuning=gate.detuning - 3e4,
                g1=3e3, gr=0.9e3, ryd=1 / 115e-6, phase=ph, bw=bw)
     blockade = 2 * np.pi * 12e6
-    e1 = bell_error_from_drives(gate, da, db, blockade)
+    e1 = bell_error_of(gate, da, db, blockade)
     from dataclasses import replace
     gate_sw = replace(gate, virtual_rz=(gate.virtual_rz[1], gate.virtual_rz[0]))
-    e2 = bell_error_from_drives(gate_sw, db, da, blockade)
+    e2 = bell_error_of(gate_sw, db, da, blockade)
     assert abs(e1 - e2) < 1e-10
 
 
@@ -265,7 +312,7 @@ def test_error_improves_monotonically_with_blockade():
     for b_mhz in (12.0, 25.0, 60.0, 250.0, 1000.0):
         da = drive(rabi=omega, detuning=base_gate.detuning, phase=ph, bw=bw)
         db = drive(rabi=omega, detuning=base_gate.detuning, phase=ph, bw=bw)
-        batch = DriveBatch.from_drives(da, db, 2 * np.pi * b_mhz * 1e6)
+        batch = pair(da, db, 2 * np.pi * b_mhz * 1e6)
         psi = pulse_state_nominal(base_gate, batch)[0]
         from rydsim.gate import optimal_virtual_rz
         errs.append(max(bell_error_from_pulse_state(psi, optimal_virtual_rz(psi)),
@@ -287,7 +334,7 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
                    phase=ph, bw=bw)
         db = drive(rabi=omega, detuning=gate.detuning, ryd=1.0 / tau,
                    phase=ph, bw=bw)
-        errs.append(bell_error_from_drives(gate, da, db, 2 * np.pi * 12e6))
+        errs.append(bell_error_of(gate, da, db, 2 * np.pi * 12e6))
     x = 1.0 / taus
     coef = np.polyfit(x, errs, 1)
     fit = np.polyval(coef, x)
@@ -302,17 +349,6 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
 
 def _phase_mod(t):
     return 1.3 * np.sin(2 * np.pi * 1.1e6 * (np.asarray(t) - 2e-7))
-
-
-def _batch_of(pairs, blockade):
-    """One DriveBatch holding a shot per (drive_a, drive_b) pair."""
-    ones = [DriveBatch.from_drives(da, db, blockade) for da, db in pairs]
-    fields = ("omega_a", "delta_a", "gamma1_a", "gammar_a", "omega_b",
-              "delta_b", "gamma1_b", "gammar_b", "blockade")
-    return DriveBatch(*[np.concatenate([getattr(b, f) for b in ones])
-                        for f in fields],
-                      phase_a=ones[0].phase_a, phase_b=ones[0].phase_b,
-                      bandwidth=max(b.bandwidth for b in ones))
 
 
 @pytest.mark.parametrize("b_mhz, ref_steps",
@@ -336,12 +372,12 @@ def test_batched_cfm4_matches_dense_reference(b_mhz, ref_steps):
     ]
     blockade = 2 * np.pi * b_mhz * 1e6
     duration = 40e-9
-    out = evolve_batch(np.stack([amps, amps]), _batch_of(pairs, blockade),
-                       duration)
-    for row, pair in zip(out, pairs):
-        ref = evolve_dense_reference(TwoAtomState(amps.copy()), pair,
-                                     blockade, duration, nsteps=ref_steps)
-        assert np.max(np.abs(row - ref.amplitudes)) < 1e-7
+    batch = batch_of(pairs, blockade)
+    out = evolve_batch(np.stack([amps, amps]), batch, duration)
+    for shot, row in enumerate(out):
+        ref = evolve_dense_reference(amps, batch, duration, nsteps=ref_steps,
+                                     shot=shot)
+        assert np.max(np.abs(row - ref)) < 1e-7
 
 
 @pytest.mark.parametrize("b_mhz", [12.0, 1000.0])
@@ -358,9 +394,9 @@ def test_constant_drive_matches_exact_propagator(b_mhz):
     db = drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
                gr=100.0, ryd=1 / 115e-6, phase=lambda t: -0.3 + 0 * t)
     blockade, duration = 2 * np.pi * b_mhz * 1e6, 1e-6
-    exact = expm(-1j * duration * build_hamiltonian(da, db, blockade, 0.0)) @ amps
-    out = evolve_batch(amps[None, :], DriveBatch.from_drives(da, db, blockade),
-                       duration)[0]
+    batch = pair(da, db, blockade)
+    exact = expm(-1j * duration * build_hamiltonian(batch, 0.0)) @ amps
+    out = evolve_batch(amps[None, :], batch, duration)[0]
     assert np.max(np.abs(out - exact)) < 1e-10
 
 
@@ -369,7 +405,7 @@ def test_step_count_does_not_scale_with_blockade():
     # phase bandwidth sets 143
     omega = 2 * np.pi * 1.2e6
     da = drive(rabi=omega, phase=_phase_mod, bw=2 * np.pi * 1.43e6)
-    batch = DriveBatch.from_drives(da, da, 2 * np.pi * 1000e6)
+    batch = pair(da, da, 2 * np.pi * 1000e6)
     out = evolve_batch(bell_prep_state()[None, :], batch, 1e-6,
                        StepControl(max_steps=400))
     assert abs(np.sum(np.abs(out) ** 2) - 1.0) <= 1e-9
@@ -379,7 +415,7 @@ def test_norm_growth_raises():
     # a negative |r> loss rate is a gain; one such shot fails the batch
     omega = 2 * np.pi * 1.2e6
     da = drive(rabi=omega, g1=100.0, gr=100.0)
-    batch = _batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
+    batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
     psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
     evolve_batch(psi0, batch, 1e-6)
     batch.gammar_a[1] = -1e5
