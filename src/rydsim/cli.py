@@ -432,6 +432,12 @@ def cmd_qnd_simulate(args) -> int:
                                    loss=args.loss, spam=args.spam)
     labels = (args.inputs.split(",") if args.inputs else
               [format(i, f"0{circuit.n}b") for i in range(2 ** circuit.n)])
+    for label in labels:
+        if len(label) != circuit.n or set(label) - {"0", "1"}:
+            raise ConfigError(f"--inputs: {label!r} is not a basis label of "
+                              f"the {circuit.n}-qubit circuit")
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"--inputs: duplicate labels in {args.inputs!r}")
     hists = qnd.simulate(circuit, noise, labels, shots=args.shots,
                          seed=args.seed)
     fqnd = qnd.predicted_fqnd(circuit, noise, labels)

@@ -20,6 +20,8 @@ from scipy.optimize import least_squares
 
 from .constants import C_LIGHT
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class ServoBump:
@@ -214,17 +216,26 @@ def fit_heterodyne(freqs, psd_samples, initial: LaserNoiseModel,
 # Rabi rotation error
 # ---------------------------------------------------------------------------
 
-def _rabi_integrand(model: LaserNoiseModel, omega0: float, n_half: int,
-                    f: np.ndarray) -> np.ndarray:
-    # stable form of the rotation filter: the apparent pole at 2 pi f =
-    # omega0 is removable for integer N,
-    # 1 - cos(4 pi^2 N f / omega0) = 2 sin^2(pi N (omega0 - 2 pi f)/omega0 + N pi)
-    f = np.asarray(f, dtype=float)
-    u = (omega0 - 2.0 * math.pi * f) / omega0
-    sinc = np.sinc(n_half * u)
+def _rabi_integrand(model: LaserNoiseModel, omega0: float, n_half: int):
+    """The integrand of `rabi_error` as a function of one float f (Hz).
+
+    Stable form of the rotation filter: the apparent pole at 2 pi f =
+    omega0 is removable for integer N,
+    1 - cos(4 pi^2 N f / omega0) = 2 sin^2(pi N (omega0 - 2 pi f)/omega0 + N pi).
+    """
     pref = 8.0 * math.pi ** 2 * omega0 ** 2 * (math.pi * n_half / omega0) ** 2
-    return (pref * psd_frequency(model, f) * sinc ** 2
-            / (omega0 + 2.0 * math.pi * f) ** 2)
+    bumps = [(b.h, b.f, 2.0 * b.sigma ** 2) for b in model.bumps]
+
+    def g(f: float) -> float:
+        x = math.pi * (n_half * ((omega0 - 2.0 * math.pi * f) / omega0))
+        y = x if x else _EPS          # np.sinc's guard at x = 0
+        sinc = float(np.sin(y)) / y
+        psd = model.h0
+        for h, fb, two_var in bumps:
+            psd = psd + h * float(np.exp(-((f - fb) ** 2) / two_var)
+                                  + np.exp(-((f + fb) ** 2) / two_var))
+        return pref * psd * sinc ** 2 / (omega0 + 2.0 * math.pi * f) ** 2
+    return g
 
 
 def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
@@ -234,6 +245,15 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
     Integrates the frequency-noise PSD against the rotation filter over
     (0, f_max], subdividing symmetrically around the filter feature at
     2 pi f = omega0.  N must be a positive integer.
+
+    QUADPACK calls the integrand one float at a time, several hundred times
+    per point, so the integrand is scalar Python arithmetic: on 0-d arrays
+    numpy's per-call overhead was nearly all of the time.  It performs the
+    operations of ``psd_frequency`` and ``np.sinc`` in their order (``** 2``
+    is ``pow`` for numpy scalars and floats alike), so each value equals
+    theirs bit for bit.  Sine and exponential stay numpy's, whose SIMD
+    kernels can differ from ``math``'s in the last bit (``exp`` does on
+    AVX-512 hosts).
     """
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
@@ -249,10 +269,8 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
         points.update({b.f - 3 * b.sigma, b.f, b.f + 3 * b.sigma})
     pts = sorted(p for p in points if 0.0 < p < f_max)
 
-    def g(f):
-        return _rabi_integrand(model, omega0, n_half, f)
-
-    total, abserr = integrate.quad(g, 0.0, f_max, points=pts, limit=400,
+    total, abserr = integrate.quad(_rabi_integrand(model, omega0, n_half),
+                                   0.0, f_max, points=pts, limit=400,
                                    epsrel=rel_tol, epsabs=0.0)
     if abserr > max(rel_tol * abs(total), 1e-16) * 50.0:
         raise FitError(f"rabi error integral did not converge: "

@@ -9,14 +9,18 @@ leaked atom stays bright (0).  Per-qubit SPAM errors flip readout bits.
 
 Two evaluation paths exist: an exact density-channel computation (branching
 over loss/leak events) and a trajectory sampler; they agree in distribution
-and are cross-checked in the tests.
+and are cross-checked in the tests.  The sampler evolves each group of shots
+that share a history once, and keeps its random stream (see `simulate`):
+the same draws in the same order, so a seed's histograms never change.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +79,11 @@ class PlaquetteCircuit:
             raise CircuitError("circuits support 1 to 4 qubits")
         if not self.measured:
             raise CircuitError("no measured qubits declared")
-        for op in self.ops:
-            if op[0] == "cz":
-                _, i, j = op
-                roles = {self.qubits[i].role, self.qubits[j].role}
-                if roles != {"data", "ancilla"}:
-                    raise CircuitError(
-                        "cz must couple exactly one data qubit and one ancilla")
+        if any(op[0] == "cz" and {self.qubits[op[1]].role,
+                                  self.qubits[op[2]].role} != {"data", "ancilla"}
+               for op in self.ops):
+            raise CircuitError(
+                "cz must couple exactly one data qubit and one ancilla")
 
 
 _ANGLE_RE = re.compile(r"^(-?)(?:(\d+(?:\.\d*)?)\s*\*?\s*)?pi(?:/(\d+(?:\.\d*)?))?$")
@@ -183,20 +185,45 @@ def _rot(theta: float, phi: float) -> np.ndarray:
                      [-1j * np.exp(1j * phi) * s, c]], dtype=complex)
 
 
+def _single(op: tuple) -> tuple[int, np.ndarray]:
+    """(qubit, 2x2 unitary) of an "r" or "rz" op."""
+    if op[0] == "r":
+        return op[1], _rot(op[2], op[3])
+    return op[1], np.diag([1.0, np.exp(1j * op[2])]).astype(complex)
+
+
 def _lift(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    ops = [u if k == qubit else np.eye(2, dtype=complex) for k in range(n)]
-    out = ops[0]
-    for o in ops[1:]:
-        out = np.kron(out, o)
-    return out
+    return functools.reduce(np.kron, [u if k == qubit else np.eye(2, dtype=complex)
+                                      for k in range(n)])
+
+
+@functools.lru_cache(maxsize=None)
+def _paulis_on(qubits: tuple[int, ...], n: int) -> tuple:
+    """Read-only (P, P^dagger) for each Pauli string on ``qubits``, lifted
+    onto n qubits, with the first qubit's Pauli varying slowest."""
+    ops = []
+    for picks in itertools.product(range(4), repeat=len(qubits)):
+        op = _lift(_PAULIS[picks[0]], qubits[0], n)
+        for p, q in zip(picks[1:], qubits[1:]):
+            op = op @ _lift(_PAULIS[p], q, n)
+        dag = op.conj().T
+        op.flags.writeable = dag.flags.writeable = False
+        ops.append((op, dag))
+    return tuple(ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _projectors(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    p0, p1 = (_lift(np.diag(d).astype(complex), qubit, n)
+              for d in ([1.0, 0.0], [0.0, 1.0]))
+    p0.flags.writeable = p1.flags.writeable = False
+    return p0, p1
 
 
 def _cz_diag(i: int, j: int, n: int) -> np.ndarray:
-    d = np.ones(2 ** n, dtype=complex)
-    for idx in range(2 ** n):
-        if (idx >> (n - 1 - i)) & 1 and (idx >> (n - 1 - j)) & 1:
-            d[idx] = -1.0
-    return d
+    idx = np.arange(2 ** n)
+    return np.where((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1,
+                    -1.0, 1.0).astype(complex)
 
 
 def _state_index(label: str, n: int) -> int:
@@ -212,29 +239,15 @@ ACTIVE, LOST, LEAKED = 0, 1, 2
 # exact density-channel path
 # ---------------------------------------------------------------------------
 
-def _dephase(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    p0 = _lift(np.diag([1.0, 0.0]).astype(complex), qubit, n)
-    p1 = _lift(np.diag([0.0, 1.0]).astype(complex), qubit, n)
-    return p0 @ rho @ p0 + p1 @ rho @ p1
-
-
 def _depolarize(rho: np.ndarray, i: int, j: int, n: int, sigma: float,
                 mode: str) -> np.ndarray:
     if sigma == 0.0:
         return rho
-    if mode == "two-qubit":
+    for qubits in [(i, j)] if mode == "two-qubit" else [(i,), (j,)]:
         acc = np.zeros_like(rho)
-        for pi in range(4):
-            for pj in range(4):
-                op = _lift(_PAULIS[pi], i, n) @ _lift(_PAULIS[pj], j, n)
-                acc += op @ rho @ op.conj().T
-        return (1.0 - sigma) * rho + (sigma / 16.0) * acc
-    for q in (i, j):
-        acc = np.zeros_like(rho)
-        for p in range(4):
-            op = _lift(_PAULIS[p], q, n)
-            acc += op @ rho @ op.conj().T
-        rho = (1.0 - sigma) * rho + (sigma / 4.0) * acc
+        for op, dag in _paulis_on(qubits, n):
+            acc += op @ rho @ dag
+        rho = (1.0 - sigma) * rho + (sigma / 4 ** len(qubits)) * acc
     return rho
 
 
@@ -248,64 +261,45 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     """
     circuit.validate()
     n = circuit.n
-    dim = 2 ** n
-    psi = np.zeros(dim, dtype=complex)
-    psi[_state_index(input_label, n)] = 1.0
-    rho0 = np.outer(psi, psi.conj())
+    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho0[_state_index(input_label, n), _state_index(input_label, n)] = 1.0
     branches = [(1.0, rho0, tuple([ACTIVE] * n))]
 
+    fates = [(p, code) for p, code in ((1.0 - noise.loss - noise.leak, ACTIVE),
+                                       (noise.loss, LOST), (noise.leak, LEAKED))
+             if p != 0.0]
     for op in circuit.ops:
-        if op[0] in ("r", "rz"):
-            if op[0] == "r":
-                _, q, theta, phi = op
-                u = _rot(theta, phi)
-            else:
-                _, q, phi = op
-                u = np.diag([1.0, np.exp(1j * phi)]).astype(complex)
-            nxt = []
-            for w, rho, status in branches:
+        if op[0] != "cz":
+            q, u = _single(op)
+            full = _lift(u, q, n)
+            dag = full.conj().T
+            branches = [(w, full @ rho @ dag if status[q] == ACTIVE else rho,
+                         status) for w, rho, status in branches]
+            continue
+        _, i, j = op
+        d = _cz_diag(i, j, n)
+        nxt = []
+        for w, rho, status in branches:
+            events = [(1.0, status)]
+            for q in (i, j):
                 if status[q] == ACTIVE:
-                    full = _lift(u, q, n)
-                    rho = full @ rho @ full.conj().T
-                nxt.append((w, rho, status))
-            branches = nxt
-        elif op[0] == "cz":
-            _, i, j = op
-            nxt = []
-            for w, rho, status in branches:
-                events = [(1.0, status, ())]
+                    events = [(wq * p, st[:q] + (code,) + st[q + 1:])
+                              for wq, st in events for p, code in fates]
+            for wq, st in events:
+                r = rho
                 for q in (i, j):
-                    expanded = []
-                    for wq, st, newly in events:
-                        if st[q] != ACTIVE:
-                            expanded.append((wq, st, newly))
-                            continue
-                        stay = 1.0 - noise.loss - noise.leak
-                        for p_evt, new_status in ((stay, ACTIVE),
-                                                  (noise.loss, LOST),
-                                                  (noise.leak, LEAKED)):
-                            if p_evt == 0.0:
-                                continue
-                            st2 = list(st)
-                            st2[q] = new_status
-                            mark = newly + ((q,) if new_status != ACTIVE else ())
-                            expanded.append((wq * p_evt, tuple(st2), mark))
-                    events = expanded
-                for wq, st, newly in events:
-                    r = rho
-                    for q in newly:
-                        r = _dephase(r, q, n)
-                    if st[i] == ACTIVE and st[j] == ACTIVE:
-                        d = _cz_diag(i, j, n)
-                        r = d[:, None] * r * np.conj(d)[None, :]
-                        r = _depolarize(r, i, j, n, noise.depolarizing,
-                                        noise.depolarizing_mode)
-                    nxt.append((w * wq, r, st))
-            branches = nxt
+                    if st[q] != status[q]:      # newly lost or leaked
+                        p0, p1 = _projectors(q, n)
+                        r = p0 @ r @ p0 + p1 @ r @ p1
+                if st[i] == ACTIVE and st[j] == ACTIVE:
+                    r = d[:, None] * r * np.conj(d)[None, :]
+                    r = _depolarize(r, i, j, n, noise.depolarizing,
+                                    noise.depolarizing_mode)
+                nxt.append((w * wq, r, st))
+        branches = nxt
 
     # readout
     out: dict[str, float] = {}
-    meas = circuit.measured
     for w, rho, status in branches:
         probs = np.real(np.diag(rho)).clip(min=0.0)
         total = probs.sum()
@@ -314,39 +308,22 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
         for idx, p in enumerate(probs):
             if p <= 1e-16:
                 continue
-            bits = []
-            for q in meas:
-                if status[q] == LOST:
-                    bits.append(1)
-                elif status[q] == LEAKED:
-                    bits.append(0)
-                else:
-                    bits.append((idx >> (n - 1 - q)) & 1)
+            bits = [1 if status[q] == LOST else 0 if status[q] == LEAKED
+                    else (idx >> (n - 1 - q)) & 1 for q in circuit.measured]
             _accumulate_spam(out, bits, w * total * p, noise.spam)
     return out
 
 
 def _accumulate_spam(out: dict, bits: list[int], weight: float, spam: float):
-    if weight == 0.0:
-        return
-    if spam == 0.0:
-        key = "".join(map(str, bits))
-        out[key] = out.get(key, 0.0) + weight
-        return
-    m = len(bits)
-    for flips in range(2 ** m):
-        w = weight
-        flipped = list(bits)
-        for k in range(m):
-            if (flips >> k) & 1:
-                w *= spam
-                flipped[k] ^= 1
-            else:
-                w *= 1.0 - spam
-        if w == 0.0:
-            continue
-        key = "".join(map(str, flipped))
-        out[key] = out.get(key, 0.0) + w
+    """Add ``weight`` to the outcome ``bits``, spread over SPAM flips."""
+    for flips in range(2 ** len(bits)) if spam else (0,):
+        w, key = weight, ""
+        for k, b in enumerate(bits):
+            flip = (flips >> k) & 1
+            w *= spam if flip else 1.0 - spam
+            key += str(b ^ flip)
+        if w != 0.0:
+            out[key] = out.get(key, 0.0) + w
 
 
 def ideal_outcome(circuit: PlaquetteCircuit, input_label: str) -> str:
@@ -365,11 +342,8 @@ def predicted_fqnd(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     """Average probability of the correct outcome over the input set."""
     if input_labels is None:
         input_labels = [format(i, f"0{circuit.n}b") for i in range(2 ** circuit.n)]
-    total = 0.0
-    for label in input_labels:
-        correct = ideal_outcome(circuit, label)
-        dist = exact_distribution(circuit, noise, label)
-        total += dist.get(correct, 0.0)
+    total = sum(exact_distribution(circuit, noise, label).get(
+        ideal_outcome(circuit, label), 0.0) for label in input_labels)
     return total / len(input_labels)
 
 
@@ -377,40 +351,75 @@ def predicted_fqnd(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
 # trajectory sampler
 # ---------------------------------------------------------------------------
 
-def _apply_single_rows(psi: np.ndarray, u: np.ndarray, qubit: int, n: int,
-                       rows: np.ndarray):
-    if not rows.any():
-        return
-    sel = psi[rows]
-    m = sel.shape[0]
-    shaped = sel.reshape(m, 2 ** qubit, 2, 2 ** (n - 1 - qubit))
-    psi[rows] = np.einsum("bj,iajc->iabc", u, shaped).reshape(m, 2 ** n)
+class _Trajectories:
+    """Shots grouped into classes that share a state and a status.
 
+    Row r is in class ``cls[r]``, with state ``states[cls[r]]`` and
+    per-qubit status ``status[cls[r]]``.  Each operation runs once per class
+    through the numpy calls a batch of rows would take, so every row's
+    floats are those of evolving the row itself.
+    """
 
-def _measure_qubit_rows(psi: np.ndarray, qubit: int, n: int, rows: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Projective Z measurement with collapse on the given rows; returns bits."""
-    bits = np.zeros(psi.shape[0], dtype=np.int64)
-    if not rows.any():
+    def __init__(self, n: int, index: int, shots: int):
+        self.n, self.cls = n, np.zeros(shots, dtype=np.intp)
+        self.states = np.zeros((1, 2 ** n), dtype=complex)
+        self.states[0, index] = 1.0
+        self.status = np.zeros((1, n), dtype=np.int8)
+
+    def apply(self, u: np.ndarray, q: int, classes: np.ndarray):
+        """2x2 ``u`` on qubit q of the masked classes."""
+        if classes.any():
+            sel = self.states[classes]
+            shaped = sel.reshape(-1, 2 ** q, 2, 2 ** (self.n - 1 - q))
+            self.states[classes] = np.einsum("bj,iajc->iabc", u, shaped
+                                             ).reshape(sel.shape)
+
+    def branch(self, event: np.ndarray, kinds: int) -> np.ndarray:
+        """Split the classes by each row's event in [0, kinds); returns the
+        event of each new class.  The caller transforms those with event > 0."""
+        key = self.cls * kinds + event
+        occupied = np.bincount(key) > 0
+        codes = np.flatnonzero(occupied)
+        self.cls = (np.cumsum(occupied) - 1)[key]
+        self.states, self.status = (self.states[codes // kinds],
+                                    self.status[codes // kinds])
+        return codes % kinds
+
+    def twirl(self, hit: np.ndarray, picks: np.ndarray, qubits: tuple):
+        """Pauli string ``picks[r]`` (base 4, first qubit's Pauli most
+        significant) on ``qubits`` of each hit row."""
+        m = len(qubits)
+        code = self.branch(np.where(hit, 1 + picks, 0), 1 + 4 ** m)
+        for p in range(4 ** m):
+            for k, q in enumerate(qubits):
+                self.apply(_PAULIS[p // 4 ** (m - 1 - k) % 4], q, code == p + 1)
+
+    def measure(self, q: int, rows: np.ndarray, rng: np.random.Generator,
+                mark: int = ACTIVE) -> np.ndarray:
+        """Projective Z measurement with collapse on the masked rows; sets
+        their status on q to ``mark`` and returns each row's bit (0 off the
+        mask)."""
+        bits = np.zeros(self.cls.shape[0], dtype=np.intp)
+        if not rows.any():
+            return bits
+        shaped = (np.abs(self.states) ** 2).reshape(-1, 2 ** q, 2,
+                                                   2 ** (self.n - 1 - q))
+        p1 = shaped[:, :, 1, :].sum(axis=(1, 2))
+        tot = shaped.sum(axis=(1, 2, 3))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p1 = np.where(tot > 0, p1 / np.maximum(tot, 1e-300), 0.0)
+        bits[rows] = rng.random(np.count_nonzero(rows)) < p1[self.cls[rows]]
+        code = self.branch(np.where(rows, 1 + bits, 0), 3)
+        hit = code > 0
+        sel = self.states[hit].reshape(-1, 2 ** q, 2, 2 ** (self.n - 1 - q))
+        keep = np.zeros_like(sel)
+        idx, outcome = np.arange(sel.shape[0]), code[hit] - 1
+        keep[idx, :, outcome, :] = sel[idx, :, outcome, :]
+        norms = np.sqrt((np.abs(keep) ** 2).sum(axis=(1, 2, 3)))
+        keep /= np.maximum(norms, 1e-300)[:, None, None, None]
+        self.states[hit] = keep.reshape(-1, 2 ** self.n)
+        self.status[hit, q] = mark
         return bits
-    shaped = np.abs(psi[rows]) ** 2
-    shaped = shaped.reshape(-1, 2 ** qubit, 2, 2 ** (n - 1 - qubit))
-    p1 = shaped[:, :, 1, :].sum(axis=(1, 2))
-    tot = shaped.sum(axis=(1, 2, 3))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = np.where(tot > 0, p1 / np.maximum(tot, 1e-300), 0.0)
-    draw = rng.random(p1.shape[0])
-    outcome = (draw < p1).astype(np.int64)
-    # project and renormalize
-    sel = psi[rows].reshape(-1, 2 ** qubit, 2, 2 ** (n - 1 - qubit))
-    keep = np.zeros_like(sel)
-    idx = np.arange(sel.shape[0])
-    keep[idx, :, outcome, :] = sel[idx, :, outcome, :]
-    norms = np.sqrt((np.abs(keep) ** 2).sum(axis=(1, 2, 3)))
-    keep /= np.maximum(norms, 1e-300)[:, None, None, None]
-    psi[rows] = keep.reshape(-1, 2 ** n)
-    bits[rows] = outcome
-    return bits
 
 
 def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
@@ -418,72 +427,62 @@ def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
              seed: int = 0) -> dict[str, dict[str, int]]:
     """Trajectory sampling: per input label, a histogram over outcome strings.
 
-    Deterministic in (circuit, noise, input_labels, shots, seed).
+    Deterministic in (circuit, noise, input_labels, shots, seed).  Stream
+    contract, unchanged by the batched sampler: per label and CZ
+    participant, ``shots`` uniforms for loss/leak, then one per lost and
+    then per leaked row (row order) for the collapse; if any row has both
+    participants active and ``depolarizing > 0``, ``shots`` uniforms, then
+    ``shots`` integers in [0, 16) (two-qubit mode) or, per participant,
+    ``shots`` uniforms and integers in [0, 4); at readout, one uniform per
+    active row per measured qubit, then ``shots`` uniforms if ``spam > 0``.
+    Shots that share a history are evolved together (`_Trajectories`).
     """
     circuit.validate()
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
-    n = circuit.n
-    dim = 2 ** n
+    n, m = circuit.n, len(circuit.measured)
     results: dict[str, dict[str, int]] = {}
     for label in input_labels:
-        psi = np.zeros((shots, dim), dtype=complex)
-        psi[:, _state_index(label, n)] = 1.0
-        status = np.zeros((shots, n), dtype=np.int8)
-
+        traj = _Trajectories(n, _state_index(label, n), shots)
         for op in circuit.ops:
-            if op[0] == "r":
-                _, q, theta, phi = op
-                _apply_single_rows(psi, _rot(theta, phi), q, n,
-                                   status[:, q] == ACTIVE)
-            elif op[0] == "rz":
-                _, q, phi = op
-                u = np.diag([1.0, np.exp(1j * phi)]).astype(complex)
-                _apply_single_rows(psi, u, q, n, status[:, q] == ACTIVE)
-            else:
-                _, i, j = op
-                for q in (i, j):
-                    active = status[:, q] == ACTIVE
-                    draw = rng.random(shots)
-                    lost = active & (draw < noise.loss)
-                    leaked = active & ~lost & (draw < noise.loss + noise.leak)
-                    for mask, code in ((lost, LOST), (leaked, LEAKED)):
-                        if mask.any():
-                            _measure_qubit_rows(psi, q, n, mask, rng)
-                            status[mask, q] = code
-                both = (status[:, i] == ACTIVE) & (status[:, j] == ACTIVE)
-                if both.any():
-                    d = _cz_diag(i, j, n)
-                    psi[both] *= d[None, :]
-                    if noise.depolarizing > 0.0:
+            if op[0] != "cz":
+                q, u = _single(op)
+                traj.apply(u, q, traj.status[:, q] == ACTIVE)
+                continue
+            _, i, j = op
+            for q in (i, j):
+                active = traj.status[traj.cls, q] == ACTIVE
+                draw = rng.random(shots)
+                lost = active & (draw < noise.loss)
+                traj.measure(q, lost, rng, LOST)
+                traj.measure(q, active & ~lost
+                             & (draw < noise.loss + noise.leak), rng, LEAKED)
+            cz = (traj.status[:, i] == ACTIVE) & (traj.status[:, j] == ACTIVE)
+            both = cz[traj.cls]
+            if not both.any():
+                continue
+            traj.states[cz] *= _cz_diag(i, j, n)
+            if noise.depolarizing > 0.0:
+                hit = both & (rng.random(shots) < noise.depolarizing)
+                if noise.depolarizing_mode == "two-qubit":
+                    traj.twirl(hit, rng.integers(0, 16, size=shots), (i, j))
+                else:
+                    for q in (i, j):
                         hit = both & (rng.random(shots) < noise.depolarizing)
-                        if noise.depolarizing_mode == "two-qubit":
-                            picks = rng.integers(0, 16, size=shots)
-                            for p in np.unique(picks[hit]):
-                                rows = hit & (picks == p)
-                                _apply_single_rows(psi, _PAULIS[p // 4], i, n, rows)
-                                _apply_single_rows(psi, _PAULIS[p % 4], j, n, rows)
-                        else:
-                            for q in (i, j):
-                                hit_q = both & (rng.random(shots) < noise.depolarizing)
-                                picks = rng.integers(0, 4, size=shots)
-                                for p in np.unique(picks[hit_q]):
-                                    rows = hit_q & (picks == p)
-                                    _apply_single_rows(psi, _PAULIS[p], q, n, rows)
+                        traj.twirl(hit, rng.integers(0, 4, size=shots), (q,))
 
-        # readout with collapse, then status overrides and SPAM flips
-        bits = np.zeros((shots, len(circuit.measured)), dtype=np.int64)
-        for k, q in enumerate(circuit.measured):
-            active = status[:, q] == ACTIVE
-            bits[:, k] = _measure_qubit_rows(psi, q, n, active, rng)
-            bits[status[:, q] == LOST, k] = 1
-            bits[status[:, q] == LEAKED, k] = 0
+        # readout with collapse, then status overrides and SPAM flips; each
+        # row's bits pack into an outcome index, first measured qubit first
+        index = np.zeros(shots, dtype=np.intp)
+        for q in circuit.measured:
+            status = traj.status[traj.cls, q]
+            bits = traj.measure(q, status == ACTIVE, rng)
+            bits[status == LOST] = 1
             if noise.spam > 0.0:
-                flips = rng.random(shots) < noise.spam
-                bits[flips, k] ^= 1
-
-        hist: dict[str, int] = {}
-        for row in bits:
-            key = "".join(map(str, row))
-            hist[key] = hist.get(key, 0) + 1
-        results[label] = hist
+                bits ^= rng.random(shots) < noise.spam
+            index = 2 * index + bits
+        counts = np.bincount(index, minlength=2 ** m)
+        results[label] = {format(k, f"0{m}b"): int(c)
+                          for k, c in enumerate(counts) if c}
     return results

@@ -63,3 +63,91 @@ def trajectory_rabi_error(h0: float, omega0: float, n_half: int,
     else:
         fid = np.abs(psi[:, 1]) ** 2
     return float(np.mean(1.0 - fid))
+
+
+def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
+    """Row-by-row QND trajectory sampler: every shot is its own state row.
+
+    The reference for ``rydsim.qnd.simulate``, which evolves shots that share
+    a history together: both draw the same random numbers in the same order
+    and perform the same arithmetic per row, so their histograms are equal.
+    """
+    from rydsim.qnd import (ACTIVE, LEAKED, LOST, _PAULIS, _cz_diag, _single,
+                            _state_index)
+
+    def apply(psi, u, q, rows):
+        if rows.any():
+            sel = psi[rows].reshape(-1, 2 ** q, 2, 2 ** (n - 1 - q))
+            psi[rows] = np.einsum("bj,iajc->iabc", u, sel).reshape(-1, 2 ** n)
+
+    def measure(psi, q, rows):
+        bits = np.zeros(shots, dtype=np.int64)
+        if not rows.any():
+            return bits
+        shaped = (np.abs(psi[rows]) ** 2).reshape(-1, 2 ** q, 2, 2 ** (n - 1 - q))
+        p1, tot = shaped[:, :, 1, :].sum(axis=(1, 2)), shaped.sum(axis=(1, 2, 3))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p1 = np.where(tot > 0, p1 / np.maximum(tot, 1e-300), 0.0)
+        outcome = (rng.random(p1.shape[0]) < p1).astype(np.int64)
+        sel = psi[rows].reshape(-1, 2 ** q, 2, 2 ** (n - 1 - q))
+        keep = np.zeros_like(sel)
+        idx = np.arange(sel.shape[0])
+        keep[idx, :, outcome, :] = sel[idx, :, outcome, :]
+        norms = np.sqrt((np.abs(keep) ** 2).sum(axis=(1, 2, 3)))
+        keep /= np.maximum(norms, 1e-300)[:, None, None, None]
+        psi[rows] = keep.reshape(-1, 2 ** n)
+        bits[rows] = outcome
+        return bits
+
+    rng = np.random.default_rng(seed)
+    n = circuit.n
+    results = {}
+    for label in input_labels:
+        psi = np.zeros((shots, 2 ** n), dtype=complex)
+        psi[:, _state_index(label, n)] = 1.0
+        status = np.zeros((shots, n), dtype=np.int8)
+        for op in circuit.ops:
+            if op[0] != "cz":
+                q, u = _single(op)
+                apply(psi, u, q, status[:, q] == ACTIVE)
+                continue
+            _, i, j = op
+            for q in (i, j):
+                active = status[:, q] == ACTIVE
+                draw = rng.random(shots)
+                lost = active & (draw < noise.loss)
+                leaked = active & ~lost & (draw < noise.loss + noise.leak)
+                for mask, code in ((lost, LOST), (leaked, LEAKED)):
+                    measure(psi, q, mask)
+                    status[mask, q] = code
+            both = (status[:, i] == ACTIVE) & (status[:, j] == ACTIVE)
+            if not both.any():
+                continue
+            psi[both] *= _cz_diag(i, j, n)[None, :]
+            if noise.depolarizing == 0.0:
+                continue
+            hit = both & (rng.random(shots) < noise.depolarizing)
+            if noise.depolarizing_mode == "two-qubit":
+                picks = rng.integers(0, 16, size=shots)
+                for p in np.unique(picks[hit]):
+                    apply(psi, _PAULIS[p // 4], i, hit & (picks == p))
+                    apply(psi, _PAULIS[p % 4], j, hit & (picks == p))
+            else:
+                for q in (i, j):
+                    hit_q = both & (rng.random(shots) < noise.depolarizing)
+                    picks = rng.integers(0, 4, size=shots)
+                    for p in np.unique(picks[hit_q]):
+                        apply(psi, _PAULIS[p], q, hit_q & (picks == p))
+        hist = {}
+        bits = np.zeros((shots, len(circuit.measured)), dtype=np.int64)
+        for k, q in enumerate(circuit.measured):
+            bits[:, k] = measure(psi, q, status[:, q] == ACTIVE)
+            bits[status[:, q] == LOST, k] = 1
+            bits[status[:, q] == LEAKED, k] = 0
+            if noise.spam > 0.0:
+                bits[rng.random(shots) < noise.spam, k] ^= 1
+        for row in bits:
+            key = "".join(map(str, row))
+            hist[key] = hist.get(key, 0) + 1
+        results[label] = hist
+    return results

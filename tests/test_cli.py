@@ -406,3 +406,30 @@ def test_qnd_simulate_non_utf8_circuit_exit_code(tmp_path):
     bad.write_bytes(b"\xff\xfe" + "qubit a rb data\n".encode("utf-16-le"))
     rc = main(["qnd", "simulate", "--circuit", str(bad), "--out", str(tmp_path)])
     assert rc == 4
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_qnd_simulate_nonpositive_shots_exit_code(tmp_path, capsys, shots):
+    rc = main(["qnd", "simulate", "--circuit", circuit_path("qnd2"),
+               "--shots", shots, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "shots must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
+def test_qnd_simulate_malformed_label_exit_code(tmp_path, capsys):
+    # the label comes from the command line, so it is a config error (2),
+    # not a data-format error (4)
+    for inputs in ("1", "1x", "10,"):
+        rc = main(["qnd", "simulate", "--circuit", circuit_path("qnd2"),
+                   "--inputs", inputs, "--out", str(tmp_path)])
+        assert rc == 2, inputs
+        assert "not a basis label" in capsys.readouterr().err
+
+
+def test_qnd_simulate_duplicate_labels_exit_code(tmp_path, capsys):
+    rc = main(["qnd", "simulate", "--circuit", circuit_path("qnd2"),
+               "--inputs", "10,01,10", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "duplicate" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()

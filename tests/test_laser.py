@@ -185,6 +185,26 @@ def test_rabi_error_additive_in_psd():
     assert e12 == pytest.approx(e1 + e2, rel=1e-5)
 
 
+def test_scalar_rabi_integrand_matches_array_form():
+    """The scalar integrand equals psd_frequency and np.sinc bit for bit."""
+    from rydsim.laser import _rabi_integrand
+    rng = np.random.default_rng(5)
+    m = LaserNoiseModel(h0=1.7, bumps=(ServoBump(40.0, 1.2e5, 8e3),
+                                       ServoBump(9.0, 3.1e5, 2e4)), t_d=TD)
+    for n_half in (1, 2, 3):
+        om = 2 * np.pi * 1.3e6
+        g = _rabi_integrand(m, om, n_half)
+        fs = np.concatenate([rng.uniform(0.0, 5e5, 400),
+                             rng.uniform(0.0, 1.3e8, 200), [om / (2 * np.pi)]])
+        for f in fs:
+            a = np.asarray(f)
+            sinc = np.sinc(n_half * ((om - 2.0 * math.pi * a) / om))
+            pref = 8.0 * math.pi ** 2 * om ** 2 * (math.pi * n_half / om) ** 2
+            ref = (pref * psd_frequency(m, a) * sinc ** 2
+                   / (om + 2.0 * math.pi * a) ** 2)
+            assert float(g(float(f))).hex() == float(ref).hex(), (n_half, f)
+
+
 def test_rabi_error_input_validation():
     with pytest.raises(ValueError):
         rabi_error(white(1.0), -1.0, 2)
@@ -235,3 +255,22 @@ def test_read_trace(tmp_path):
     bad.write_text("1e3 0.5 7\n")
     with pytest.raises(ValueError):
         read_trace(bad)
+
+
+# ---------------------------------------------------------------------------
+# golden pins
+# ---------------------------------------------------------------------------
+
+def test_golden_rabi_error_pins_floats():
+    """rabi_error on a fixed grid is pinned bit for bit (float.hex)."""
+    import json
+    from pathlib import Path
+    golden = json.loads((Path(__file__).parent / "golden_qnd.json").read_text())
+    spec = golden["rabi_error"]
+    model = model_from_json(json.dumps(spec["model"]))
+    omegas = np.array(spec["omegas_mhz"]) * 2.0 * np.pi * 1e6
+    for case in spec["cases"]:
+        curve = error_vs_rabi_curve(model, omegas, n_half=case["n_half"],
+                                    include_bumps=case["include_bumps"])
+        assert [float(v).hex() for v in curve] == case["values"], (
+            case["include_bumps"], case["n_half"])

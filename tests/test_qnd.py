@@ -3,9 +3,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rydsim.qnd import (CircuitError, NoiseChannelParams, exact_distribution,
-                        ideal_outcome, parse_circuit, predicted_fqnd, simulate)
+from rydsim.qnd import (CircuitError, NoiseChannelParams, PlaquetteCircuit,
+                        Qubit, exact_distribution, ideal_outcome,
+                        parse_circuit, predicted_fqnd, simulate)
+
+from oracles import simulate_rows
 
 
 def load_circuit(name):
@@ -151,6 +155,54 @@ def test_one_qubit_each_depolarizing_mode(qnd2):
         assert abs(n - 50_000 * p) <= 4.5 * sd
 
 
+@st.composite
+def noisy_circuits(draw):
+    """A valid circuit of 1-3 qubits (r, rz and data-ancilla cz ops), random
+    noise and an input label.  Qubit 0 is data and qubit 1 an ancilla, so
+    every circuit of two or more qubits can hold a cz; angles are nonzero
+    multiples of pi/8, and every qubit is rotated first and last, so that cz
+    and rz phases reach the Z-basis readout."""
+    n = draw(st.integers(1, 3))
+    roles = ["data", "ancilla", draw(st.sampled_from(["data", "ancilla"]))][:n]
+    pairs = [(i, j) for i in range(n) for j in range(n) if roles[i] != roles[j]]
+    qubit = st.integers(0, n - 1)
+    angle = st.integers(1, 15).map(lambda k: k * math.pi / 8)
+    kinds = [st.tuples(st.just("r"), qubit, angle, angle),
+             st.tuples(st.just("rz"), qubit, angle)]
+    if pairs:
+        kinds.append(st.sampled_from(pairs).map(lambda p: ("cz",) + p))
+    turns = st.tuples(*[st.tuples(st.just("r"), st.just(q), angle, angle)
+                        for q in range(n)])
+    ops = [*draw(turns), *draw(st.lists(st.one_of(kinds), min_size=1,
+                                        max_size=6)), *draw(turns)]
+    measured = draw(st.lists(qubit, min_size=1, max_size=n, unique=True))
+    circuit = PlaquetteCircuit([Qubit(f"q{k}", "rb", roles[k]) for k in range(n)],
+                               ops, measured)
+    noise = NoiseChannelParams(
+        depolarizing=draw(st.floats(0.0, 0.2)), leak=draw(st.floats(0.0, 0.1)),
+        loss=draw(st.floats(0.0, 0.1)), spam=draw(st.floats(0.0, 0.05)),
+        depolarizing_mode=draw(st.sampled_from(["two-qubit", "one-qubit-each"])))
+    label = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    return circuit, noise, "".join(label)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(noisy_circuits())
+def test_trajectories_match_exact_on_random_circuits(case):
+    circuit, noise, label = case
+    shots = 4000
+    dist = exact_distribution(circuit, noise, label)
+    hist = simulate(circuit, noise, [label], shots=shots, seed=13)[label]
+    assert hist == simulate_rows(circuit, noise, [label], shots, seed=13)[label]
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(hist.values()) == shots
+    for outcome in set(dist) | set(hist):
+        p = dist.get(outcome, 0.0)
+        k = hist.get(outcome, 0)
+        sd = max(math.sqrt(shots * p * (1.0 - p)), 1.0)
+        assert abs(k - shots * p) <= 4.5 * sd, (outcome, p, k / shots)
+
+
 # ---------------------------------------------------------------------------
 # predicted F_QND
 # ---------------------------------------------------------------------------
@@ -194,3 +246,47 @@ def test_noise_params_validation():
         NoiseChannelParams(loss=0.6, leak=0.6)
     with pytest.raises(ValueError):
         NoiseChannelParams(depolarizing_mode="bogus")
+
+
+# ---------------------------------------------------------------------------
+# golden pins
+# ---------------------------------------------------------------------------
+
+def _golden():
+    import json
+    from pathlib import Path
+    return json.loads((Path(__file__).parent / "golden_qnd.json").read_text())
+
+
+def _golden_circuit(golden, name):
+    inline = golden["simulate"]["inline_circuits"]
+    return parse_circuit(inline[name]) if name in inline else load_circuit(name)
+
+
+def test_golden_simulate_pins_histograms():
+    """(circuit, noise, labels, shots, seed) -> histograms is fixed; a
+    change to the trajectory sampler's random stream fails here."""
+    golden = _golden()
+    spec = golden["simulate"]
+    for case in spec["cases"]:
+        circuit = _golden_circuit(golden, case["circuit"])
+        noise = NoiseChannelParams(depolarizing_mode=case["mode"],
+                                   **spec["noise"])
+        hists = simulate(circuit, noise, list(case["histograms"]),
+                         spec["shots"], seed=case["seed"])
+        assert hists == case["histograms"], (case["circuit"], case["mode"],
+                                             case["seed"])
+
+
+def test_golden_exact_distribution_pins_floats():
+    golden = _golden()
+    for case in golden["exact_distribution"]["cases"]:
+        circuit = _golden_circuit(golden, case["circuit"])
+        noise = NoiseChannelParams(depolarizing_mode=case["mode"],
+                                   **golden["simulate"]["noise"])
+        for label, dist in case["distributions"].items():
+            got = exact_distribution(circuit, noise, label)
+            assert {o: p.hex() for o, p in got.items()} == dist, (
+                case["circuit"], case["mode"], label)
+        if case["predicted_fqnd"] is not None:
+            assert predicted_fqnd(circuit, noise).hex() == case["predicted_fqnd"]
