@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 class FitFailure(RuntimeError):
@@ -43,6 +42,7 @@ def fit_geometric_decay(depths, probs, weights=None) -> RbFit:
     ``weights`` multiply the residuals (e.g. 1/sigma per point); fitted
     parameters are invariant under a uniform scaling of the weights.
     """
+    from scipy.optimize import curve_fit
     depths = np.asarray(depths, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if len(np.unique(depths)) < 3:
@@ -182,6 +182,7 @@ def fit_decay_oscillation(times, values, model: str = "exponential") -> dict:
     y = A exp(-(t/tau)^2) cos(2 pi f t + phase) + offset; returns amplitude,
     frequency, tau, phase, offset.
     """
+    from scipy.optimize import curve_fit
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) < 5:

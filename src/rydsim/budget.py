@@ -5,9 +5,10 @@ shot-to-shot noise.  Monte Carlo runs draw one sample per shot, resolve it to
 drive-level perturbations under the run's mechanism mask, and score the
 Bell-test error; runs over several masks (the exclusion table, the adiabatic
 trace) sample once and resolve the same draws under each mask.  Shots are
-scored in chunks, one after another, through the batched gate propagator;
-a chunk whose propagation fails is rescored shot by shot, so the failing
-shots are counted as integration failures and left out of the mean.
+scored in blocks (4096 shots by default), one after another, through the
+batched gate propagator; a block whose propagation fails is bisected down to
+single shots, so the failing shots are counted as integration failures and
+left out of the mean.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gate import (GateParams, IntegrationError, StepControl,
                    bell_error_from_pulse_state, bell_errors_batch,
@@ -128,6 +128,7 @@ def optimize_gate(params: SystemParams, seed: int = 0) -> OptimizationResult:
     at the contractual stepping.  Raises OptimizationFailure if the error
     stays above 10x the decay floor (or 1e-6 when decay is off).
     """
+    from scipy.optimize import minimize
     omega = params.rabi_rad_s()
     fun = _objective(params, omega)
 
@@ -203,14 +204,14 @@ class MonteCarloReport:
 def monte_carlo_error(params: SystemParams, gate: GateParams,
                       mask: MechanismMask | None = None,
                       shots: int = 10_000, seed: int = 0,
-                      chunk: int = 1024,
+                      chunk: int = 4096,
                       keep_errors: bool = False) -> MonteCarloReport:
     """Mean Bell-test error over seeded shots.
 
-    Deterministic in (params, gate, mask, shots, seed).  Integration failures
-    are counted per shot; more than 1 % of them aborts the run.  The draws
-    do not depend on the mask, so ``rejected_shots`` counts the same
-    separation-floor redraws under every mask.
+    Deterministic in (params, gate, mask, shots, seed).  Shots are evolved in
+    blocks (see `_score_shots`); more than 1 % failing shots aborts the run.
+    The draws do not depend on the mask, so ``rejected_shots`` counts the
+    same separation-floor redraws under every mask.
     """
     return _score_shots(params, gate, mask or MechanismMask(),
                         sample_shots(params, seed, shots), seed, chunk,
@@ -219,29 +220,35 @@ def monte_carlo_error(params: SystemParams, gate: GateParams,
 
 def _score_shots(params: SystemParams, gate: GateParams,
                  mask: MechanismMask, samples: np.recarray, seed: int,
-                 chunk: int = 1024,
+                 chunk: int = 4096,
                  keep_errors: bool = False) -> MonteCarloReport:
-    """`monte_carlo_error` on draws already sampled for run ``seed``."""
+    """`monte_carlo_error` on draws already sampled for run ``seed``.
+
+    Shots are evolved ``chunk`` per call.  At 4096 a driven-sector block
+    keeps about six (2, 2, 4096) complex arrays (about 1.5 MB) alive, which
+    fits a 2 MB L2 cache; it beat 1024 and one block per run at 40k shots.
+    Each block takes its step count from its fastest shot.  A failing block
+    is bisected down to single shots, so one bad shot of n costs at most
+    2 ceil(log2 n) + 1 calls and is left out as NaN.
+    """
     shots = len(samples)
     if shots < 100:
         raise ValueError("shots must be >= 100")
     rejected = int(np.sum(samples.redraws))
 
     errors = np.full(shots, np.nan)
-    for start in range(0, shots, chunk):
-        sl = slice(start, min(start + chunk, shots))
+
+    def score(lo, hi):
         try:
-            batch = resolve_drive_batch(params, samples[sl], mask, gate)
-            errors[sl] = bell_errors_batch(gate, batch)
+            errors[lo:hi] = bell_errors_batch(gate, resolve_drive_batch(
+                params, samples[lo:hi], mask, gate))
         except IntegrationError:
-            # isolate the failing shots
-            for j in range(sl.start, sl.stop):
-                try:
-                    b1 = resolve_drive_batch(params, samples[j:j + 1], mask,
-                                             gate)
-                    errors[j] = bell_errors_batch(gate, b1)[0]
-                except IntegrationError:
-                    errors[j] = np.nan
+            if hi - lo > 1:
+                score(lo, (lo + hi) // 2)
+                score((lo + hi) // 2, hi)
+
+    for start in range(0, shots, chunk):
+        score(start, min(start + chunk, shots))
 
     failures = int(np.count_nonzero(np.isnan(errors)))
     if failures > _MAX_FAILURE_FRACTION * shots:

@@ -438,9 +438,10 @@ def cmd_qnd_simulate(args) -> int:
                               f"the {circuit.n}-qubit circuit")
     if len(set(labels)) != len(labels):
         raise ConfigError(f"--inputs: duplicate labels in {args.inputs!r}")
+    # a circuit with a non-deterministic noiseless output fails before sampling
+    fqnd = qnd.predicted_fqnd(circuit, noise, labels)
     hists = qnd.simulate(circuit, noise, labels, shots=args.shots,
                          seed=args.seed)
-    fqnd = qnd.predicted_fqnd(circuit, noise, labels)
 
     rows = ["input,outcome,count"]
     for label in labels:
@@ -548,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = groups.add_parser("qnd", help="QND circuit simulation")
     sub = g.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("simulate", help="sample a noisy plaquette circuit")
+    q = sub.add_parser("simulate", help="sample a noisy plaquette circuit (exit "
+                       "4 first if its noiseless output is not deterministic)")
     q.add_argument("--circuit", required=True, help="circuit description file")
     q.add_argument("--sigma", type=float, default=0.0,
                    help="per-CZ depolarizing probability")

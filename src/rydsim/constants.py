@@ -3,7 +3,6 @@
 import numpy as np
 
 KB = 1.380649e-23          # Boltzmann constant, J/K
-HBAR = 1.054571817e-34     # reduced Planck constant, J s
 C_LIGHT = 299792458.0      # speed of light, m/s
 AMU = 1.66053906660e-27    # atomic mass unit, kg
 
@@ -16,14 +15,7 @@ HYPERFINE_CS_GHZ = 9.192631770
 
 TWO_PI = 2.0 * np.pi
 
-# unit helpers
-UK = 1e-6      # microkelvin -> K
-MK = 1e-3      # millikelvin -> K
-UM = 1e-6      # micrometer -> m
-NM = 1e-9      # nanometer -> m
-US = 1e-6      # microsecond -> s
-MW = 1e-3      # milliwatt -> W
-
+# angular-frequency unit helpers
 MHZ = TWO_PI * 1e6   # MHz -> rad/s (angular)
 KHZ = TWO_PI * 1e3   # kHz -> rad/s
 GHZ = TWO_PI * 1e9   # GHz -> rad/s

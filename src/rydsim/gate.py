@@ -454,12 +454,13 @@ def bell_target_state() -> np.ndarray:
 
 def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
                                 rz: tuple[float, float]) -> np.ndarray:
-    """1 - |<bell|psi>|^2 given post-pulse amplitudes (batched over axis 0)."""
-    psi = np.atleast_2d(psi_after_pulse)
-    psi = psi * np.diag(virtual_rz(*rz))[None, :]
-    psi = psi @ _R_ANALYSIS.T
-    target = bell_target_state()
-    overlap = psi @ np.conj(target)
+    """1 - |<bell|psi>|^2 given post-pulse amplitudes (batched over axis 0).
+
+    Rz, analysis rotation and target fold into one 9-vector, so no matrix
+    product (and no BLAS thread) runs on the shot axis.
+    """
+    u = np.diag(virtual_rz(*rz)) * (bell_target_state().conj() @ _R_ANALYSIS)
+    overlap = np.einsum("ij,j->i", np.atleast_2d(psi_after_pulse), u)
     err = 1.0 - np.abs(overlap) ** 2
     return err if psi_after_pulse.ndim > 1 else float(err[0])
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import least_squares
 
 from .constants import C_LIGHT
 
@@ -172,6 +170,7 @@ def fit_heterodyne(freqs, psd_samples, initial: LaserNoiseModel,
     white-only regime when the fitted noise floor sits below the dark level
     across the whole band.
     """
+    from scipy.optimize import least_squares
     freqs = np.asarray(freqs, dtype=float)
     psd_samples = np.asarray(psd_samples, dtype=float)
     keep = freqs != 0.0
@@ -255,6 +254,7 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
     kernels can differ from ``math``'s in the last bit (``exp`` does on
     AVX-512 hosts).
     """
+    from scipy import integrate
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
     if n_half < 1 or int(n_half) != n_half:

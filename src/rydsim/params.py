@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .constants import (GHZ, HYPERFINE_CS_GHZ, HYPERFINE_RB_GHZ, KB, KHZ,
+from .constants import (GHZ, HYPERFINE_CS_GHZ, HYPERFINE_RB_GHZ, KB,
                         MASS_CS133, MASS_RB87, MHZ, TWO_PI)
 from .trap import TrapSpec, localization_sigmas
 
@@ -188,9 +188,6 @@ class SystemParams:
 
     def blockade_rad_s(self) -> float:
         return self.blockade_mhz * MHZ
-
-    def correlated_detuning_rad_s(self) -> tuple[float, float]:
-        return (self.detuning_magnetic_khz * KHZ, self.detuning_electric_khz * KHZ)
 
 
 # ---------------------------------------------------------------------------

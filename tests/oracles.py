@@ -151,3 +151,18 @@ def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
             hist[key] = hist.get(key, 0) + 1
         results[label] = hist
     return results
+
+
+def bell_error_matrix_form(psi_after_pulse, rz):
+    """Bell error by the explicit circuit matrices, batched over axis 0.
+
+    Applies the virtual Rz as a 9x9 diagonal, then the analysis rotation,
+    then projects on the target, each as its own matrix product.
+    """
+    from rydsim.gate import _R_ANALYSIS, bell_target_state, virtual_rz
+    psi = np.atleast_2d(psi_after_pulse)
+    psi = psi * np.diag(virtual_rz(*rz))[None, :]
+    psi = psi @ _R_ANALYSIS.T
+    overlap = psi @ np.conj(bell_target_state())
+    err = 1.0 - np.abs(overlap) ** 2
+    return err if psi_after_pulse.ndim > 1 else float(err[0])

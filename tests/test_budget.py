@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from rydsim.budget import (EXCLUSION_MECHANISMS, MonteCarloReport,
                            adiabatic_trace, decay_floor, exclusion_table,
                            monte_carlo_error, optimize_gate,
                            sweep_temperature_power)
+from rydsim import budget, gate as gate_mod
 from rydsim.gate import bell_errors_batch
 from rydsim.noise import MechanismMask, nominal_shot, resolve_drive_batch
 
@@ -138,6 +140,38 @@ def test_chunk_size_does_not_change_results(current_params, current_opt):
                                 seed=5, chunk=chunk, keep_errors=True)
         assert np.max(np.abs(rep.errors - ref.errors)) <= 1e-9
         assert rep.integration_failures == ref.integration_failures
+
+
+def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
+                                          monkeypatch):
+    # one shot of 300 gets a negative Rydberg decay rate, so its norm grows
+    # and every block holding it raises IntegrationError
+    gate, shots = projected_opt.gate, 300
+    clean = monte_carlo_error(projected_params, gate, shots=shots, seed=2,
+                              keep_errors=True)
+    bad_pos = budget.sample_shots(projected_params, 2, shots)[123][
+        "position_rb_um"].copy()
+    resolve, evolve = budget.resolve_drive_batch, gate_mod.evolve_batch
+    calls = []
+
+    def poisoned(params, samples, mask, g):
+        batch = resolve(params, samples, mask, g)
+        hit = np.all(samples["position_rb_um"] == bad_pos, axis=-1)
+        return replace(batch, gammar_a=np.where(hit, -1e5, batch.gammar_a))
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(budget, "resolve_drive_batch", poisoned)
+    monkeypatch.setattr(gate_mod, "evolve_batch", counted)
+    rep = monte_carlo_error(projected_params, gate, shots=shots, seed=2,
+                            keep_errors=True)
+    assert rep.integration_failures == 1
+    assert np.isnan(rep.errors[123])
+    others = np.arange(shots) != 123
+    assert np.max(np.abs(rep.errors[others] - clean.errors[others])) <= 1e-9
+    assert len(calls) <= 2 * math.ceil(math.log2(shots)) + 1
 
 
 def test_report_dict_round_trips(current_params, current_opt):

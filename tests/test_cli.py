@@ -1,11 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydsim
+from rydsim import qnd
 from rydsim.cli import main
 from rydsim.laser import LaserNoiseModel, ServoBump, heterodyne_spectrum, model_to_json
 from rydsim.params import dumps_params, load_preset, loads_params, save_params
@@ -115,6 +120,22 @@ def test_budget_run_and_determinism(tmp_path, gate_file):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == {"report.json", "report.txt"}
     assert manifest["config_digest"]
+
+
+def test_budget_run_imports_no_scipy(tmp_path, gate_file):
+    # scipy is imported only where something is solved or fitted
+    code = (
+        "import sys, rydsim, rydsim.cli\n"
+        "rc = rydsim.cli.main(['budget', 'run', '--config', 'current',"
+        f" '--gate', {gate_file!r}, '--shots', '100',"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "print(rc, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(rydsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_budget_run_gate_negative_duration_exit_code(tmp_path, capsys):
@@ -432,4 +453,22 @@ def test_qnd_simulate_duplicate_labels_exit_code(tmp_path, capsys):
                "--inputs", "10,01,10", "--out", str(tmp_path)])
     assert rc == 2
     assert "duplicate" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
+def test_qnd_simulate_nondeterministic_circuit_spends_no_shots(
+        tmp_path, monkeypatch):
+    # F_QND needs a deterministic noiseless output; the check runs first
+    golden = json.loads(
+        (Path(__file__).parent / "golden_qnd.json").read_text())["simulate"]
+    circuit = tmp_path / "mixed4.txt"
+    circuit.write_text(golden["inline_circuits"]["mixed4"])
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("qnd.simulate called")
+
+    monkeypatch.setattr(qnd, "simulate", simulate)
+    rc = main(["qnd", "simulate", "--circuit", str(circuit),
+               "--shots", "100", "--out", str(tmp_path)])
+    assert rc == 4
     assert not (tmp_path / "histogram.csv").exists()

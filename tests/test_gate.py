@@ -14,6 +14,8 @@ from rydsim.gate import (DriveBatch, GateParams, IntegrationError, StepControl,
                          waveform_phase, G0, G1, RYD)
 from rydsim.noise import resolve_drives
 
+from oracles import bell_error_matrix_form
+
 
 def zero_phase(t):
     return np.zeros_like(np.asarray(t, dtype=float))
@@ -261,6 +263,22 @@ def test_ideal_cz_gives_zero_bell_error():
     assert abs(err) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_bell_overlap_matches_matrix_form(n):
+    # the folded 9-vector overlap against the explicit Rz, rotation and
+    # projection matrices, on random normalised states and phases
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rz = tuple(rng.uniform(-math.pi, math.pi, size=2))
+    err = bell_error_from_pulse_state(psi, rz)
+    assert err.shape == (n,)
+    assert np.max(np.abs(err - bell_error_matrix_form(psi, rz))) <= 1e-15
+    one = bell_error_from_pulse_state(psi[0], rz)
+    assert isinstance(one, float)
+    assert abs(one - bell_error_matrix_form(psi[0], rz)) <= 1e-15
+
+
 def test_bell_error_in_unit_interval(current_params, current_opt):
     gate = current_opt.gate
     err = bell_errors_batch(gate, resolve_drives(current_params, gate))[0]
@@ -451,3 +469,4 @@ def test_norm_never_grows(case):
     psi0 /= np.linalg.norm(psi0, axis=1)[:, None]
     out = evolve_batch(psi0, batch, duration)
     assert np.all(np.sum(np.abs(out) ** 2, axis=1) <= 1.0 + 1e-9)
+
