@@ -14,7 +14,7 @@ from .budget import (BudgetRow, ExclusionReport, MonteCarloReport,
                      OptimizationResult, adiabatic_trace, decay_floor,
                      exclusion_table, monte_carlo_error, optimize_gate,
                      sweep_temperature_power)
-from .gate import (DriveBatch, GateParams, StepControl, bell_errors_batch,
+from .gate import (DriveBatch, GateParams, bell_errors_batch,
                    build_hamiltonian, evolve_batch, waveform_phase)
 from .laser import (LaserNoiseModel, ServoBump, error_vs_rabi_curve,
                     fit_heterodyne, heterodyne_spectrum, psd_frequency,

@@ -89,6 +89,8 @@ def cz_fidelity(p_ret: float, p_bb_given_ret: float,
                     ("p_leak", p_leak)):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    if p_leak == 1.0:
+        raise ValueError("p_leak must be below 1")
     sigma = (1.0 - p_leak - p_bb_given_ret) / (1.0 - p_leak)
     if sigma < -tol:
         raise ValueError(
@@ -154,6 +156,8 @@ def dirichlet_qnd(counts: list[QndCounts]) -> DirichletResult:
     """
     if not counts:
         raise ValueError("need at least one input state")
+    if len({c.state for c in counts}) != len(counts):
+        raise ValueError("each input state may appear only once")
     per_state = {}
     means, variances = [], []
     for c in counts:
@@ -218,6 +222,8 @@ def fit_decay_oscillation(times, values, model: str = "exponential") -> dict:
         a0 = float(np.max(np.abs(values - offset0))) or 1.0
         # dominant frequency from the periodogram
         dt = float(np.median(np.diff(np.sort(times))))
+        if not dt > 0:
+            raise FitFailure("times need a spread: median spacing is 0")
         detrended = values - offset0
         spec = np.abs(np.fft.rfft(detrended))
         fgrid = np.fft.rfftfreq(len(times), dt)

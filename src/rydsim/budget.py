@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gate import (GateParams, IntegrationError, StepControl,
-                   bell_error_from_pulse_state, bell_errors_batch,
-                   optimal_virtual_rz, pulse_state_nominal)
+from .gate import (GateParams, IntegrationError, bell_error_from_pulse_state,
+                   bell_errors_batch, optimal_virtual_rz, pulse_state_nominal)
 from .noise import MechanismMask, resolve_drive_batch, resolve_drives, sample_shots
 from .params import SystemParams
 
@@ -33,10 +32,10 @@ _PULSE_SEEDS = (
     (0.033823, 9.324450, 1.345996, 0.935179, 0.5),
 )
 
-# coarse stepping used only inside optimizer iterations; stable for the
-# blockade sector (B*dt ~ 0.5) and agrees with the contractual stepping on
-# the optimum to well below the acceptance tolerances
-_COARSE_CTRL = StepControl(steps_per_period=12)
+# coarse stepping (points per period) used only inside optimizer iterations;
+# stable for the blockade sector (B*dt ~ 0.5) and agrees with the contractual
+# stepping on the optimum to well below the acceptance tolerances
+_COARSE_STEPS_PER_PERIOD = 12
 
 # optimizer restarts from perturbed seeds, and the evaluation limit of each
 # coarse simplex search
@@ -104,7 +103,7 @@ def _objective(params: SystemParams, omega: float):
         if not (3.0 <= x[1] <= 16.0):
             return 1.0
         batch = resolve_drives(params, gate)
-        psi = pulse_state_nominal(gate, batch, _COARSE_CTRL)[0]
+        psi = pulse_state_nominal(gate, batch, _COARSE_STEPS_PER_PERIOD)[0]
         rz = optimal_virtual_rz(psi)
         return float(bell_error_from_pulse_state(psi, rz))
     return f

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -55,21 +56,23 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _read_text(path: str, build):
     """``build(text)`` on the UTF-8 text file at ``path``.
 
-    An unreadable or non-UTF-8 file, and text that ``build`` rejects (invalid
-    JSON, a missing key, a wrongly shaped document, a bad value), is a
-    data-format error.
+    An unreadable or non-UTF-8 file, and text that ``build`` rejects (bad
+    or too deeply nested JSON, a missing key, a wrongly shaped document, a
+    bad, non-finite or oversized value), is a data-format error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(fh.read())
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing key {exc}") from exc
 
 
 def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
-    """Numeric/str CSV reader; '#' comments and an optional header allowed."""
+    """Numeric/str CSV reader; '#' comments and an optional header allowed.
+    Every number must be finite."""
     rows = []
     lines = _read_text(path, lambda text: text.split("\n"))
     for lineno, line in enumerate(lines, 1):
@@ -87,6 +90,10 @@ def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
                     ch.isdigit() for ch in parts[-1])):
                 continue    # header row
             raise DataFormatError(f"{path}:{lineno}: non-numeric value")
+        # finite, and an int no larger than the largest float
+        if not all(kind is str or abs(v) <= sys.float_info.max
+                   for kind, v in zip(kinds, rows[-1])):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return rows
@@ -136,12 +143,7 @@ def _load_config(args) -> SystemParams:
 
 def _gate_from_json(text: str) -> GateParams:
     doc = json.loads(text)
-    return GateParams(
-        detuning=doc["detuning"], duration=doc["duration"],
-        phase_mod_rate=doc["phase_mod_rate"],
-        phase_mod_depth=doc["phase_mod_depth"],
-        phase_mod_delay=doc["phase_mod_delay"],
-        virtual_rz=tuple(doc["virtual_rz"]))
+    return GateParams(**{f.name: doc[f.name] for f in fields(GateParams)})
 
 
 def _gate_for(params: SystemParams, args) -> tuple[GateParams, dict]:
@@ -155,17 +157,6 @@ def _gate_for(params: SystemParams, args) -> tuple[GateParams, dict]:
                       "decay_floor": res.decay_floor}
 
 
-def _gate_doc(gate: GateParams) -> dict:
-    return {
-        "detuning": gate.detuning,
-        "duration": gate.duration,
-        "phase_mod_rate": gate.phase_mod_rate,
-        "phase_mod_depth": gate.phase_mod_depth,
-        "phase_mod_delay": gate.phase_mod_delay,
-        "virtual_rz": list(gate.virtual_rz),
-    }
-
-
 # ---------------------------------------------------------------------------
 # budget commands
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ def cmd_budget_optimize(args) -> int:
     params = _load_config(args)
     run = _Run(args, "budget optimize")
     res = budget.optimize_gate(params, seed=args.seed)
-    doc = _gate_doc(res.gate)
+    doc = asdict(res.gate)
     doc.update({"error": res.error, "decay_floor": res.decay_floor,
                 "nfev": res.nfev, "restarts": res.restarts})
     run.write_json("gate.json", doc)
@@ -191,7 +182,7 @@ def cmd_budget_run(args) -> int:
     rep = budget.monte_carlo_error(params, gate, MechanismMask(),
                                    shots=args.shots, seed=args.seed)
     doc = rep.as_dict()
-    doc["gate"] = _gate_doc(gate)
+    doc["gate"] = asdict(gate)
     doc["config_digest"] = params_digest(params)
     doc.update(gate_meta)
     run.write_json("report.json", doc)
@@ -245,7 +236,7 @@ def cmd_budget_exclude(args) -> int:
         "quadrature_sum": rep.quadrature_sum,
         "shots": rep.shots, "seed": rep.seed,
         "rejected_shots": rep.rejected_shots,
-        "gate": _gate_doc(gate),
+        "gate": asdict(gate),
         "config_digest": params_digest(params),
     }
     doc.update(gate_meta)
@@ -387,9 +378,9 @@ def cmd_analyze_qnd(args) -> int:
     try:
         counts = [analysis.QndCounts(state=r[0], correct=r[1], incorrect=r[2])
                   for r in rows]
+        res = analysis.dirichlet_qnd(counts)
     except ValueError as exc:
         raise DataFormatError(f"{args.data}: {exc}") from exc
-    res = analysis.dirichlet_qnd(counts)
     doc = {
         "per_state": {k: {"mean": v[0], "std": v[1]}
                       for k, v in res.per_state.items()},
@@ -571,15 +562,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataFormatError as exc:
-        print(f"data format error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (qnd.CircuitError,) as exc:
+    except (DataFormatError, qnd.CircuitError) as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (budget.MonteCarloAbort, budget.OptimizationFailure,
             IntegrationError, laser.FitError, analysis.FitFailure,
-            ConvergenceError) as exc:
+            ConvergenceError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -10,19 +10,20 @@ shots with the fourth-order commutator-free Magnus method (CFM4), whose step
 exponentials take the constant blockade shift exactly, so the step count does
 not grow with the blockade.
 
-A `DriveBatch` (built by `noise.resolve_drive_batch`) holds the resolved
-drives of n shots, and `evolve_batch`, `pulse_state_nominal` and
-`bell_errors_batch` are the ways into the engine; a single drive is a batch
-of one.  As an independent check, `build_hamiltonian` gives the full 9x9
-matrix of one shot of a batch, and `evolve_dense_reference` integrates it
-with plain RK4.
+`GateParams` is the one description of the pulse, shared by every shot; a
+`DriveBatch` (built by `noise.resolve_drive_batch`) holds the per-shot drives
+of n shots as plain arrays.  `evolve_batch`, `pulse_state_nominal` and
+`bell_errors_batch` take both and are the ways into the engine; a single
+drive is a batch of one.  As an independent check, `build_hamiltonian` gives
+the full 9x9 matrix of one shot of a batch, and `evolve_dense_reference`
+integrates it with plain RK4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from numbers import Real
 
 import numpy as np
 
@@ -59,8 +60,9 @@ class GateParams:
 
     The drive phase is a single sinusoid,
     ``phi(t) = phase_mod_depth * sin(phase_mod_rate * (t - phase_mod_delay))``,
-    applied on top of a constant two-photon detuning.  ``virtual_rz`` holds
-    the per-atom single-qubit phase corrections applied after the pulse.
+    applied on top of a constant two-photon detuning; both atoms see the same
+    waveform.  ``virtual_rz`` holds the per-atom single-qubit phase
+    corrections applied after the pulse, two finite numbers kept as a tuple.
     """
 
     detuning: float            # rad/s
@@ -79,6 +81,11 @@ class GateParams:
                      "phase_mod_depth", "phase_mod_delay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        rz = tuple(self.virtual_rz)
+        if len(rz) != 2 or not all(isinstance(v, Real) and math.isfinite(v)
+                                   for v in rz):
+            raise ValueError("virtual_rz must be two finite numbers")
+        object.__setattr__(self, "virtual_rz", rz)
 
 
 def waveform_phase(params: GateParams, t):
@@ -88,15 +95,20 @@ def waveform_phase(params: GateParams, t):
     )
 
 
+def phase_bandwidth(params: GateParams) -> float:
+    """Fastest angular frequency of exp(i phi(t)) in rad/s, a bound on
+    |dphi/dt| that is never below the modulation rate; sets the step."""
+    return abs(params.phase_mod_rate) * max(1.0, params.phase_mod_depth)
+
+
 @dataclass
 class DriveBatch:
     """Per-shot drive parameters for batched evolution (all arrays (n,)).
 
     Atom A drives with ``omega_a`` (two-photon Rabi frequency) at detuning
     ``delta_a``, with loss rates ``gamma1_a`` out of |1> and ``gammar_a`` out
-    of |r>; atom B likewise; ``blockade`` shifts |rr>.  The phase waveforms
-    and ``bandwidth``, a step-control hint for the phase's fastest angular
-    frequency, are shared by every shot.
+    of |r>; atom B likewise; ``blockade`` shifts |rr>.  The pulse duration
+    and phase waveform come from the `GateParams` passed beside the batch.
     """
 
     omega_a: np.ndarray
@@ -108,21 +120,17 @@ class DriveBatch:
     gamma1_b: np.ndarray
     gammar_b: np.ndarray
     blockade: np.ndarray
-    phase_a: Callable[[np.ndarray], np.ndarray]
-    phase_b: Callable[[np.ndarray], np.ndarray]
-    bandwidth: float = 0.0
 
     def __len__(self):
         return len(self.omega_a)
 
 
 def _single_atom_hamiltonian(batch: DriveBatch, atom: str, shot: int,
-                             t: float) -> np.ndarray:
+                             phi: float) -> np.ndarray:
     omega, delta, gamma1, gammar = (
         float(getattr(batch, f"{name}_{atom}")[shot])
         for name in ("omega", "delta", "gamma1", "gammar"))
     h = np.zeros((3, 3), dtype=complex)
-    phi = float(np.asarray(getattr(batch, f"phase_{atom}")(t)))
     coupling = 0.5 * omega * np.exp(1j * phi)
     h[G1, RYD] = coupling
     h[RYD, G1] = np.conj(coupling)
@@ -132,13 +140,16 @@ def _single_atom_hamiltonian(batch: DriveBatch, atom: str, shot: int,
     return h
 
 
-def build_hamiltonian(batch: DriveBatch, t: float, shot: int = 0) -> np.ndarray:
-    """Full 9x9 two-atom Hamiltonian (rad/s) of one shot of ``batch`` at t.
+def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
+                      shot: int = 0) -> np.ndarray:
+    """Full 9x9 two-atom Hamiltonian (rad/s) of one shot of ``batch`` at t,
+    with the phase of ``gate``'s waveform on both couplings.
 
     H = H_a x I + I x H_b + B |rr><rr| with non-Hermitian decay diagonals.
     """
-    ha = _single_atom_hamiltonian(batch, "a", shot, t)
-    hb = _single_atom_hamiltonian(batch, "b", shot, t)
+    phi = float(waveform_phase(gate, t))
+    ha = _single_atom_hamiltonian(batch, "a", shot, phi)
+    hb = _single_atom_hamiltonian(batch, "b", shot, phi)
     h = np.kron(ha, np.eye(3)) + np.kron(np.eye(3), hb)
     h[pair_index(RYD, RYD), pair_index(RYD, RYD)] += float(batch.blockade[shot])
     return h
@@ -148,40 +159,21 @@ def build_hamiltonian(batch: DriveBatch, t: float, shot: int = 0) -> np.ndarray:
 # step control and the sector propagator
 # ---------------------------------------------------------------------------
 
-# every sector takes at least this many steps
+# every sector takes at least this many steps; a sector needing more than
+# _MAX_STEPS raises IntegrationError
 _MIN_STEPS = 16
+_MAX_STEPS = 5_000_000
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Fixed-step control of the CFM4 sector propagator.
-
-    Each sector resolves the period of its fastest non-blockade angular
-    frequency (Rabi, detuning, phase-modulation bandwidth) with
-    ``steps_per_period`` points, and takes at least 16 steps.  The blockade
-    shift is constant in time and the step exponentials take it exactly, so
-    it does not set the step.  The default of 100 keeps the norm drift of a
-    decay-free gate below 1e-9.  A sector needing more than ``max_steps``
-    steps raises IntegrationError.
-    """
-
-    steps_per_period: int = 100
-    max_steps: int = 5_000_000
-
-    def steps_for(self, duration: float, scale: float) -> int:
-        dt_max = TWO_PI / (self.steps_per_period * max(scale, TWO_PI / duration))
-        n = max(math.ceil(duration / dt_max), _MIN_STEPS)
-        if n > self.max_steps:
-            raise IntegrationError(
-                f"step size underflow: {n} steps exceed limit {self.max_steps}")
-        return n
-
-
-def _sector_scales(omega_a, delta_a, omega_b, delta_b, bandwidth):
-    """Fastest non-blockade angular frequency per sector (arrays in and out)."""
-    base_a = np.maximum(np.maximum(np.abs(omega_a), np.abs(delta_a)), bandwidth)
-    base_b = np.maximum(np.maximum(np.abs(omega_b), np.abs(delta_b)), bandwidth)
-    return base_a, base_b, np.maximum(base_a, base_b)
+def _steps_for(duration: float, scale: float, steps_per_period: int) -> int:
+    """CFM4 steps resolving the period of ``scale``, a sector's fastest
+    non-blockade angular frequency, with ``steps_per_period`` points."""
+    dt_max = TWO_PI / (steps_per_period * max(scale, TWO_PI / duration))
+    steps = duration / dt_max if dt_max > 0 else math.inf
+    if not steps <= _MAX_STEPS:
+        raise IntegrationError(f"step size underflow: {steps:.3g} steps "
+                               f"exceed limit {_MAX_STEPS}")
+    return max(math.ceil(steps), _MIN_STEPS)
 
 
 # CFM4, the fourth-order commutator-free Magnus propagator (Alvermann &
@@ -249,34 +241,38 @@ def _expm_scaled(a, theta):
     return out
 
 
-def _cfm4_sector(psi, diag, drives, t0, h, nsteps, accumulate=False):
-    """CFM4-evolve a batch of sector states through nsteps steps of size h.
+def _cfm4_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
+                 accumulate=False):
+    """CFM4-evolve a batch of sector states through ``gate`` in nsteps steps.
 
     psi : (2,) * k + (n,) complex; axis i is the level (|1>, |r>) of the
         i-th driven atom, the last axis the shot
     diag : same shape, the constant diagonal of H (rad/s)
-    drives : (omega, phase) per driven atom; its coupling is
-        0.5 * omega * exp(i phase(t)) from |r> into |1>
+    omegas : Rabi frequency per driven atom; its coupling is
+        0.5 * omega * exp(i phi(t)) from |r> into |1>, with phi the gate's
+        waveform
     accumulate : also return trapezoid integrals of |psi|^2 dt over the
         step endpoints
     """
-    k = len(drives)
+    k = len(omegas)
+    h = gate.duration / nsteps
     # the midpoint of the real diagonal comes out as a global phase per shot
     re = diag.real.reshape(-1, diag.shape[-1])
     mid = 0.5 * (re.max(axis=0) + re.min(axis=0))
     half = -0.5j * h * (diag - mid)
     theta = float(np.max(np.abs(half)))
 
-    t = t0 + h * np.arange(nsteps)
-    coefs = []        # per atom: (nsteps, 2 exponentials, 2 rows) factors
-    for i, (omega, phase) in enumerate(drives):
-        e1, e2 = (np.exp(1j * np.asarray(phase(t + c * h), dtype=float))
-                  for c in _GAUSS)
-        w = np.stack([_CF_A * e1 + _CF_B * e2, _CF_B * e1 + _CF_A * e2], 1)
-        c = -0.5j * h * np.stack([w, np.conj(w)], 2)
+    # (nsteps, 2 exponentials, 2 rows) coupling factors, shared by the atoms
+    t = h * np.arange(nsteps)
+    e1, e2 = (np.exp(1j * waveform_phase(gate, t + c * h)) for c in _GAUSS)
+    w = np.stack([_CF_A * e1 + _CF_B * e2, _CF_B * e1 + _CF_A * e2], 1)
+    c = -0.5j * h * np.stack([w, np.conj(w)], 2)
+    w_max = np.max(np.abs(w))
+    coefs = []
+    for i, omega in enumerate(omegas):
         coefs.append((c.reshape((nsteps, 2) + (1,) * i + (2,)
                                 + (1,) * (k - i)), omega))
-        theta += 0.5 * h * float(np.max(np.abs(w)) * np.max(np.abs(omega)))
+        theta += 0.5 * h * float(w_max * np.max(np.abs(omega)))
 
     if theta <= _THETA_MAX:
         m = _taylor_terms(theta)
@@ -314,37 +310,38 @@ def _cfm4_sector(psi, diag, drives, t0, h, nsteps, accumulate=False):
     return (psi, acc) if accumulate else psi
 
 
-def evolve_batch(psi, batch: DriveBatch, duration: float,
-                 step_ctrl: StepControl | None = None,
-                 t0: float = 0.0, accumulate: bool = False):
-    """Evolve a batch of 9-dim amplitude vectors under per-shot drives.
+def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
+                 steps_per_period: int = 100, accumulate: bool = False):
+    """Evolve a batch of 9-dim amplitude vectors through the pulse ``gate``
+    under per-shot drives.
 
     psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
     for norm loss.  With ``accumulate``, also returns (n, 9) integrals of
     |psi_i|^2 dt used for first-order decay estimates.  Each sector takes
-    one step count for the whole batch, set by the batch's fastest
-    non-blockade frequency.  Raises IntegrationError before stepping if a
-    shot's drive holds a non-finite value or a negative Rabi frequency, and
-    after stepping if any shot's norm grew by more than 1e-9.
+    one fixed step count for the whole batch: ``steps_per_period`` points
+    per period of the batch's fastest non-blockade frequency, and at least
+    16 (`_steps_for`).  The default of 100 keeps the norm drift of a
+    decay-free gate below 1e-9.  Raises IntegrationError before stepping if
+    a shot's drive holds a non-finite value or a negative Rabi frequency, or
+    a sector needs more than `_MAX_STEPS` steps, and after stepping if any
+    shot's norm grew by more than 1e-9.
     """
-    if step_ctrl is None:
-        step_ctrl = StepControl()
     psi = np.array(psi, dtype=complex)
     n = len(psi)
     values = np.stack([batch.omega_a, batch.delta_a, batch.gamma1_a,
                        batch.gammar_a, batch.omega_b, batch.delta_b,
                        batch.gamma1_b, batch.gammar_b, batch.blockade])
     bad = (~np.all(np.isfinite(values), axis=0) | (batch.omega_a < 0)
-           | (batch.omega_b < 0) | (not math.isfinite(batch.bandwidth)))
+           | (batch.omega_b < 0))
     if np.any(bad):
         raise IntegrationError(
             f"non-finite drive or negative Rabi frequency in "
             f"{int(np.sum(bad))} of {n} shots")
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
     acc = np.zeros(psi.shape) if accumulate else None
-    scale_a, scale_b, scale_ab = _sector_scales(
-        batch.omega_a, batch.delta_a, batch.omega_b, batch.delta_b,
-        batch.bandwidth)
+    # fastest non-blockade angular frequency of each single-driven sector
+    peak, bw = np.max(np.abs(values), axis=1), phase_bandwidth(gate)
+    scale_a, scale_b = max(peak[0], peak[1], bw), max(peak[4], peak[5], bw)
     # diagonal of H on (|1>, |r>) per atom; the SECTOR_AB diagonal is the
     # sum of both plus the blockade on |rr>
     diag_a = np.stack([-0.5j * batch.gamma1_a,
@@ -353,15 +350,14 @@ def evolve_batch(psi, batch: DriveBatch, duration: float,
                        -batch.delta_b - 0.5j * batch.gammar_b])
     diag_ab = diag_a[:, None] + diag_b[None, :]
     diag_ab[1, 1] += batch.blockade
-    drive_a = (batch.omega_a, batch.phase_a)
-    drive_b = (batch.omega_b, batch.phase_b)
-    for idxs, scale, diag, drives in (
-            (SECTOR_A0, scale_a, diag_a, [drive_a]),
-            (SECTOR_0B, scale_b, diag_b, [drive_b]),
-            (SECTOR_AB, scale_ab, diag_ab, [drive_a, drive_b])):
-        nsteps = step_ctrl.steps_for(duration, float(np.max(scale)))
-        out = _cfm4_sector(psi[:, idxs].T.reshape(diag.shape), diag, drives,
-                           t0, duration / nsteps, nsteps, accumulate)
+    for idxs, scale, diag, omegas in (
+            (SECTOR_A0, scale_a, diag_a, [batch.omega_a]),
+            (SECTOR_0B, scale_b, diag_b, [batch.omega_b]),
+            (SECTOR_AB, max(scale_a, scale_b), diag_ab,
+             [batch.omega_a, batch.omega_b])):
+        nsteps = _steps_for(gate.duration, scale, steps_per_period)
+        out = _cfm4_sector(psi[:, idxs].T.reshape(diag.shape), diag, omegas,
+                           gate, nsteps, accumulate)
         if accumulate:
             out, acc[:, idxs] = out[0], out[1].reshape(len(idxs), n).T
         psi[:, idxs] = out.reshape(len(idxs), n).T
@@ -372,20 +368,19 @@ def evolve_batch(psi, batch: DriveBatch, duration: float,
         raise IntegrationError(
             f"norm grew by {np.nanmax(growth):.3e} in {int(np.sum(bad))} "
             f"of {len(psi)} shots; integration unstable")
-    if accumulate:
-        return psi, acc
-    return psi
+    return (psi, acc) if accumulate else psi
 
 
-def evolve_dense_reference(psi, batch: DriveBatch, duration: float,
+def evolve_dense_reference(psi, batch: DriveBatch, gate: GateParams,
                            nsteps: int, shot: int = 0) -> np.ndarray:
     """Plain RK4 on the full 9x9 `build_hamiltonian` matrix of one shot
-    (validation path); returns the evolved 9 amplitudes."""
+    through the pulse ``gate`` (validation path); returns the evolved 9
+    amplitudes."""
     psi = np.array(psi, dtype=complex)
-    dt = duration / nsteps
+    dt = gate.duration / nsteps
 
     def rhs(t, y):
-        return -1j * build_hamiltonian(batch, t, shot) @ y
+        return -1j * build_hamiltonian(batch, gate, t, shot) @ y
 
     t = 0.0
     for _ in range(nsteps):
@@ -466,19 +461,16 @@ def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
 
 
 def pulse_state_nominal(gate: GateParams, batch: DriveBatch,
-                        step_ctrl: StepControl | None = None,
+                        steps_per_period: int = 100,
                         accumulate: bool = False):
     """Post-pulse amplitudes from the Bell prep state (pre-Rz), batched."""
-    n = len(batch)
-    psi0 = np.broadcast_to(bell_prep_state(), (n, 9)).copy()
-    return evolve_batch(psi0, batch, gate.duration, step_ctrl,
-                        accumulate=accumulate)
+    psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
+    return evolve_batch(psi0, batch, gate, steps_per_period, accumulate)
 
 
-def bell_errors_batch(gate: GateParams, batch: DriveBatch,
-                      step_ctrl: StepControl | None = None) -> np.ndarray:
+def bell_errors_batch(gate: GateParams, batch: DriveBatch) -> np.ndarray:
     """Bell-circuit error per shot for a batch of resolved drives."""
-    psi = pulse_state_nominal(gate, batch, step_ctrl)
+    psi = pulse_state_nominal(gate, batch)
     return np.clip(bell_error_from_pulse_state(psi, gate.virtual_rz), 0.0, 1.0)
 
 

@@ -30,8 +30,10 @@ class ServoBump:
     sigma: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.f <= 0 or self.sigma <= 0:
-            raise ValueError("servo bump parameters must be positive")
+        if not all(v > 0 and math.isfinite(v)
+                   for v in (self.h, self.f, self.sigma)):
+            raise ValueError("servo bump parameters must be positive and "
+                             "finite")
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,12 @@ class LaserNoiseModel:
     t_d: float = 48.9e-6                   # s, delay-line time
 
     def __post_init__(self):
-        if self.h0 < 0:
-            raise ValueError("h0 must be >= 0")
-        if self.s_dark < 0:
-            raise ValueError("s_dark must be >= 0")
-        if self.t_d <= 0:
-            raise ValueError("t_d must be positive")
+        if not (self.h0 >= 0 and math.isfinite(self.h0)):
+            raise ValueError("h0 must be finite and >= 0")
+        if not (self.s_dark >= 0 and math.isfinite(self.s_dark)):
+            raise ValueError("s_dark must be finite and >= 0")
+        if not (self.t_d > 0 and math.isfinite(self.t_d)):
+            raise ValueError("t_d must be finite and positive")
 
 
 def delay_time(fiber_length_m: float, group_index: float = 1.468) -> float:
@@ -272,7 +274,8 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
     total, abserr = integrate.quad(_rabi_integrand(model, omega0, n_half),
                                    0.0, f_max, points=pts, limit=400,
                                    epsrel=rel_tol, epsabs=0.0)
-    if abserr > max(rel_tol * abs(total), 1e-16) * 50.0:
+    if (not math.isfinite(total)
+            or abserr > max(rel_tol * abs(total), 1e-16) * 50.0):
         raise FitError(f"rabi error integral did not converge: "
                        f"{total:.3e} +- {abserr:.1e}")
     return max(float(total), 0.0)
@@ -298,7 +301,8 @@ def two_photon_error(model_red: LaserNoiseModel, model_blue: LaserNoiseModel,
 # ---------------------------------------------------------------------------
 
 def read_trace(path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column numeric text (frequency Hz, PSD); '#' comments allowed."""
+    """Two-column numeric text (frequency Hz, PSD); '#' comments allowed.
+    Every value must be finite."""
     freqs, vals = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -314,6 +318,8 @@ def read_trace(path) -> tuple[np.ndarray, np.ndarray]:
                 vals.append(float(parts[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+            if not (math.isfinite(freqs[-1]) and math.isfinite(vals[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
     if not freqs:
         raise ValueError(f"{path}: no data rows")
     return np.array(freqs), np.array(vals)
@@ -321,6 +327,8 @@ def read_trace(path) -> tuple[np.ndarray, np.ndarray]:
 
 def model_from_json(text: str) -> LaserNoiseModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("noise model must be a JSON object")
     bumps = tuple(ServoBump(h=b["h"], f=b["f"], sigma=b["sigma"])
                   for b in doc.get("bumps", []))
     return LaserNoiseModel(h0=doc["h0"], bumps=bumps,

@@ -7,7 +7,8 @@ one record array, and `resolve_drive_batch` applies the mask when it turns
 them into drives.  Runs with different masks therefore share their draws by
 construction (common random numbers, which tighten exclusion-table
 differences), and one sample serves every mask.  Static beam misalignment is
-drawn once per run (per seed), not per shot.
+drawn once per run (per seed), not per shot.  A resolved `DriveBatch` is plain
+per-shot data; the pulse itself is described by `GateParams` alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .constants import KHZ
-from .gate import DriveBatch, GateParams, waveform_phase
+from .gate import DriveBatch, GateParams
 from .params import ConfigError, SystemParams
 from .trap import SEPARATION_FLOOR_UM
 
@@ -290,19 +291,16 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
                         mask: MechanismMask, gate: GateParams) -> DriveBatch:
     """Per-shot drives and blockades of ``shots`` with ``mask`` applied.
 
-    This is the one place a mechanism flag acts: the draw-level flags set
-    their fields nominal (`masked_draws`); the beam-profile and scattering
-    flags act in `_resolve_atom`, Rydberg decay here, and blockade
-    fluctuation in `_blockade_rad_s`.
+    Only the nominal two-photon detuning is read from ``gate``; its duration
+    and waveform go to the engine beside the returned batch.  This is the one
+    place a mechanism flag acts: the draw-level flags set their fields
+    nominal (`masked_draws`); the beam-profile and scattering flags act in
+    `_resolve_atom`, Rydberg decay here, and blockade fluctuation in
+    `_blockade_rad_s`.
     """
     if len(shots) == 0:
         raise ValueError("no shots to resolve")
     shots = masked_draws(shots, mask)
-
-    def phase(t):
-        return waveform_phase(gate, t)
-
-    bandwidth = abs(gate.phase_mod_rate) * max(1.0, gate.phase_mod_depth)
     corr = (shots["detuning_magnetic_khz"]
             + shots["detuning_electric_khz"]) * KHZ
 
@@ -320,8 +318,7 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
 
     blockade = _blockade_rad_s(params, mask, shots["position_rb_um"],
                                shots["position_cs_um"])
-    return DriveBatch(phase_a=phase, phase_b=phase, bandwidth=bandwidth,
-                      blockade=blockade, **out)
+    return DriveBatch(blockade=blockade, **out)
 
 
 def resolve_drives(params: SystemParams, gate: GateParams) -> DriveBatch:

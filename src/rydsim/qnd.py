@@ -93,15 +93,18 @@ def _parse_angle(tok: str) -> float:
     """Angles in radians; 'pi', '-pi/2', '3pi/2' style expressions allowed."""
     tok = tok.strip().lower()
     m = _ANGLE_RE.match(tok)
-    if m:
-        sign = -1.0 if m.group(1) else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
     try:
-        return float(tok)
-    except ValueError as exc:
-        raise CircuitError(f"bad angle {tok!r}") from exc
+        if m:
+            sign = -1.0 if m.group(1) else 1.0
+            value = (sign * float(m.group(2) or 1.0) * math.pi
+                     / float(m.group(3) or 1.0))
+        else:
+            value = float(tok)
+    except (ValueError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise CircuitError(f"bad angle {tok!r}: not a finite number")
+    return value
 
 
 def parse_circuit(text: str) -> PlaquetteCircuit:

@@ -16,7 +16,7 @@ import pytest
 from rydsim.analysis import QndCounts, cz_fidelity, dirichlet_qnd, fit_geometric_decay
 from rydsim.budget import exclusion_table, monte_carlo_error, optimize_gate
 from rydsim.cli import main
-from rydsim.gate import StepControl, bell_errors_batch
+from rydsim.gate import bell_errors_batch
 from rydsim.laser import (LaserNoiseModel, ServoBump, carrier_weight,
                           fit_heterodyne, heterodyne_spectrum, rabi_error)
 from rydsim.noise import resolve_drives
@@ -305,7 +305,7 @@ def test_integrator_cross_validation(current_params, current_opt):
     batch = resolve_drives(current_params, gate)
 
     def rhs(t, y):
-        return -1j * (build_hamiltonian(batch, t) @ y)
+        return -1j * (build_hamiltonian(batch, gate, t) @ y)
 
     sol = solve_ivp(rhs, (0.0, gate.duration), bell_prep_state(),
                     rtol=1e-10, atol=1e-12, method="DOP853")

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rydsim
 from rydsim import qnd
@@ -21,14 +22,7 @@ def gate_file(tmp_path_factory, current_opt):
     """gate.json fixture so CLI tests skip the optimizer."""
     d = tmp_path_factory.mktemp("gate")
     path = d / "gate.json"
-    g = current_opt.gate
-    path.write_text(json.dumps({
-        "detuning": g.detuning, "duration": g.duration,
-        "phase_mod_rate": g.phase_mod_rate,
-        "phase_mod_depth": g.phase_mod_depth,
-        "phase_mod_delay": g.phase_mod_delay,
-        "virtual_rz": list(g.virtual_rz),
-    }))
+    path.write_text(json.dumps(asdict(current_opt.gate)))
     return str(path)
 
 
@@ -472,3 +466,281 @@ def test_qnd_simulate_nondeterministic_circuit_spends_no_shots(
                "--shots", "100", "--out", str(tmp_path)])
     assert rc == 4
     assert not (tmp_path / "histogram.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed and non-finite input files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rz", ["[1.0]", "[0, 0, 0]", '["a", "b"]',
+                                "[NaN, 0]"])
+def test_budget_run_gate_bad_virtual_rz_exit_code(tmp_path, gate_file, capsys,
+                                                  rz):
+    doc = json.loads(read(gate_file))
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(doc).replace(
+        json.dumps(doc["virtual_rz"]), rz))
+    rc = main(["budget", "run", "--config", "current", "--gate", str(gate),
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "virtual_rz" in capsys.readouterr().err
+
+
+def test_budget_run_gate_deeply_nested_json_exit_code(tmp_path):
+    gate = tmp_path / "gate.json"
+    gate.write_text("[" * 100_000)
+    rc = main(["budget", "run", "--config", "current", "--gate", str(gate),
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 4
+
+
+NONFINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_analyze_csv_nonfinite_exit_code(tmp_path, capsys, value):
+    good = "0,0.99,500\n1,0.98,500\n2,0.97,500\n4,0.95,500\n"
+    ret, bb = tmp_path / "ret.csv", tmp_path / "bb.csv"
+    ret.write_text(good + f"8,{value},500\n")
+    bb.write_text(good)
+    rc = main(["analyze", "rb", "--retention", str(ret), "--blowaway",
+               str(bb), "--out", str(tmp_path / "rb")])
+    assert rc == 4
+    data = tmp_path / "t1.csv"
+    data.write_text("0,1\n1,0.9\n2,0.8\n3,0.7\n" + f"{value},0.6\n")
+    rc = main(["analyze", "decay", "--data", str(data),
+               "--out", str(tmp_path / "decay")])
+    assert rc == 4
+    assert capsys.readouterr().err.count("non-finite value") == 2
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_laser_fit_nonfinite_trace_exit_code(tmp_path, capsys, value):
+    f = np.linspace(2e3, 6e5, 40)
+    y = heterodyne_spectrum(LaserNoiseModel(h0=2.0), f)
+    lines = [f"{fi} {yi}" for fi, yi in zip(f, y)]
+    lines[7] = f"{f[7]} {value}"
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(lines))
+    init = tmp_path / "init.json"
+    init.write_text(model_to_json(LaserNoiseModel(h0=1.0)))
+    rc = main(["laser", "fit", "--trace", str(trace), "--initial", str(init),
+               "--out", str(tmp_path / "fit")])
+    assert rc == 4
+    assert "non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"h0": NaN}', '{"h0": Infinity}', '{"h0": 1.0, "t_d": Infinity}',
+    '{"h0": 1.0, "bumps": [{"h": 1.0, "f": NaN, "sigma": 1e3}]}'])
+def test_laser_rabi_error_nonfinite_model_exit_code(tmp_path, doc):
+    mf = tmp_path / "model.json"
+    mf.write_text(doc)
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", "0.5:4:2", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert not (tmp_path / "out" / "rabi_error.csv").exists()
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "1e400", "pi/0"])
+def test_qnd_simulate_nonfinite_angle_exit_code(tmp_path, capsys, angle):
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(Path(circuit_path("qnd2")).read_text().replace(
+        "r a pi/2 pi", f"r a pi/2 {angle}"))
+    rc = main(["qnd", "simulate", "--circuit", str(circuit), "--shots", "10",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_laser_rabi_error_overflow_exit_code(tmp_path, capsys):
+    # a valid but extreme model overflows float arithmetic: exit 3
+    mf = tmp_path / "model.json"
+    mf.write_text(json.dumps(
+        {"h0": 1.0, "bumps": [{"h": 1.0, "f": 1e300, "sigma": 1.0}]}))
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", "0.5:4:2", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_laser_model_not_an_object_exit_code(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text("[1.0, 2.0]")
+    rc = main(["laser", "rabi-error", "--model", str(model),
+               "--omega-grid", "0.5:4:2", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    f = np.linspace(2e3, 6e5, 40)
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(f"{fi} 1e-6" for fi in f))
+    rc = main(["laser", "fit", "--trace", str(trace), "--initial", str(model),
+               "--out", str(tmp_path / "fit")])
+    assert rc == 4
+
+
+def test_analyze_decay_oscillation_no_spread_exit_code(tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    data.write_text("".join(f"1.5,{v}\n" for v in (0.9, 0.5, 0.1, 0.5, 0.9)))
+    rc = main(["analyze", "decay", "--data", str(data), "--model",
+               "gaussian-envelope-sinusoid", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "spread" in capsys.readouterr().err
+
+
+def test_analyze_rb_full_leak_exit_code(tmp_path, capsys):
+    rc = main(["analyze", "rb", "--p-ret", ".9", "--p-bb-given-ret", ".9",
+               "--p-leak", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "p_leak" in capsys.readouterr().err
+
+
+def test_analyze_qnd_repeated_state_exit_code(tmp_path, capsys):
+    data = tmp_path / "counts.csv"
+    data.write_text("state,correct,incorrect\n00,93,7\n01,90,10\n00,80,20\n")
+    rc = main(["analyze", "qnd", "--data", str(data), "--out", str(tmp_path)])
+    assert rc == 4
+    assert "once" in capsys.readouterr().err
+    assert not (tmp_path / "qnd_fidelity.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# property: no file content makes a file-reading command exit 1
+# ---------------------------------------------------------------------------
+
+# JSON scalars and containers, including NaN, infinities and ints beyond
+# the float range
+_SCALAR = st.one_of(st.none(), st.booleans(), st.floats(),
+                    st.integers(), st.just(10 ** 400), st.text(max_size=4))
+_JSON = st.recursive(_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=6)
+
+
+def _spoil(valid, junk, n):
+    """``valid`` (a list of n items) as is, or with one item replaced by
+    ``junk`` or dropped."""
+    def apply(case):
+        items, (i, how, bad) = case
+        items = list(items)
+        if how == "replace" and i < len(items):
+            items[i] = bad
+        elif how == "drop" and i < len(items):
+            del items[i]
+        return items
+    return st.tuples(valid, st.tuples(
+        st.integers(0, n), st.sampled_from(["keep", "replace", "drop"]),
+        junk)).map(apply)
+
+
+def _doc(fields):
+    """JSON text: an object over ``fields`` (name -> strategy of a sane
+    value), perhaps with one value junk or one key missing; a junk document;
+    or free text."""
+    keys = list(fields)
+    obj = _spoil(st.tuples(*fields.values()), _JSON, len(keys) - 1).map(
+        lambda values: dict(zip(keys, values)))
+    return st.one_of(obj, obj, obj, _JSON).map(json.dumps) \
+        | st.text(max_size=40)
+
+
+# finite gate values stay small, so a valid gate takes few steps
+_GATE = _doc({
+    "detuning": st.floats(-2e7, 2e7),
+    "duration": st.floats(1e-8, 1.5e-6),
+    "phase_mod_rate": st.floats(-1.2e7, 1.2e7),
+    "phase_mod_depth": st.floats(0.0, 2.0),
+    "phase_mod_delay": st.floats(-1e-6, 1e-6),
+    "virtual_rz": st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2)})
+
+
+def _positive(lo, hi):
+    """A typical value in [lo, hi], or any positive float."""
+    return st.floats(lo, hi) | st.floats(0.0, exclude_min=True,
+                                         allow_infinity=False)
+
+
+_MODEL = _doc({
+    "h0": _positive(0.1, 1e3),
+    "bumps": st.lists(st.fixed_dictionaries({
+        "h": _positive(1e-3, 1e3), "f": _positive(1e3, 1e6),
+        "sigma": _positive(1e2, 1e5)}), max_size=2),
+    "s_dark": st.floats(0.0, 1e-6),
+    "t_d": _positive(1e-6, 1e-4)})
+
+# any CSV cell: numbers of every size, non-finite spellings, text
+_CELL = st.one_of(st.floats().map(repr), st.integers().map(str),
+                  st.sampled_from(["nan", "inf", "-inf", "1e400", "1" * 400,
+                                   "", "00", "pi/2", "#"]),
+                  st.text(max_size=3))
+
+
+def _table(sep, *columns, max_rows=24):
+    """Rows of sane cells, one per column, perhaps with one row spoiled (a
+    junk cell or a wrong length) or dropped into free text."""
+    row = st.tuples(*columns).map(sep.join)
+    bad = _spoil(st.tuples(*columns), _CELL, len(columns)).map(sep.join)
+    rows = _spoil(st.lists(row, max_size=max_rows), bad, max_rows)
+    return rows.map("\n".join) | st.text(max_size=60)
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_COUNT = st.integers(-2, 500).map(str)
+_ANGLE = st.one_of(
+    st.sampled_from(["0", "pi", "pi/2", "-pi/2", "3pi/2", "2*pi"]),
+    _num(-7.0, 7.0), st.sampled_from(["nan", "inf", "1e400", "pi/0", "x"]))
+_QUBIT = st.sampled_from(["a", "b", "a", "b", "c"])
+_LINE = st.one_of(
+    st.tuples(st.just("qubit"), _QUBIT, st.sampled_from(["rb", "cs", "k"]),
+              st.sampled_from(["data", "ancilla", "x"])),
+    st.tuples(st.just("r"), st.sampled_from(["a", "b", "all", "rb", "cs"]),
+              _ANGLE, _ANGLE),
+    st.tuples(st.just("rz"), _QUBIT, _ANGLE),
+    st.tuples(st.just("cz"), _QUBIT, _QUBIT),
+    st.lists(st.sampled_from(["measure", "a", "b", "r", "cz", "pi"]),
+             max_size=4)).map(" ".join)
+_CIRCUIT = st.one_of(
+    st.lists(_LINE, max_size=6).map(
+        lambda ops: "\n".join(["qubit a rb data", "qubit b cs ancilla", *ops,
+                               "measure a b"])),
+    st.lists(_LINE, max_size=8).map("\n".join),
+    st.text(max_size=60))
+
+# command -> (file options with their content strategies, other arguments)
+_RB = _table(",", st.integers(0, 40).map(str), _num(0.0, 1.0), _COUNT)
+_DECAY = _table(",", _num(0.0, 10.0), _num(-1.0, 1.0), max_rows=12)
+_COMMANDS = {
+    "budget run": ({"--gate": _GATE},
+                   ["--config", "current", "--shots", "100"]),
+    "laser fit": ({"--trace": _table(" ", _num(1e3, 1e6), _num(0.0, 1e-3),
+                                     max_rows=40),
+                   "--initial": _MODEL}, []),
+    "laser rabi-error": ({"--model": _MODEL}, ["--omega-grid", "0.5:4:2"]),
+    "analyze rb": ({"--retention": _RB, "--blowaway": _RB}, []),
+    "analyze qnd": ({"--data": _table(",", st.text("01", min_size=1),
+                                      _COUNT, _COUNT, max_rows=6)}, []),
+    "analyze decay": ({"--data": _DECAY},
+                      ["--model", "gaussian-envelope-sinusoid"]),
+    "analyze decay exponential": ({"--data": _DECAY}, []),
+    "qnd simulate": ({"--circuit": _CIRCUIT}, ["--shots", "20"]),
+}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_never_exits_1_on_arbitrary_files(data):
+    import tempfile
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    files, extra = _COMMANDS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = name.split()[:2] + extra
+        for opt, content in files.items():
+            path = os.path.join(tmp, opt.strip("-"))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data.draw(content, label=opt))
+            argv += [opt, path]
+        rc = main(argv + ["--out", os.path.join(tmp, "out")])
+    assert rc in (0, 2, 3, 4)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydsim.constants import MHZ
-from rydsim.gate import (DriveBatch, GateParams, IntegrationError, StepControl,
+from rydsim import gate as gate_mod
+from rydsim.gate import (DriveBatch, GateParams, IntegrationError,
                          bell_error_from_pulse_state, bell_errors_batch,
                          bell_prep_state,
                          build_hamiltonian, evolve_batch,
@@ -17,28 +18,29 @@ from rydsim.noise import resolve_drives
 from oracles import bell_error_matrix_form
 
 
-def zero_phase(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
-
-
-def drive(rabi=0.0, detuning=0.0, g1=0.0, gr=0.0, ryd=0.0, phase=zero_phase,
-          bw=0.0):
+def drive(rabi=0.0, detuning=0.0, g1=0.0, gr=0.0, ryd=0.0):
     """One atom's drive; the scattering ``gr`` and the Rydberg decay ``ryd``
     add up to its total |r> loss rate."""
-    return dict(omega=rabi, delta=detuning, gamma1=g1, gammar=gr + ryd,
-                phase=phase, bw=bw)
+    return dict(omega=rabi, delta=detuning, gamma1=g1, gammar=gr + ryd)
+
+
+def pulse(duration, depth=0.0, rate=0.0, delay=0.0):
+    """A pulse of ``duration`` whose phase on both atoms is
+    depth * sin(rate * (t - delay)); the engine reads no other field."""
+    return GateParams(0.0, duration, rate, depth, delay)
+
+
+def phase_mod(duration):
+    """The modulated test pulse: 1.3 rad at 1.1 MHz, bandwidth 1.43 MHz."""
+    return pulse(duration, 1.3, 2 * np.pi * 1.1e6, 2e-7)
 
 
 def batch_of(pairs, blockade):
-    """One DriveBatch holding a shot per (drive_a, drive_b) pair; the pairs
-    share the first pair's phase waveforms."""
+    """One DriveBatch holding a shot per (drive_a, drive_b) pair."""
     cols = {f"{name}_{atom}": np.array([p[i][name] for p in pairs], dtype=float)
             for i, atom in enumerate("ab")
             for name in ("omega", "delta", "gamma1", "gammar")}
-    return DriveBatch(**cols, blockade=np.full(len(pairs), float(blockade)),
-                      phase_a=pairs[0][0]["phase"],
-                      phase_b=pairs[0][1]["phase"],
-                      bandwidth=max(d["bw"] for p in pairs for d in p))
+    return DriveBatch(**cols, blockade=np.full(len(pairs), float(blockade)))
 
 
 def pair(da, db, blockade):
@@ -46,9 +48,10 @@ def pair(da, db, blockade):
     return batch_of([(da, db)], blockade)
 
 
-def evolve_one(amps, da, db, blockade, duration, step_ctrl=None):
-    return evolve_batch(amps[None, :], pair(da, db, blockade), duration,
-                        step_ctrl)[0]
+def evolve_one(amps, da, db, blockade, duration, steps_per_period=100):
+    """One shot through an unmodulated pulse of ``duration``."""
+    return evolve_batch(amps[None, :], pair(da, db, blockade),
+                        pulse(duration), steps_per_period)[0]
 
 
 def pair_state(a, b):
@@ -68,7 +71,7 @@ def bell_error_of(gate, da, db, blockade):
 def test_hamiltonian_no_drive_is_diagonal():
     da = drive(detuning=2 * np.pi * 0.5e6)
     db = drive(detuning=-2 * np.pi * 0.2e6)
-    h = build_hamiltonian(pair(da, db, 2 * np.pi * 3e6), t=0.0)
+    h = build_hamiltonian(pair(da, db, 2 * np.pi * 3e6), pulse(1e-6), t=0.0)
     off = h - np.diag(np.diag(h))
     assert np.max(np.abs(off)) == 0.0
     assert h[pair_index(RYD, G0), pair_index(RYD, G0)] == pytest.approx(
@@ -77,8 +80,8 @@ def test_hamiltonian_no_drive_is_diagonal():
 
 def test_hamiltonian_blockade_on_rr():
     blockade = 2 * np.pi * 12.01e6   # measured blockade anchor
-    h0 = build_hamiltonian(pair(drive(), drive(), 0.0), 0.0)
-    h1 = build_hamiltonian(pair(drive(), drive(), blockade), 0.0)
+    h0 = build_hamiltonian(pair(drive(), drive(), 0.0), pulse(1e-6), 0.0)
+    h1 = build_hamiltonian(pair(drive(), drive(), blockade), pulse(1e-6), 0.0)
     diff = h1 - h0
     rr = pair_index(RYD, RYD)
     assert diff[rr, rr] == pytest.approx(blockade)
@@ -91,7 +94,8 @@ def test_hamiltonian_antihermitian_part_negative_semidefinite():
                ryd=1e4)
     db = drive(rabi=2 * np.pi * 1.1e6, detuning=-2e5, g1=100.0, gr=700.0,
                ryd=9e3)
-    h = build_hamiltonian(pair(da, db, 2 * np.pi * 12e6), t=1e-7)
+    h = build_hamiltonian(pair(da, db, 2 * np.pi * 12e6), phase_mod(1e-6),
+                          t=1e-7)
     anti = (h - h.conj().T) / 2j
     vals = np.linalg.eigvalsh(anti)
     assert np.all(vals <= 1e-12)
@@ -124,7 +128,7 @@ def test_nonfinite_drive_raises(field, value):
     getattr(batch, field)[1] = value
     psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
     with pytest.raises(IntegrationError, match="in 1 of 3 shots"):
-        evolve_batch(psi0, batch, 1e-6)
+        evolve_batch(psi0, batch, pulse(1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +155,11 @@ def test_pi_pulse_time_matches_rabi_rate():
 
 def test_rabi_oscillation_vs_closed_form():
     omega = 2 * np.pi * 1.2085e6
-    ctrl = StepControl(steps_per_period=400)
     rng = np.random.default_rng(4)
     for frac in rng.uniform(0.05, 1.0, size=4):
         t = frac * 5 * 2 * np.pi / omega   # within 5 Rabi cycles
         out = evolve_one(pair_state(G1, G0), drive(rabi=omega), drive(), 0.0,
-                         t, ctrl)
+                         t, steps_per_period=400)
         expected = math.sin(omega * t / 2.0) ** 2
         pop = abs(out[pair_index(RYD, G0)]) ** 2
         assert pop == pytest.approx(expected, abs=1e-8)
@@ -184,8 +187,8 @@ def test_loss_monotone_and_budget():
     losses = [0.0]
     for _ in range(3):
         norm_in = np.sum(np.abs(psi) ** 2)
-        ref = evolve_dense_reference(psi, batch, 3e-7, nsteps=500)
-        psi = evolve_batch(psi[None, :], batch, 3e-7)[0]
+        ref = evolve_dense_reference(psi, batch, pulse(3e-7), nsteps=500)
+        psi = evolve_batch(psi[None, :], batch, pulse(3e-7))[0]
         loss = norm_in - np.sum(np.abs(psi) ** 2)
         assert abs(loss - (norm_in - np.sum(np.abs(ref) ** 2))) <= 1e-7
         losses.append(losses[-1] + loss)
@@ -197,27 +200,23 @@ def test_block_engine_matches_dense_reference():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
-
-    def ph(t):
-        return 1.3 * np.sin(2 * np.pi * 1.1e6 * (np.asarray(t) - 2e-7))
-
     da = drive(rabi=2 * np.pi * 1.21e6, detuning=2 * np.pi * 0.3e6, g1=500.0,
-               gr=800.0, ryd=1 / 112e-6, phase=ph, bw=2 * np.pi * 1.43e6)
+               gr=800.0, ryd=1 / 112e-6)
     db = drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
-               gr=100.0, ryd=1 / 115e-6, phase=ph, bw=2 * np.pi * 1.43e6)
+               gr=100.0, ryd=1 / 115e-6)
     blockade = 2 * np.pi * 12.01e6
     batch = pair(da, db, blockade)
-    o1 = evolve_batch(amps[None, :], batch, 1e-6,
-                      StepControl(steps_per_period=400))[0]
-    o2 = evolve_dense_reference(amps, batch, 1e-6, nsteps=40000)
+    gate = phase_mod(1e-6)
+    o1 = evolve_batch(amps[None, :], batch, gate, steps_per_period=400)[0]
+    o2 = evolve_dense_reference(amps, batch, gate, nsteps=40000)
     assert np.max(np.abs(o1 - o2)) < 1e-7
 
 
-def test_integration_error_on_step_underflow():
-    ctrl = StepControl(max_steps=8)
+def test_integration_error_on_step_underflow(monkeypatch):
+    monkeypatch.setattr(gate_mod, "_MAX_STEPS", 8)
     with pytest.raises(IntegrationError):
         evolve_one(pair_state(G1, G1), drive(rabi=2 * np.pi * 1e6),
-                   drive(rabi=2 * np.pi * 1e6), 2 * np.pi * 1e9, 1e-6, ctrl)
+                   drive(rabi=2 * np.pi * 1e6), 2 * np.pi * 1e9, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +296,10 @@ def test_norm_conservation_decay_free(current_params, current_opt):
 
 def test_blockade_symmetry_under_atom_swap(current_opt):
     gate = current_opt.gate
-    ph = lambda t: waveform_phase(gate, t)
-    bw = abs(gate.phase_mod_rate) * max(1.0, gate.phase_mod_depth)
     da = drive(rabi=2 * np.pi * 1.23e6, detuning=gate.detuning + 2e4,
-               g1=4e3, gr=1.2e3, ryd=1 / 112e-6, phase=ph, bw=bw)
+               g1=4e3, gr=1.2e3, ryd=1 / 112e-6)
     db = drive(rabi=2 * np.pi * 1.17e6, detuning=gate.detuning - 3e4,
-               g1=3e3, gr=0.9e3, ryd=1 / 115e-6, phase=ph, bw=bw)
+               g1=3e3, gr=0.9e3, ryd=1 / 115e-6)
     blockade = 2 * np.pi * 12e6
     e1 = bell_error_of(gate, da, db, blockade)
     from dataclasses import replace
@@ -314,8 +311,9 @@ def test_blockade_symmetry_under_atom_swap(current_opt):
 def test_convergence_under_step_halving(current_params, current_opt):
     gate = current_opt.gate
     batch = resolve_drives(current_params, gate)
-    e1 = bell_errors_batch(gate, batch, StepControl(steps_per_period=100))[0]
-    e2 = bell_errors_batch(gate, batch, StepControl(steps_per_period=200))[0]
+    e1, e2 = (bell_error_from_pulse_state(
+        pulse_state_nominal(gate, batch, steps)[0], gate.virtual_rz)
+        for steps in (100, 200))
     assert abs(e1 - e2) < 1e-6
 
 
@@ -327,12 +325,10 @@ def test_error_improves_monotonically_with_blockade():
     duration = omt / omega
     base_gate = GateParams(d * omega, duration, rate * omega, depth,
                            frac * duration)
-    ph = lambda t: waveform_phase(base_gate, t)
-    bw = abs(base_gate.phase_mod_rate) * max(1.0, base_gate.phase_mod_depth)
     errs = []
     for b_mhz in (12.0, 25.0, 60.0, 250.0, 1000.0):
-        da = drive(rabi=omega, detuning=base_gate.detuning, phase=ph, bw=bw)
-        db = drive(rabi=omega, detuning=base_gate.detuning, phase=ph, bw=bw)
+        da = drive(rabi=omega, detuning=base_gate.detuning)
+        db = drive(rabi=omega, detuning=base_gate.detuning)
         batch = pair(da, db, 2 * np.pi * b_mhz * 1e6)
         psi = pulse_state_nominal(base_gate, batch)[0]
         from rydsim.gate import optimal_virtual_rz
@@ -345,16 +341,12 @@ def test_error_improves_monotonically_with_blockade():
 def test_decay_floor_linear_in_inverse_lifetime(current_opt):
     # only Rydberg decay enabled: error grows linearly in 1/tau_r
     gate = current_opt.gate
-    ph = lambda t: waveform_phase(gate, t)
-    bw = abs(gate.phase_mod_rate) * max(1.0, gate.phase_mod_depth)
     omega = 2 * np.pi * 1.2e6
     taus = np.array([50e-6, 100e-6, 200e-6, 300e-6, 500e-6])
     errs = []
     for tau in taus:
-        da = drive(rabi=omega, detuning=gate.detuning, ryd=1.0 / tau,
-                   phase=ph, bw=bw)
-        db = drive(rabi=omega, detuning=gate.detuning, ryd=1.0 / tau,
-                   phase=ph, bw=bw)
+        da = drive(rabi=omega, detuning=gate.detuning, ryd=1.0 / tau)
+        db = drive(rabi=omega, detuning=gate.detuning, ryd=1.0 / tau)
         errs.append(bell_error_of(gate, da, db, 2 * np.pi * 12e6))
     x = 1.0 / taus
     coef = np.polyfit(x, errs, 1)
@@ -368,10 +360,6 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
 # batched CFM4 propagator
 # ---------------------------------------------------------------------------
 
-def _phase_mod(t):
-    return 1.3 * np.sin(2 * np.pi * 1.1e6 * (np.asarray(t) - 2e-7))
-
-
 @pytest.mark.parametrize("b_mhz, ref_steps",
                          [(12.0, 1000), (100.0, 2000), (1000.0, 16000)])
 def test_batched_cfm4_matches_dense_reference(b_mhz, ref_steps):
@@ -380,55 +368,55 @@ def test_batched_cfm4_matches_dense_reference(b_mhz, ref_steps):
     rng = np.random.default_rng(2)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
-    bw = 2 * np.pi * 1.43e6
     pairs = [
         (drive(rabi=2 * np.pi * 1.21e6, detuning=2 * np.pi * 0.3e6, g1=500.0,
-               gr=800.0, ryd=1 / 112e-6, phase=_phase_mod, bw=bw),
+               gr=800.0, ryd=1 / 112e-6),
          drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
-               gr=100.0, ryd=1 / 115e-6, phase=_phase_mod, bw=bw)),
+               gr=100.0, ryd=1 / 115e-6)),
         (drive(rabi=2 * np.pi * 0.9e6, detuning=-2 * np.pi * 0.5e6, g1=5e4,
-               gr=1e4, ryd=1 / 50e-6, phase=_phase_mod, bw=bw),
+               gr=1e4, ryd=1 / 50e-6),
          drive(rabi=2 * np.pi * 1.4e6, detuning=2 * np.pi * 0.1e6, g1=1e3,
-               gr=2e4, ryd=1 / 90e-6, phase=_phase_mod, bw=bw)),
+               gr=2e4, ryd=1 / 90e-6)),
     ]
     blockade = 2 * np.pi * b_mhz * 1e6
-    duration = 40e-9
+    gate = phase_mod(40e-9)
     batch = batch_of(pairs, blockade)
-    out = evolve_batch(np.stack([amps, amps]), batch, duration)
+    out = evolve_batch(np.stack([amps, amps]), batch, gate)
     for shot, row in enumerate(out):
-        ref = evolve_dense_reference(amps, batch, duration, nsteps=ref_steps,
+        ref = evolve_dense_reference(amps, batch, gate, nsteps=ref_steps,
                                      shot=shot)
         assert np.max(np.abs(row - ref)) < 1e-7
 
 
 @pytest.mark.parametrize("b_mhz", [12.0, 1000.0])
 def test_constant_drive_matches_exact_propagator(b_mhz):
-    # with a constant phase H is time independent and the exact propagator
-    # is expm(-iHT); at 1 GHz the step exponentials have ||hM|| ~ 13, above
-    # the Taylor limit, so they are scaled and squared
+    # with an unmodulated pulse H is time independent and the exact
+    # propagator is expm(-iHT); at 1 GHz the step exponentials have
+    # ||hM|| ~ 13, above the Taylor limit, so they are scaled and squared
     from scipy.linalg import expm
     rng = np.random.default_rng(3)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
     da = drive(rabi=2 * np.pi * 1.21e6, detuning=2 * np.pi * 0.3e6, g1=500.0,
-               gr=800.0, ryd=1 / 112e-6, phase=lambda t: 0.4 + 0 * t)
+               gr=800.0, ryd=1 / 112e-6)
     db = drive(rabi=2 * np.pi * 1.18e6, detuning=-2 * np.pi * 0.2e6, g1=300.0,
-               gr=100.0, ryd=1 / 115e-6, phase=lambda t: -0.3 + 0 * t)
-    blockade, duration = 2 * np.pi * b_mhz * 1e6, 1e-6
+               gr=100.0, ryd=1 / 115e-6)
+    blockade, gate = 2 * np.pi * b_mhz * 1e6, pulse(1e-6)
     batch = pair(da, db, blockade)
-    exact = expm(-1j * duration * build_hamiltonian(batch, 0.0)) @ amps
-    out = evolve_batch(amps[None, :], batch, duration)[0]
+    exact = expm(-1j * gate.duration
+                 * build_hamiltonian(batch, gate, 0.0)) @ amps
+    out = evolve_batch(amps[None, :], batch, gate)[0]
     assert np.max(np.abs(out - exact)) < 1e-10
 
 
-def test_step_count_does_not_scale_with_blockade():
+def test_step_count_does_not_scale_with_blockade(monkeypatch):
     # a step rule resolving the blockade would need 10^5 steps here; the
     # phase bandwidth sets 143
+    monkeypatch.setattr(gate_mod, "_MAX_STEPS", 400)
     omega = 2 * np.pi * 1.2e6
-    da = drive(rabi=omega, phase=_phase_mod, bw=2 * np.pi * 1.43e6)
+    da = drive(rabi=omega)
     batch = pair(da, da, 2 * np.pi * 1000e6)
-    out = evolve_batch(bell_prep_state()[None, :], batch, 1e-6,
-                       StepControl(max_steps=400))
+    out = evolve_batch(bell_prep_state()[None, :], batch, phase_mod(1e-6))
     assert abs(np.sum(np.abs(out) ** 2) - 1.0) <= 1e-9
 
 
@@ -438,10 +426,10 @@ def test_norm_growth_raises():
     da = drive(rabi=omega, g1=100.0, gr=100.0)
     batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
     psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
-    evolve_batch(psi0, batch, 1e-6)
+    evolve_batch(psi0, batch, pulse(1e-6))
     batch.gammar_a[1] = -1e5
     with pytest.raises(IntegrationError, match="norm grew"):
-        evolve_batch(psi0, batch, 1e-6)
+        evolve_batch(psi0, batch, pulse(1e-6))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -461,12 +449,9 @@ def test_norm_never_grows(case):
         gamma1_a=1e6 * u[2], gammar_a=1e6 * u[3],
         omega_b=2 * np.pi * 3e6 * u[4], delta_b=2 * np.pi * 4e6 * (u[5] - 0.5),
         gamma1_b=1e6 * u[6], gammar_b=1e6 * u[7],
-        blockade=2 * np.pi * 1000e6 * u[8],
-        phase_a=lambda t: depth * np.sin(rate * np.asarray(t)),
-        phase_b=lambda t: depth * np.cos(rate * np.asarray(t)),
-        bandwidth=rate * max(1.0, depth))
+        blockade=2 * np.pi * 1000e6 * u[8])
     psi0 = rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))
     psi0 /= np.linalg.norm(psi0, axis=1)[:, None]
-    out = evolve_batch(psi0, batch, duration)
+    out = evolve_batch(psi0, batch, pulse(duration, depth, rate))
     assert np.all(np.sum(np.abs(out) ** 2, axis=1) <= 1.0 + 1e-9)
 
