@@ -5,8 +5,8 @@ shot-to-shot noise.  Monte Carlo runs draw one sample per shot, resolve it to
 drive-level perturbations under the run's mechanism mask, and score the
 Bell-test error; runs over several masks (the exclusion table, the adiabatic
 trace) sample once and resolve the same draws under each mask.  Shots are
-scored in blocks (4096 shots by default), one after another, through the
-batched gate propagator; a block whose propagation fails is bisected down to
+scored in blocks of `_BLOCK_SHOTS`, one after another, through the batched
+gate propagator; a block whose propagation fails is bisected down to
 single shots, so the failing shots are counted as integration failures and
 left out of the mean.
 """
@@ -14,7 +14,7 @@ left out of the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,11 @@ _COARSE_MAXFEV = 800
 
 # a Monte Carlo run with a larger share of failed shots aborts
 _MAX_FAILURE_FRACTION = 0.01
+
+# shots per `evolve_batch` call: a driven-sector block keeps about six
+# (2, 2, 4096) complex arrays (about 1.5 MB) alive, which fits a 2 MB L2
+# cache; it beat 1024 and one block per run at 40k shots
+_BLOCK_SHOTS = 4096
 
 
 class OptimizationFailure(RuntimeError):
@@ -186,25 +191,17 @@ class MonteCarloReport:
     mask: dict
     rejected_shots: int
     integration_failures: int
-    errors: np.ndarray | None = None
+    errors: np.ndarray        # per shot; NaN where integration failed
 
     def as_dict(self) -> dict:
-        return {
-            "mean_error": self.mean_error,
-            "std_error": self.std_error,
-            "shots": self.shots,
-            "seed": self.seed,
-            "mask": self.mask,
-            "rejected_shots": self.rejected_shots,
-            "integration_failures": self.integration_failures,
-        }
+        """The report without its per-shot errors."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "errors"}
 
 
 def monte_carlo_error(params: SystemParams, gate: GateParams,
                       mask: MechanismMask | None = None,
-                      shots: int = 10_000, seed: int = 0,
-                      chunk: int = 4096,
-                      keep_errors: bool = False) -> MonteCarloReport:
+                      shots: int = 10_000, seed: int = 0) -> MonteCarloReport:
     """Mean Bell-test error over seeded shots.
 
     Deterministic in (params, gate, mask, shots, seed).  Shots are evolved in
@@ -213,22 +210,18 @@ def monte_carlo_error(params: SystemParams, gate: GateParams,
     same separation-floor redraws under every mask.
     """
     return _score_shots(params, gate, mask or MechanismMask(),
-                        sample_shots(params, seed, shots), seed, chunk,
-                        keep_errors)
+                        sample_shots(params, seed, shots), seed)
 
 
 def _score_shots(params: SystemParams, gate: GateParams,
-                 mask: MechanismMask, samples: np.recarray, seed: int,
-                 chunk: int = 4096,
-                 keep_errors: bool = False) -> MonteCarloReport:
+                 mask: MechanismMask, samples: np.recarray,
+                 seed: int) -> MonteCarloReport:
     """`monte_carlo_error` on draws already sampled for run ``seed``.
 
-    Shots are evolved ``chunk`` per call.  At 4096 a driven-sector block
-    keeps about six (2, 2, 4096) complex arrays (about 1.5 MB) alive, which
-    fits a 2 MB L2 cache; it beat 1024 and one block per run at 40k shots.
-    Each block takes its step count from its fastest shot.  A failing block
-    is bisected down to single shots, so one bad shot of n costs at most
-    2 ceil(log2 n) + 1 calls and is left out as NaN.
+    Shots are evolved `_BLOCK_SHOTS` per call, and each block takes its step
+    count from its fastest shot.  A failing block is bisected down to single
+    shots, so one bad shot of n costs at most 2 ceil(log2 n) + 1 calls and
+    is left out as NaN.
     """
     shots = len(samples)
     if shots < 100:
@@ -246,8 +239,8 @@ def _score_shots(params: SystemParams, gate: GateParams,
                 score(lo, (lo + hi) // 2)
                 score((lo + hi) // 2, hi)
 
-    for start in range(0, shots, chunk):
-        score(start, min(start + chunk, shots))
+    for start in range(0, shots, _BLOCK_SHOTS):
+        score(start, min(start + _BLOCK_SHOTS, shots))
 
     failures = int(np.count_nonzero(np.isnan(errors)))
     if failures > _MAX_FAILURE_FRACTION * shots:
@@ -259,8 +252,7 @@ def _score_shots(params: SystemParams, gate: GateParams,
     return MonteCarloReport(
         mean_error=mean, std_error=std_err, shots=shots, seed=seed,
         mask=mask.as_dict(), rejected_shots=rejected,
-        integration_failures=failures,
-        errors=errors if keep_errors else None)
+        integration_failures=failures, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +310,11 @@ def exclusion_table(params: SystemParams, gate: GateParams,
     per-shot differences.
     """
     samples = sample_shots(params, seed, shots)
-    baseline = _score_shots(params, gate, MechanismMask(), samples, seed,
-                            keep_errors=True)
+    baseline = _score_shots(params, gate, MechanismMask(), samples, seed)
     rows = []
     for flag, name in EXCLUSION_MECHANISMS:
         excl = _score_shots(params, gate, MechanismMask().without(flag),
-                            samples, seed, keep_errors=True)
+                            samples, seed)
         diff = baseline.errors - excl.errors
         diff = diff[~np.isnan(diff)]
         contribution = float(np.mean(diff))

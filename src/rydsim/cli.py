@@ -70,8 +70,19 @@ def _read_text(path: str, build):
         raise DataFormatError(f"{path}: missing key {exc}") from exc
 
 
+def _parses(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
     """Numeric/str CSV reader; '#' comments and an optional header allowed.
+
+    A row is a header only if it comes before every data row and none of its
+    numeric columns parses; any other row that fails to parse is an error.
     Every number must be finite."""
     rows = []
     lines = _read_text(path, lambda text: text.split("\n"))
@@ -86,8 +97,9 @@ def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
         try:
             rows.append(tuple(kind(p) for kind, p in zip(kinds, parts)))
         except ValueError:
-            if lineno == 1 or (rows == [] and not any(
-                    ch.isdigit() for ch in parts[-1])):
+            if not rows and not any(
+                    _parses(kind, p) for kind, p in zip(kinds, parts)
+                    if kind is not str):
                 continue    # header row
             raise DataFormatError(f"{path}:{lineno}: non-numeric value")
         # finite, and an int no larger than the largest float
@@ -136,11 +148,6 @@ class _Run:
             fh.write("\n")
 
 
-def _load_config(args) -> SystemParams:
-    params = resolve_config(args.config)
-    return params
-
-
 def _gate_from_json(text: str) -> GateParams:
     doc = json.loads(text)
     return GateParams(**{f.name: doc[f.name] for f in fields(GateParams)})
@@ -162,12 +169,11 @@ def _gate_for(params: SystemParams, args) -> tuple[GateParams, dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_budget_optimize(args) -> int:
-    params = _load_config(args)
+    params = resolve_config(args.config)
     run = _Run(args, "budget optimize")
     res = budget.optimize_gate(params, seed=args.seed)
-    doc = asdict(res.gate)
-    doc.update({"error": res.error, "decay_floor": res.decay_floor,
-                "nfev": res.nfev, "restarts": res.restarts})
+    doc = asdict(res)
+    doc.update(doc.pop("gate"))
     run.write_json("gate.json", doc)
     run.finish(config_digest=params_digest(params), seed=args.seed)
     print(f"noiseless error {res.error:.6e} (decay floor {res.decay_floor:.6e})")
@@ -176,7 +182,7 @@ def cmd_budget_optimize(args) -> int:
 
 
 def cmd_budget_run(args) -> int:
-    params = _load_config(args)
+    params = resolve_config(args.config)
     run = _Run(args, "budget run")
     gate, gate_meta = _gate_for(params, args)
     rep = budget.monte_carlo_error(params, gate, MechanismMask(),
@@ -201,7 +207,7 @@ def cmd_budget_run(args) -> int:
 
 
 def cmd_budget_exclude(args) -> int:
-    params = _load_config(args)
+    params = resolve_config(args.config)
     run = _Run(args, "budget exclude")
     gate, gate_meta = _gate_for(params, args)
     rep = budget.exclusion_table(params, gate, shots=args.shots, seed=args.seed)
@@ -227,19 +233,9 @@ def cmd_budget_exclude(args) -> int:
     csv.append(f"quadrature sum,{_fmt(rep.quadrature_sum)},")
     run.write_text("exclusion.csv", "\n".join(csv) + "\n")
 
-    doc = {
-        "rows": [{"mechanism": r.mechanism, "contribution": r.contribution,
-                  "std_error": r.std_error} for r in rep.sorted_rows()],
-        "total": rep.total, "total_std_error": rep.total_std_error,
-        "linear_sum": rep.linear_sum,
-        "linear_sum_std_error": rep.linear_sum_std_error,
-        "quadrature_sum": rep.quadrature_sum,
-        "shots": rep.shots, "seed": rep.seed,
-        "rejected_shots": rep.rejected_shots,
-        "gate": asdict(gate),
-        "config_digest": params_digest(params),
-    }
-    doc.update(gate_meta)
+    doc = asdict(rep)
+    doc.update(rows=[asdict(r) for r in rep.sorted_rows()], gate=asdict(gate),
+               config_digest=params_digest(params), **gate_meta)
     run.write_json("exclusion.json", doc)
     run.finish(config_digest=params_digest(params), seed=args.seed,
                shots=args.shots)
@@ -252,7 +248,7 @@ def cmd_budget_exclude(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep_2d(args) -> int:
-    params = _load_config(args)
+    params = resolve_config(args.config)
     run = _Run(args, "sweep 2d")
     gate, gate_meta = _gate_for(params, args)
     grid = budget.sweep_temperature_power(
@@ -274,7 +270,7 @@ def cmd_sweep_2d(args) -> int:
 
 
 def cmd_sweep_adiabatic(args) -> int:
-    params = _load_config(args)
+    params = resolve_config(args.config)
     run = _Run(args, "sweep adiabatic")
     gate, gate_meta = _gate_for(params, args)
     tr = budget.adiabatic_trace(params, gate, _parse_grid(args.powers),

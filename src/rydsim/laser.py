@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -129,11 +129,7 @@ class HeterodyneFit:
 
     def as_dict(self) -> dict:
         return {
-            "h0": self.model.h0,
-            "bumps": [{"h": b.h, "f": b.f, "sigma": b.sigma}
-                      for b in self.model.bumps],
-            "s_dark": self.model.s_dark,
-            "t_d": self.model.t_d,
+            **asdict(self.model),
             "residual_rms": self.residual_rms,
             "white_only_regime": self.white_only,
             "n_points": self.n_points,
@@ -284,8 +280,7 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
 def error_vs_rabi_curve(model: LaserNoiseModel, omegas, n_half: int = 2,
                         include_bumps: bool = True) -> np.ndarray:
     """Map `rabi_error` over a grid of Rabi frequencies (rad/s)."""
-    base = model if include_bumps else LaserNoiseModel(
-        h0=model.h0, bumps=(), s_dark=model.s_dark, t_d=model.t_d)
+    base = model if include_bumps else replace(model, bumps=())
     return np.array([rabi_error(base, float(om), n_half) for om in omegas])
 
 
@@ -326,20 +321,17 @@ def read_trace(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def model_from_json(text: str) -> LaserNoiseModel:
+    """A `LaserNoiseModel` from a JSON object over its fields; other keys
+    (such as the fit statistics in a fit.json) are ignored."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("noise model must be a JSON object")
-    bumps = tuple(ServoBump(h=b["h"], f=b["f"], sigma=b["sigma"])
-                  for b in doc.get("bumps", []))
-    return LaserNoiseModel(h0=doc["h0"], bumps=bumps,
-                           s_dark=doc.get("s_dark", 0.0),
-                           t_d=doc.get("t_d", 48.9e-6))
+    kwargs = {f.name: doc[f.name] for f in fields(LaserNoiseModel)
+              if f.name in doc}
+    kwargs["bumps"] = tuple(ServoBump(h=b["h"], f=b["f"], sigma=b["sigma"])
+                            for b in doc.get("bumps", []))
+    return LaserNoiseModel(**kwargs)
 
 
 def model_to_json(model: LaserNoiseModel) -> str:
-    return json.dumps({
-        "h0": model.h0,
-        "bumps": [{"h": b.h, "f": b.f, "sigma": b.sigma} for b in model.bumps],
-        "s_dark": model.s_dark,
-        "t_d": model.t_d,
-    }, indent=2, sort_keys=True)
+    return json.dumps(asdict(model), indent=2, sort_keys=True)

@@ -14,7 +14,7 @@ per-shot data; the pulse itself is described by `GateParams` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,27 +24,6 @@ from .params import ConfigError, SystemParams
 from .trap import SEPARATION_FLOOR_UM
 
 MAX_REDRAWS = 100
-
-# one flag per switchable mechanism; the exclusion table iterates over all of
-# these except atom_localization, which the adiabatic sweep switches (it
-# subsumes blockade fluctuation and beam-profile position effects).
-MECHANISM_FLAGS = (
-    "intermediate_state_decay",
-    "rydberg_decay",
-    "atom_velocity",
-    "atom_localization",
-    "blockade_fluctuation",
-    "finite_beam_blue",
-    "finite_beam_red",
-    "pulse_energy_blue",
-    "pulse_energy_red",
-    "magnetic_noise",
-    "electric_noise",
-    "laser_frequency_noise",
-    "pointing_fluctuation",
-    "static_misalignment",
-    "rabi_mismatch",
-)
 
 
 @dataclass(frozen=True)
@@ -85,7 +64,13 @@ class MechanismMask:
                 raise KeyError(f"unknown mechanism {n!r}")
 
     def as_dict(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
+
+
+# one flag per switchable mechanism; the exclusion table iterates over all of
+# these except atom_localization, which the adiabatic sweep switches (it
+# subsumes blockade fluctuation and beam-profile position effects).
+MECHANISM_FLAGS = tuple(f.name for f in fields(MechanismMask))
 
 
 # One record per shot.  Every field holds the unmasked draw; the masks act

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .constants import (GHZ, HYPERFINE_CS_GHZ, HYPERFINE_RB_GHZ, KB,
@@ -194,23 +193,14 @@ class SystemParams:
 # config file IO
 # ---------------------------------------------------------------------------
 
-_SHARED_FLOAT_KEYS = [
-    "trap_waist_um", "atom_temperature_uk", "trap_power_mw",
-    "atom_separation_um", "blockade_mhz", "rabi_mhz",
-    "red_pulse_energy_std", "blue_pulse_energy_std",
-    "detuning_magnetic_khz", "detuning_electric_khz", "detuning_laser_khz",
-    "pointing_dynamic_nm", "pointing_static_nm", "rabi_mismatch_halfwidth",
-    "trap_wavelength_nm",
-]
+# Config keys are the dataclass fields, in field order: a ``str`` field is
+# text, a field defaulting to None is optional.  The species sections and the
+# hyperfine splitting (fixed atomic data) are not keys.
+_NOT_KEYS = ("rb", "cs", "qubit_hyperfine_ghz")
 
-_SPECIES_STR_KEYS = ["rydberg_state"]
-_SPECIES_FLOAT_KEYS = [
-    "trap_polarizability_au", "rydberg_lifetime_us",
-    "intermediate_detuning_ghz", "blue_dls_mhz", "blue_rabi_mhz",
-    "red_rabi_mhz", "red_blue_rabi_ratio", "blue_waist_um", "red_waist_um",
-    "blue_wavelength_nm", "red_wavelength_nm", "intermediate_linewidth_mhz",
-    "trap_depth_ref_mk", "trap_power_ref_mw", "trap_waist_ref_um",
-]
+
+def _keys(record_or_cls):
+    return [f for f in fields(record_or_cls) if f.name not in _NOT_KEYS]
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
@@ -224,13 +214,15 @@ def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
 def _get_float(cp, section, key) -> float:
     raw = _get(cp, section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' in [{section}] is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in [{section}] is not finite: {raw!r}")
+    return value
 
 
 _HYPERFINE_GHZ = {"rb": HYPERFINE_RB_GHZ, "cs": HYPERFINE_CS_GHZ}
-_SPECIES_OPTIONAL_FLOAT_KEYS = ["stark_coeff_blue_mhz", "stark_coeff_red_mhz"]
 
 
 def loads_params(text: str) -> SystemParams:
@@ -240,42 +232,39 @@ def loads_params(text: str) -> SystemParams:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    def species(section: str) -> SpeciesParams:
-        kwargs = {k: _get(cp, section, k) for k in _SPECIES_STR_KEYS}
-        kwargs.update({k: _get_float(cp, section, k) for k in _SPECIES_FLOAT_KEYS})
-        for k in _SPECIES_OPTIONAL_FLOAT_KEYS:
-            if cp.has_option(section, k):
-                kwargs[k] = _get_float(cp, section, k)
-        kwargs["qubit_hyperfine_ghz"] = _HYPERFINE_GHZ[section]
-        return SpeciesParams(**kwargs)
+    def read(cls, name: str) -> dict:
+        kwargs = {}
+        for f in _keys(cls):
+            if f.default is None and not cp.has_option(name, f.name):
+                continue
+            get = _get if f.type == "str" else _get_float
+            kwargs[f.name] = get(cp, name, f.name)
+        return kwargs
 
-    shared = {k: _get_float(cp, "shared", k) for k in _SHARED_FLOAT_KEYS}
-    shared["doppler_axis"] = _get(cp, "shared", "doppler_axis")
-    return SystemParams(rb=species("rb"), cs=species("cs"), **shared)
+    shared = read(SystemParams, "shared")
+    rb, cs = (SpeciesParams(**read(SpeciesParams, sp),
+                            qubit_hyperfine_ghz=_HYPERFINE_GHZ[sp])
+              for sp in ("rb", "cs"))
+    return SystemParams(rb=rb, cs=cs, **shared)
 
 
 def load_params(path) -> SystemParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_params(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return loads_params(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def dumps_params(params: SystemParams) -> str:
-    out = io.StringIO()
-    out.write("[shared]\n")
-    for key in _SHARED_FLOAT_KEYS:
-        out.write(f"{key} = {getattr(params, key)!r}\n")
-    out.write(f"doppler_axis = {params.doppler_axis}\n")
-    for section in ("rb", "cs"):
-        sp = params.species(section)
-        out.write(f"\n[{section}]\n")
-        for key in _SPECIES_STR_KEYS:
-            out.write(f"{key} = {getattr(sp, key)}\n")
-        for key in _SPECIES_FLOAT_KEYS:
-            out.write(f"{key} = {getattr(sp, key)!r}\n")
-        for key in _SPECIES_OPTIONAL_FLOAT_KEYS:
-            if getattr(sp, key) is not None:
-                out.write(f"{key} = {getattr(sp, key)!r}\n")
-    return out.getvalue()
+    # str(float) is its shortest round-tripping repr
+    sections = []
+    for name, record in (("shared", params), ("rb", params.rb),
+                         ("cs", params.cs)):
+        values = {f.name: getattr(record, f.name) for f in _keys(record)}
+        sections.append(f"[{name}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in values.items() if v is not None))
+    return "\n".join(sections)
 
 
 def save_params(params: SystemParams, path) -> None:

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rydsim.budget import (EXCLUSION_MECHANISMS, MonteCarloReport,
                            adiabatic_trace, decay_floor, exclusion_table,
@@ -64,7 +66,7 @@ def test_monte_carlo_all_off_equals_noiseless(current_params, current_opt):
     gate = current_opt.gate
     mask = MechanismMask.all_off()
     rep = monte_carlo_error(current_params, gate, mask,
-                            shots=100, seed=3, keep_errors=True)
+                            shots=100, seed=3)
     noiseless = bell_errors_batch(gate, resolve_drive_batch(
         current_params, nominal_shot(), mask, gate))[0]
     assert rep.std_error == 0.0
@@ -74,7 +76,7 @@ def test_monte_carlo_all_off_equals_noiseless(current_params, current_opt):
 
 def test_monte_carlo_shot_errors_bounded(current_params, current_opt):
     rep = monte_carlo_error(current_params, current_opt.gate, shots=300,
-                            seed=9, keep_errors=True)
+                            seed=9)
     assert np.all(rep.errors >= 0.0) and np.all(rep.errors <= 1.0)
     assert 0.0 < rep.mean_error < 1.0
     assert rep.integration_failures == 0
@@ -159,16 +161,19 @@ def test_adiabatic_trace_curve_shapes(current_params, current_opt):
     assert tr.error_position_frozen[-1] > tr.error_position_frozen[0]
 
 
-def test_chunk_size_does_not_change_results(current_params, current_opt):
-    # each chunk takes its own step and Taylor term counts from its fastest
-    # shot, so per-shot errors agree to a tolerance, not bit for bit
-    ref = monte_carlo_error(current_params, current_opt.gate, shots=200,
-                            seed=5, keep_errors=True)
-    for chunk in (1, 7, 64):
-        rep = monte_carlo_error(current_params, current_opt.gate, shots=200,
-                                seed=5, chunk=chunk, keep_errors=True)
-        assert np.max(np.abs(rep.errors - ref.errors)) <= 1e-9
-        assert rep.integration_failures == ref.integration_failures
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(block=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_size_does_not_change_results(current_params, current_opt,
+                                            block, seed):
+    # each block takes its own step count from its fastest shot, so per-shot
+    # errors agree to a tolerance, not bit for bit
+    ref = monte_carlo_error(current_params, current_opt.gate, shots=150,
+                            seed=seed)
+    with mock.patch.object(budget, "_BLOCK_SHOTS", block):
+        rep = monte_carlo_error(current_params, current_opt.gate, shots=150,
+                                seed=seed)
+    assert np.max(np.abs(rep.errors - ref.errors)) <= 1e-9
+    assert rep.integration_failures == ref.integration_failures
 
 
 def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
@@ -176,8 +181,7 @@ def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
     # one shot of 300 gets a negative Rydberg decay rate, so its norm grows
     # and every block holding it raises IntegrationError
     gate, shots = projected_opt.gate, 300
-    clean = monte_carlo_error(projected_params, gate, shots=shots, seed=2,
-                              keep_errors=True)
+    clean = monte_carlo_error(projected_params, gate, shots=shots, seed=2)
     bad_pos = budget.sample_shots(projected_params, 2, shots)[123][
         "position_rb_um"].copy()
     resolve, evolve = budget.resolve_drive_batch, gate_mod.evolve_batch
@@ -194,8 +198,7 @@ def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
 
     monkeypatch.setattr(budget, "resolve_drive_batch", poisoned)
     monkeypatch.setattr(gate_mod, "evolve_batch", counted)
-    rep = monte_carlo_error(projected_params, gate, shots=shots, seed=2,
-                            keep_errors=True)
+    rep = monte_carlo_error(projected_params, gate, shots=shots, seed=2)
     assert rep.integration_failures == 1
     assert np.isnan(rep.errors[123])
     others = np.arange(shots) != 123

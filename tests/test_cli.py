@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import rydsim
 from rydsim import qnd
 from rydsim.cli import main
 from rydsim.laser import LaserNoiseModel, ServoBump, heterodyne_spectrum, model_to_json
-from rydsim.params import dumps_params, load_preset, loads_params, save_params
+from rydsim.params import (dumps_params, load_preset, loads_params,
+                           params_digest, save_params)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,26 @@ def test_config_round_trip_bit_exact(tmp_path, current_params):
     assert dumps_params(reloaded) == dumps_params(current_params)
 
 
+def test_config_round_trip_optional_key():
+    params = load_preset("projected")
+    assert "stark_coeff" not in dumps_params(params)
+    value = -2.718281828459045e-3
+    rb = replace(params.rb, stark_coeff_blue_mhz=value)
+    text = dumps_params(replace(params, rb=rb))
+    assert text.count("stark_coeff_blue_mhz") == 1
+    assert f"stark_coeff_blue_mhz = {value!r}\n" in text
+    reloaded = loads_params(text)
+    assert reloaded.rb.stark_coeff_blue_mhz == value
+    assert reloaded.cs.stark_coeff_blue_mhz is None
+    assert dumps_params(reloaded) == text
+
+
+def test_preset_digests_pinned():
+    # every report.json carries this digest of the written config text
+    assert params_digest(load_preset("current")) == "6433fcba24bff77c"
+    assert params_digest(load_preset("projected")) == "03290b7bb7614766"
+
+
 def test_preset_names_resolve():
     assert load_preset("current").blockade_mhz == 12.0
     assert load_preset("projected").blockade_mhz == 65.0
@@ -66,6 +88,35 @@ def test_unknown_config_path_exit_code(tmp_path):
     rc = main(["budget", "run", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("shared", "detuning_laser_khz", "nan"),
+    ("shared", "atom_separation_um", "inf"),
+    ("cs", "blue_dls_mhz", "inf"),
+    ("rb", "trap_polarizability_au", "inf"),
+    ("rb", "stark_coeff_red_mhz", "-inf"),
+])
+def test_config_nonfinite_exit_code(tmp_path, gate_file, capsys, section,
+                                    key, value):
+    cp = configparser.ConfigParser()
+    cp.read_string(dumps_params(load_preset("current")))
+    cp.set(section, key, value)
+    cfg = tmp_path / "nonfinite.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    rc = main(["budget", "run", "--config", str(cfg), "--gate", gate_file,
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' in [{section}] is not finite" in err
+
+
+def test_config_directory_exit_code(tmp_path, capsys):
+    rc = main(["budget", "run", "--config", str(tmp_path), "--shots", "100",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_separation_floor_redraw_limit_exit_code(tmp_path, gate_file, capsys):
@@ -357,6 +408,32 @@ def test_analyze_qnd_malformed_csv_exit_code(tmp_path):
     data.write_text("00,93\n")
     rc = main(["analyze", "qnd", "--data", str(data), "--out", str(tmp_path)])
     assert rc == 4
+
+
+_RB_ROWS = "0,0.99,500\n1,0.98,500\n2,0.97,500\n4,0.95,500\n8,0.91,500\n"
+_BB_ROWS = "0,0.96,500\n1,0.94,500\n2,0.91,500\n4,0.87,500\n8,0.79,500\n"
+_DECAY_ROWS = "".join(f"{t!r},{0.99 * math.exp(-t / 9.6)!r}\n"
+                      for t in map(float, np.linspace(0.0, 5.0, 12)))
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    # a bad first data row is an error, not a header
+    ("qnd", "00,93,x\n01,90,10\n", 4),
+    ("rb", "1,x,100\n" + _RB_ROWS, 4),
+    ("decay", "x,1.0\n" + _DECAY_ROWS, 4),
+    # a header, after comments or not, is skipped
+    ("qnd", "# counts\nstate,correct,incorrect\n00,93,7\n01,90,10\n", 0),
+    ("rb", "# retention\n\ndepth,probability,shots\n" + _RB_ROWS, 0),
+    ("decay", "time,value\n" + _DECAY_ROWS, 0),
+])
+def test_analyze_csv_header_rule(tmp_path, command, text, expected):
+    data, bb = tmp_path / "data.csv", tmp_path / "bb.csv"
+    data.write_text(text)
+    bb.write_text(_BB_ROWS)
+    argv = (["--retention", str(data), "--blowaway", str(bb)]
+            if command == "rb" else ["--data", str(data)])
+    assert main(["analyze", command, *argv,
+                 "--out", str(tmp_path / "out")]) == expected
 
 
 def test_analyze_qnd_non_utf8_exit_code(tmp_path):
