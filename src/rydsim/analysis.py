@@ -77,8 +77,12 @@ def fit_geometric_decay(depths, probs, weights=None) -> RbFit:
     return RbFit(amplitude=float(a), per_gate=float(min(p, 1.0)), covariance=pcov)
 
 
+# rounding slack below sigma = 0 before the inputs count as inconsistent
+_SIGMA_TOL = 1e-9
+
+
 def cz_fidelity(p_ret: float, p_bb_given_ret: float,
-                p_leak: float = 0.002, tol: float = 1e-9) -> float:
+                p_leak: float = 0.002) -> float:
     """CZ fidelity from retention and blowaway probabilities.
 
     The depolarizing-error probability is
@@ -92,7 +96,7 @@ def cz_fidelity(p_ret: float, p_bb_given_ret: float,
     if p_leak == 1.0:
         raise ValueError("p_leak must be below 1")
     sigma = (1.0 - p_leak - p_bb_given_ret) / (1.0 - p_leak)
-    if sigma < -tol:
+    if sigma < -_SIGMA_TOL:
         raise ValueError(
             f"inconsistent inputs: P_bb|ret = {p_bb_given_ret} exceeds "
             f"1 - P_leak = {1.0 - p_leak}")

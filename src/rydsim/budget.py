@@ -59,13 +59,12 @@ class MonteCarloAbort(RuntimeError):
     """More than the tolerated fraction of shots failed to integrate."""
 
 
-def _gate_from_x(x, omega: float, rz=(0.0, 0.0)) -> GateParams:
+def _gate_from_x(x, omega: float) -> GateParams:
     d, omt, rate, depth, frac = x
     duration = omt / omega
     return GateParams(
         detuning=d * omega, duration=duration, phase_mod_rate=rate * omega,
-        phase_mod_depth=abs(depth), phase_mod_delay=frac * duration,
-        virtual_rz=rz)
+        phase_mod_depth=abs(depth), phase_mod_delay=frac * duration)
 
 
 def decay_floor(params: SystemParams, gate: GateParams) -> float:
@@ -93,10 +92,6 @@ class OptimizationResult:
     decay_floor: float
     nfev: int
     restarts: int
-
-    @property
-    def coherent_residual(self) -> float:
-        return self.error - self.decay_floor
 
 
 def _objective(params: SystemParams, omega: float):

@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, budget, laser, qnd
 from .gate import GateParams, IntegrationError
 from .noise import MechanismMask
-from .params import ConfigError, SystemParams, params_digest, resolve_config
+from .params import ConfigError, params_digest, resolve_config
 from .trap import ConvergenceError
 
 EXIT_OK = 0
@@ -112,15 +112,30 @@ def _read_csv_rows(path, n_cols: int, kinds) -> list[tuple]:
 
 
 class _Run:
-    """Collects artifacts and writes the manifest at the end of a command."""
+    """One command's run: its config, its gate, the artifacts it writes and
+    the manifest that lists them."""
 
-    def __init__(self, args, command: str):
+    def __init__(self, args):
+        self.args = args
+        self.params = self.digest = None
+        if hasattr(args, "config"):
+            self.params = resolve_config(args.config)
+            self.digest = params_digest(self.params)
         self.out_dir = args.out
         os.makedirs(self.out_dir, exist_ok=True)
-        self.command = command
         self.artifacts: list[str] = []
-        self.meta: dict = {}
         self.t0 = time.time()
+
+    def gate(self) -> tuple[GateParams, dict]:
+        """The gate from --gate, or one optimized now (deterministic), and
+        where it came from."""
+        if self.args.gate:
+            gate = _read_text(self.args.gate, _gate_from_json)
+            return gate, {"gate_source": self.args.gate}
+        res = budget.optimize_gate(self.params, seed=0)
+        return res.gate, {"gate_source": "optimized",
+                          "noiseless_error": res.error,
+                          "decay_floor": res.decay_floor}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -135,14 +150,30 @@ class _Run:
     def write_json(self, name: str, doc) -> str:
         return self.write_text(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-    def finish(self, **meta):
+    def write_csv(self, name: str, header: str, rows) -> str:
+        """Text cells as they are, ints as ints, other numbers by `_fmt`."""
+        def cell(v):
+            if isinstance(v, str):
+                return v
+            return str(v) if isinstance(v, (int, np.integer)) else _fmt(v)
+        lines = [header] + [",".join(map(cell, row)) for row in rows]
+        return self.write_text(name, "\n".join(lines) + "\n")
+
+    def finish(self, **inputs):
+        """Write the manifest: the command, its artifacts, wall time and seed,
+        the shots and config digest where the command has them, and
+        ``inputs``."""
         manifest = {
-            "command": self.command,
+            "command": f"{self.args.group} {self.args.cmd}",
             "artifacts": sorted(self.artifacts),
             "wall_time_s": round(time.time() - self.t0, 3),
+            "seed": self.args.seed,
         }
-        manifest.update(self.meta)
-        manifest.update(meta)
+        if hasattr(self.args, "shots"):
+            manifest["shots"] = self.args.shots
+        if self.digest:
+            manifest["config_digest"] = self.digest
+        manifest.update(inputs)
         with open(self.path("manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -153,44 +184,27 @@ def _gate_from_json(text: str) -> GateParams:
     return GateParams(**{f.name: doc[f.name] for f in fields(GateParams)})
 
 
-def _gate_for(params: SystemParams, args) -> tuple[GateParams, dict]:
-    """Load an optimized gate from --gate, or optimize now (deterministic)."""
-    if getattr(args, "gate", None):
-        gate = _read_text(args.gate, _gate_from_json)
-        return gate, {"gate_source": args.gate}
-    res = budget.optimize_gate(params, seed=0)
-    return res.gate, {"gate_source": "optimized",
-                      "noiseless_error": res.error,
-                      "decay_floor": res.decay_floor}
-
-
 # ---------------------------------------------------------------------------
 # budget commands
 # ---------------------------------------------------------------------------
 
-def cmd_budget_optimize(args) -> int:
-    params = resolve_config(args.config)
-    run = _Run(args, "budget optimize")
-    res = budget.optimize_gate(params, seed=args.seed)
+def cmd_budget_optimize(run: _Run, args) -> int:
+    res = budget.optimize_gate(run.params, seed=args.seed)
     doc = asdict(res)
     doc.update(doc.pop("gate"))
     run.write_json("gate.json", doc)
-    run.finish(config_digest=params_digest(params), seed=args.seed)
+    run.finish()
     print(f"noiseless error {res.error:.6e} (decay floor {res.decay_floor:.6e})")
     print(f"gate written to {run.path('gate.json')}")
     return EXIT_OK
 
 
-def cmd_budget_run(args) -> int:
-    params = resolve_config(args.config)
-    run = _Run(args, "budget run")
-    gate, gate_meta = _gate_for(params, args)
-    rep = budget.monte_carlo_error(params, gate, MechanismMask(),
+def cmd_budget_run(run: _Run, args) -> int:
+    gate, gate_meta = run.gate()
+    rep = budget.monte_carlo_error(run.params, gate, MechanismMask(),
                                    shots=args.shots, seed=args.seed)
     doc = rep.as_dict()
-    doc["gate"] = asdict(gate)
-    doc["config_digest"] = params_digest(params)
-    doc.update(gate_meta)
+    doc.update(gate=asdict(gate), config_digest=run.digest, **gate_meta)
     run.write_json("report.json", doc)
     text = (f"CZ Monte Carlo error report\n"
             f"shots        : {rep.shots}\n"
@@ -200,45 +214,32 @@ def cmd_budget_run(args) -> int:
             f"rejected     : {rep.rejected_shots}\n"
             f"failures     : {rep.integration_failures}\n")
     run.write_text("report.txt", text)
-    run.finish(config_digest=params_digest(params), seed=args.seed,
-               shots=args.shots)
+    run.finish()
     print(text, end="")
     return EXIT_OK
 
 
-def cmd_budget_exclude(args) -> int:
-    params = resolve_config(args.config)
-    run = _Run(args, "budget exclude")
-    gate, gate_meta = _gate_for(params, args)
-    rep = budget.exclusion_table(params, gate, shots=args.shots, seed=args.seed)
-
+def cmd_budget_exclude(run: _Run, args) -> int:
+    gate, gate_meta = run.gate()
+    rep = budget.exclusion_table(run.params, gate, shots=args.shots,
+                                 seed=args.seed)
+    rows = [(r.mechanism, r.contribution, r.std_error)
+            for r in rep.sorted_rows()]
+    rows += [("total error", rep.total, rep.total_std_error),
+             ("linear sum", rep.linear_sum, rep.linear_sum_std_error),
+             ("quadrature sum", rep.quadrature_sum, "")]
     width = max(len(r.mechanism) for r in rep.rows) + 2
     lines = [f"{'mechanism':<{width}}{'contribution':>14}{'std error':>12}"]
-    for r in rep.sorted_rows():
-        lines.append(f"{r.mechanism:<{width}}{r.contribution:>14.6f}"
-                     f"{r.std_error:>12.6f}")
-    lines.append(f"{'total error':<{width}}{rep.total:>14.6f}"
-                 f"{rep.total_std_error:>12.6f}")
-    lines.append(f"{'linear sum':<{width}}{rep.linear_sum:>14.6f}"
-                 f"{rep.linear_sum_std_error:>12.6f}")
-    lines.append(f"{'quadrature sum':<{width}}{rep.quadrature_sum:>14.6f}"
-                 f"{'':>12}")
+    lines += [f"{name:<{width}}{value:>14.6f}"
+              + format(std, ">12" if isinstance(std, str) else ">12.6f")
+              for name, value, std in rows]
     run.write_text("exclusion.txt", "\n".join(lines) + "\n")
-
-    csv = ["mechanism,contribution,std_error"]
-    for r in rep.sorted_rows():
-        csv.append(f"{r.mechanism},{_fmt(r.contribution)},{_fmt(r.std_error)}")
-    csv.append(f"total error,{_fmt(rep.total)},{_fmt(rep.total_std_error)}")
-    csv.append(f"linear sum,{_fmt(rep.linear_sum)},{_fmt(rep.linear_sum_std_error)}")
-    csv.append(f"quadrature sum,{_fmt(rep.quadrature_sum)},")
-    run.write_text("exclusion.csv", "\n".join(csv) + "\n")
-
+    run.write_csv("exclusion.csv", "mechanism,contribution,std_error", rows)
     doc = asdict(rep)
     doc.update(rows=[asdict(r) for r in rep.sorted_rows()], gate=asdict(gate),
-               config_digest=params_digest(params), **gate_meta)
+               config_digest=run.digest, **gate_meta)
     run.write_json("exclusion.json", doc)
-    run.finish(config_digest=params_digest(params), seed=args.seed,
-               shots=args.shots)
+    run.finish()
     print("\n".join(lines))
     return EXIT_OK
 
@@ -247,46 +248,35 @@ def cmd_budget_exclude(args) -> int:
 # sweep commands
 # ---------------------------------------------------------------------------
 
-def cmd_sweep_2d(args) -> int:
-    params = resolve_config(args.config)
-    run = _Run(args, "sweep 2d")
-    gate, gate_meta = _gate_for(params, args)
+def cmd_sweep_2d(run: _Run, args) -> int:
+    gate, gate_meta = run.gate()
     grid = budget.sweep_temperature_power(
-        params, gate, _parse_grid(args.t_grid), _parse_grid(args.p_grid),
+        run.params, gate, _parse_grid(args.t_grid), _parse_grid(args.p_grid),
         shots=args.shots, seed=args.seed)
-    rows = ["temperature_uk,power_mw,error,std_error,log10_error"]
-    for i, t in enumerate(grid.temperatures_uk):
-        for j, p in enumerate(grid.powers_mw):
-            err = grid.errors[i, j]
-            rows.append(f"{_fmt(t)},{_fmt(p)},{_fmt(err)},"
-                        f"{_fmt(grid.std_errors[i, j])},"
-                        f"{_fmt(np.log10(max(err, 1e-12)))}")
-    run.write_text("sweep2d.csv", "\n".join(rows) + "\n")
-    run.finish(config_digest=params_digest(params), seed=args.seed,
-               shots=args.shots, **gate_meta)
+    run.write_csv(
+        "sweep2d.csv", "temperature_uk,power_mw,error,std_error,log10_error",
+        ((t, p, grid.errors[i, j], grid.std_errors[i, j],
+          np.log10(max(grid.errors[i, j], 1e-12)))
+         for i, t in enumerate(grid.temperatures_uk)
+         for j, p in enumerate(grid.powers_mw)))
+    run.finish(**gate_meta)
     print(f"{len(grid.temperatures_uk) * len(grid.powers_mw)} grid points "
           f"-> {run.path('sweep2d.csv')}")
     return EXIT_OK
 
 
-def cmd_sweep_adiabatic(args) -> int:
-    params = resolve_config(args.config)
-    run = _Run(args, "sweep adiabatic")
-    gate, gate_meta = _gate_for(params, args)
-    tr = budget.adiabatic_trace(params, gate, _parse_grid(args.powers),
+def cmd_sweep_adiabatic(run: _Run, args) -> int:
+    gate, gate_meta = run.gate()
+    tr = budget.adiabatic_trace(run.params, gate, _parse_grid(args.powers),
                                 shots=args.shots, seed=args.seed)
-    rows = ["power_mw,temperature_uk,error_full,std_full,"
-            "error_velocity_frozen,std_velocity_frozen,"
-            "error_position_frozen,std_position_frozen"]
-    for i in range(len(tr.powers_mw)):
-        rows.append(",".join(_fmt(v) for v in (
-            tr.powers_mw[i], tr.temperatures_uk[i],
-            tr.error_full[i], tr.std_full[i],
-            tr.error_velocity_frozen[i], tr.std_velocity_frozen[i],
-            tr.error_position_frozen[i], tr.std_position_frozen[i])))
-    run.write_text("adiabatic.csv", "\n".join(rows) + "\n")
-    run.finish(config_digest=params_digest(params), seed=args.seed,
-               shots=args.shots, **gate_meta)
+    run.write_csv(
+        "adiabatic.csv", "power_mw,temperature_uk,error_full,std_full,"
+        "error_velocity_frozen,std_velocity_frozen,"
+        "error_position_frozen,std_position_frozen",
+        zip(tr.powers_mw, tr.temperatures_uk, tr.error_full, tr.std_full,
+            tr.error_velocity_frozen, tr.std_velocity_frozen,
+            tr.error_position_frozen, tr.std_position_frozen))
+    run.finish(**gate_meta)
     print(f"{len(tr.powers_mw)} trace points -> {run.path('adiabatic.csv')}")
     return EXIT_OK
 
@@ -295,8 +285,7 @@ def cmd_sweep_adiabatic(args) -> int:
 # laser commands
 # ---------------------------------------------------------------------------
 
-def cmd_laser_fit(args) -> int:
-    run = _Run(args, "laser fit")
+def cmd_laser_fit(run: _Run, args) -> int:
     try:
         freqs, vals = laser.read_trace(args.trace)
     except (OSError, ValueError) as exc:
@@ -304,26 +293,23 @@ def cmd_laser_fit(args) -> int:
     initial = _read_text(args.initial, laser.model_from_json)
     fit = laser.fit_heterodyne(freqs, vals, initial)
     run.write_json("fit.json", fit.as_dict())
-    run.finish(trace=args.trace, seed=args.seed)
+    run.finish(trace=args.trace)
     print(f"h0 = {fit.model.h0:.4g} Hz^2/Hz, {len(fit.model.bumps)} bumps, "
           f"residual rms {fit.residual_rms:.3g}"
           + (" [white-noise-only regime]" if fit.white_only else ""))
     return EXIT_OK
 
 
-def cmd_laser_rabi_error(args) -> int:
-    run = _Run(args, "laser rabi-error")
+def cmd_laser_rabi_error(run: _Run, args) -> int:
     model = _read_text(args.model, laser.model_from_json)
     omegas_mhz = _parse_grid(args.omega_grid)
     omegas = omegas_mhz * 2.0 * np.pi * 1e6
     curve = laser.error_vs_rabi_curve(model, omegas, n_half=args.n)
     white = laser.error_vs_rabi_curve(model, omegas, n_half=args.n,
                                       include_bumps=False)
-    rows = ["rabi_mhz,error,error_white_only"]
-    for om, e, w in zip(omegas_mhz, curve, white):
-        rows.append(f"{_fmt(om)},{_fmt(e)},{_fmt(w)}")
-    run.write_text("rabi_error.csv", "\n".join(rows) + "\n")
-    run.finish(model=args.model, n_half_turns=args.n, seed=args.seed)
+    run.write_csv("rabi_error.csv", "rabi_mhz,error,error_white_only",
+                  zip(omegas_mhz, curve, white))
+    run.finish(model=args.model, n_half_turns=args.n)
     print(f"{len(omegas)} points -> {run.path('rabi_error.csv')}")
     return EXIT_OK
 
@@ -332,8 +318,7 @@ def cmd_laser_rabi_error(args) -> int:
 # analyze commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze_rb(args) -> int:
-    run = _Run(args, "analyze rb")
+def cmd_analyze_rb(run: _Run, args) -> int:
     doc: dict = {"p_leak": args.p_leak}
     if args.retention and args.blowaway:
         fits = {}
@@ -363,13 +348,12 @@ def cmd_analyze_rb(args) -> int:
         raise ConfigError("provide --retention and --blowaway CSVs, or "
                           "--p-ret and --p-bb-given-ret")
     run.write_json("rb_fidelity.json", doc)
-    run.finish(seed=args.seed)
+    run.finish()
     print(f"CZ fidelity = {doc['fidelity']:.7f}")
     return EXIT_OK
 
 
-def cmd_analyze_qnd(args) -> int:
-    run = _Run(args, "analyze qnd")
+def cmd_analyze_qnd(run: _Run, args) -> int:
     rows = _read_csv_rows(args.data, 3, (str, int, int))
     try:
         counts = [analysis.QndCounts(state=r[0], correct=r[1], incorrect=r[2])
@@ -385,15 +369,14 @@ def cmd_analyze_qnd(args) -> int:
         "uncertainty_model": "independent per-state posterior variances",
     }
     run.write_json("qnd_fidelity.json", doc)
-    run.finish(data=args.data, seed=args.seed)
+    run.finish(data=args.data)
     for k, (m, s) in res.per_state.items():
         print(f"  {k}: {m:.5f} +- {s:.5f}")
     print(f"F_QND = {res.aggregate_mean:.5f} +- {res.aggregate_std:.5f}")
     return EXIT_OK
 
 
-def cmd_analyze_decay(args) -> int:
-    run = _Run(args, "analyze decay")
+def cmd_analyze_decay(run: _Run, args) -> int:
     rows = _read_csv_rows(args.data, 2, (float, float))
     times = [r[0] for r in rows]
     values = [r[1] for r in rows]
@@ -401,7 +384,7 @@ def cmd_analyze_decay(args) -> int:
     doc = {k: v for k, v in fit.items() if k != "covariance"}
     doc["model"] = args.model
     run.write_json("decay_fit.json", doc)
-    run.finish(data=args.data, seed=args.seed)
+    run.finish(data=args.data)
     printable = {k: round(v, 9) if isinstance(v, float) else v
                  for k, v in doc.items()}
     print(json.dumps(printable, sort_keys=True))
@@ -412,8 +395,7 @@ def cmd_analyze_decay(args) -> int:
 # qnd command
 # ---------------------------------------------------------------------------
 
-def cmd_qnd_simulate(args) -> int:
-    run = _Run(args, "qnd simulate")
+def cmd_qnd_simulate(run: _Run, args) -> int:
     circuit = _read_text(args.circuit, qnd.parse_circuit)
     noise = qnd.NoiseChannelParams(depolarizing=args.sigma, leak=args.leak,
                                    loss=args.loss, spam=args.spam)
@@ -430,11 +412,9 @@ def cmd_qnd_simulate(args) -> int:
     hists = qnd.simulate(circuit, noise, labels, shots=args.shots,
                          seed=args.seed)
 
-    rows = ["input,outcome,count"]
-    for label in labels:
-        for outcome in sorted(hists[label]):
-            rows.append(f"{label},{outcome},{hists[label][outcome]}")
-    run.write_text("histogram.csv", "\n".join(rows) + "\n")
+    run.write_csv("histogram.csv", "input,outcome,count",
+                  ((label, outcome, hists[label][outcome])
+                   for label in labels for outcome in sorted(hists[label])))
     run.write_json("qnd_report.json", {
         "predicted_fqnd": fqnd,
         "inputs": labels,
@@ -443,7 +423,7 @@ def cmd_qnd_simulate(args) -> int:
         "noise": {"depolarizing": args.sigma, "leak": args.leak,
                   "loss": args.loss, "spam": args.spam},
     })
-    run.finish(circuit=args.circuit, seed=args.seed, shots=args.shots)
+    run.finish(circuit=args.circuit)
     print(f"predicted F_QND = {fqnd:.5f} "
           f"({len(labels)} inputs, {args.shots} shots sampled)")
     return EXIT_OK
@@ -453,11 +433,21 @@ def cmd_qnd_simulate(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(p, shots_default=None):
-    p.add_argument("--seed", type=int, default=0, help="run seed")
-    p.add_argument("--out", default=".", help="output directory")
-    if shots_default is not None:
-        p.add_argument("--shots", type=int, default=shots_default)
+def _command(sub, name, func, help, config=False, gate=False, shots=None):
+    """Add subcommand ``name`` with the options its `_Run` reads: --config,
+    --gate and --shots where asked for, --seed and --out always."""
+    q = sub.add_parser(name, help=help)
+    if config:
+        q.add_argument("--config", required=True,
+                       help="config file path, or preset name")
+    if gate:
+        q.add_argument("--gate", help="gate.json from 'budget optimize'")
+    q.add_argument("--seed", type=int, default=0, help="run seed")
+    q.add_argument("--out", default=".", help="output directory")
+    if shots:
+        q.add_argument("--shots", type=int, default=shots)
+    q.set_defaults(func=func)
+    return q
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,78 +456,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual-species Rydberg CZ simulator and analysis toolkit")
     groups = p.add_subparsers(dest="group", required=True)
 
-    g = groups.add_parser("budget", help="Monte Carlo error budget")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("optimize", help="noiseless gate optimization")
-    q.add_argument("--config", required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_budget_optimize)
-    q = sub.add_parser("run", help="baseline Monte Carlo error")
-    q.add_argument("--config", required=True)
-    q.add_argument("--gate", help="gate.json from 'budget optimize'")
-    _add_common(q, shots_default=10000)
-    q.set_defaults(func=cmd_budget_run)
-    q = sub.add_parser("exclude", help="per-mechanism exclusion table")
-    q.add_argument("--config", required=True)
-    q.add_argument("--gate")
-    _add_common(q, shots_default=10000)
-    q.set_defaults(func=cmd_budget_exclude)
+    def group(name, help):
+        return groups.add_parser(name, help=help).add_subparsers(
+            dest="cmd", required=True)
 
-    g = groups.add_parser("sweep", help="parameter sweeps")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("2d", help="temperature x power error grid")
-    q.add_argument("--config", required=True)
-    q.add_argument("--gate")
+    sub = group("budget", "Monte Carlo error budget")
+    _command(sub, "optimize", cmd_budget_optimize,
+             "noiseless gate optimization", config=True)
+    _command(sub, "run", cmd_budget_run, "baseline Monte Carlo error",
+             config=True, gate=True, shots=10000)
+    _command(sub, "exclude", cmd_budget_exclude,
+             "per-mechanism exclusion table", config=True, gate=True,
+             shots=10000)
+
+    sub = group("sweep", "parameter sweeps")
+    q = _command(sub, "2d", cmd_sweep_2d, "temperature x power error grid",
+                 config=True, gate=True, shots=500)
     q.add_argument("--t-grid", required=True, help="MIN:MAX:N in uK")
     q.add_argument("--p-grid", required=True, help="MIN:MAX:N in mW")
-    _add_common(q, shots_default=500)
-    q.set_defaults(func=cmd_sweep_2d)
-    q = sub.add_parser("adiabatic", help="trace along the cooling curve")
-    q.add_argument("--config", required=True)
-    q.add_argument("--gate")
+    q = _command(sub, "adiabatic", cmd_sweep_adiabatic,
+                 "trace along the cooling curve", config=True, gate=True,
+                 shots=500)
     q.add_argument("--powers", required=True, help="MIN:MAX:N in mW")
-    _add_common(q, shots_default=500)
-    q.set_defaults(func=cmd_sweep_adiabatic)
 
-    g = groups.add_parser("laser", help="laser-noise spectra")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("fit", help="fit a self-heterodyne trace")
+    sub = group("laser", "laser-noise spectra")
+    q = _command(sub, "fit", cmd_laser_fit, "fit a self-heterodyne trace")
     q.add_argument("--trace", required=True, help="two-column text trace")
     q.add_argument("--initial", required=True, help="initial model JSON")
-    _add_common(q)
-    q.set_defaults(func=cmd_laser_fit)
-    q = sub.add_parser("rabi-error", help="rotation error vs Rabi frequency")
+    q = _command(sub, "rabi-error", cmd_laser_rabi_error,
+                 "rotation error vs Rabi frequency")
     q.add_argument("--model", required=True, help="noise model JSON")
     q.add_argument("--omega-grid", required=True, help="MIN:MAX:N in MHz")
     q.add_argument("--n", type=int, default=2, help="half turns (N pi)")
-    _add_common(q)
-    q.set_defaults(func=cmd_laser_rabi_error)
 
-    g = groups.add_parser("analyze", help="experimental data analysis")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("rb", help="randomized-benchmarking CZ fidelity")
+    sub = group("analyze", "experimental data analysis")
+    q = _command(sub, "rb", cmd_analyze_rb,
+                 "randomized-benchmarking CZ fidelity")
     q.add_argument("--retention", help="CSV depth,probability,shots")
     q.add_argument("--blowaway", help="CSV depth,probability,shots")
     q.add_argument("--p-ret", type=float, dest="p_ret")
     q.add_argument("--p-bb-given-ret", type=float, dest="p_bb_given_ret")
     q.add_argument("--p-leak", type=float, default=0.002, dest="p_leak")
-    _add_common(q)
-    q.set_defaults(func=cmd_analyze_rb)
-    q = sub.add_parser("qnd", help="Dirichlet QND statistics")
+    q = _command(sub, "qnd", cmd_analyze_qnd, "Dirichlet QND statistics")
     q.add_argument("--data", required=True, help="CSV state,correct,incorrect")
-    _add_common(q)
-    q.set_defaults(func=cmd_analyze_qnd)
-    q = sub.add_parser("decay", help="T1 / T2* / Ramsey-Stark fits")
+    q = _command(sub, "decay", cmd_analyze_decay,
+                 "T1 / T2* / Ramsey-Stark fits")
     q.add_argument("--data", required=True, help="CSV time,value")
     q.add_argument("--model", default="exponential",
                    choices=["exponential", "gaussian-envelope-sinusoid"])
-    _add_common(q)
-    q.set_defaults(func=cmd_analyze_decay)
 
-    g = groups.add_parser("qnd", help="QND circuit simulation")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("simulate", help="sample a noisy plaquette circuit (exit "
-                       "4 first if its noiseless output is not deterministic)")
+    sub = group("qnd", "QND circuit simulation")
+    q = _command(sub, "simulate", cmd_qnd_simulate,
+                 "sample a noisy plaquette circuit (exit 4 first if its "
+                 "noiseless output is not deterministic)", shots=10000)
     q.add_argument("--circuit", required=True, help="circuit description file")
     q.add_argument("--sigma", type=float, default=0.0,
                    help="per-CZ depolarizing probability")
@@ -545,16 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--loss", type=float, default=0.0)
     q.add_argument("--spam", type=float, default=0.0)
     q.add_argument("--inputs", help="comma-separated basis labels")
-    _add_common(q, shots_default=10000)
-    q.set_defaults(func=cmd_qnd_simulate)
     return p
+
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_Run(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

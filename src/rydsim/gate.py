@@ -280,18 +280,16 @@ def _cfm4_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
         def expo(psi, coups):
             return _taylor_action(psi, half, coups, m)
     else:
-        # flattened, atom i's coupling links row j with row j ^ 2^(k-1-i)
+        # the step matrix is A applied to the identity's columns, held on an
+        # extra axis before the shot axis; made contiguous, since a strided
+        # stack would take matmul off BLAS
         d = 2 ** k
-        rows = np.arange(d)
-        partners = [rows ^ (1 << (k - 1 - i)) for i in range(k)]
-        base = np.zeros((psi.shape[-1], d, d), dtype=complex)
-        base[:, rows, rows] = half.reshape(d, -1).T
+        eye = np.eye(d).reshape((2,) * k + (d, 1))
+        half_cols = half[..., None, :]
 
         def expo(psi, coups):
-            a = base.copy()
-            for cols, c in zip(partners, coups):
-                c = np.broadcast_to(c, psi.shape)
-                a[:, rows, cols] = c.reshape(d, -1).T
+            a = _apply(eye, half_cols, [c[..., None, :] for c in coups])
+            a = np.ascontiguousarray(a.reshape(d, d, -1).transpose(2, 0, 1))
             out = np.einsum("nij,jn->in", _expm_scaled(a, theta),
                             psi.reshape(d, -1))
             return out.reshape(psi.shape)

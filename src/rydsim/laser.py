@@ -159,9 +159,9 @@ def _unpack(x: np.ndarray, t_d: float) -> LaserNoiseModel:
     return LaserNoiseModel(h0=h0, bumps=tuple(bumps), s_dark=s_dark, t_d=t_d)
 
 
-def fit_heterodyne(freqs, psd_samples, initial: LaserNoiseModel,
-                   weights=None) -> HeterodyneFit:
-    """Weighted least squares of (h0, bumps, s_dark) to a measured spectrum.
+def fit_heterodyne(freqs, psd_samples,
+                   initial: LaserNoiseModel) -> HeterodyneFit:
+    """Least squares of (h0, bumps, s_dark) to a measured spectrum.
 
     The carrier bin (f = 0) is excluded.  Requires at least 10 samples per
     free parameter.  Returns estimates with covariance; flags the
@@ -173,10 +173,6 @@ def fit_heterodyne(freqs, psd_samples, initial: LaserNoiseModel,
     psd_samples = np.asarray(psd_samples, dtype=float)
     keep = freqs != 0.0
     freqs, psd_samples = freqs[keep], psd_samples[keep]
-    if weights is None:
-        weights = np.ones_like(freqs)
-    else:
-        weights = np.asarray(weights, dtype=float)[keep]
 
     x0 = _pack(initial)
     n_free = len(x0)
@@ -186,7 +182,7 @@ def fit_heterodyne(freqs, psd_samples, initial: LaserNoiseModel,
 
     def residual(x):
         m = _unpack(x, initial.t_d)
-        return (heterodyne_spectrum(m, freqs) - psd_samples) * weights
+        return heterodyne_spectrum(m, freqs) - psd_samples
 
     res = least_squares(residual, x0, method="lm", max_nfev=20000)
     if not res.success:
@@ -235,8 +231,12 @@ def _rabi_integrand(model: LaserNoiseModel, omega0: float, n_half: int):
     return g
 
 
+# relative accuracy asked of the rotation-error integral
+_RABI_REL_TOL = 1e-6
+
+
 def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
-               f_max: float | None = None, rel_tol: float = 1e-6) -> float:
+               f_max: float | None = None) -> float:
     """Error of an N*pi Rabi rotation at Rabi frequency omega0 (rad/s).
 
     Integrates the frequency-noise PSD against the rotation filter over
@@ -269,9 +269,9 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
 
     total, abserr = integrate.quad(_rabi_integrand(model, omega0, n_half),
                                    0.0, f_max, points=pts, limit=400,
-                                   epsrel=rel_tol, epsabs=0.0)
+                                   epsrel=_RABI_REL_TOL, epsabs=0.0)
     if (not math.isfinite(total)
-            or abserr > max(rel_tol * abs(total), 1e-16) * 50.0):
+            or abserr > max(_RABI_REL_TOL * abs(total), 1e-16) * 50.0):
         raise FitError(f"rabi error integral did not converge: "
                        f"{total:.3e} +- {abserr:.1e}")
     return max(float(total), 0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -172,7 +173,6 @@ class SystemParams:
             wavelength_nm=self.trap_wavelength_nm,
             depth_mk=self.trap_depth_mk(name),
             temperature_uk=self.atom_temperature_uk,
-            power_mw=self.trap_power_mw,
         )
 
     def localization_um(self, name: str) -> tuple[float, float]:
@@ -290,12 +290,11 @@ def load_preset(name: str) -> SystemParams:
 
 
 def resolve_config(arg: str) -> SystemParams:
-    """Load a config from a path, or from a preset name like 'current'."""
-    import os
-    if os.path.exists(arg):
+    """Load a config from a path, or from a preset name like 'current' or
+    'current.cfg'.  An argument with a directory part is always a path."""
+    if os.path.exists(arg) or os.path.dirname(arg):
         return load_params(arg)
-    base = os.path.basename(arg)
-    stem = base[:-4] if base.endswith(".cfg") else base
+    stem = arg[:-4] if arg.endswith(".cfg") else arg
     try:
         return load_preset(stem)
     except ConfigError:

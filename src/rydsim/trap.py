@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SEPARATION_FLOOR_UM = 0.5
+# Gauss-Hermite nodes per axis of the quadrature blockade average
+_QUAD_ORDER = 48
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,6 @@ class TrapSpec:
     wavelength_nm: float
     depth_mk: float          # U / k_B in mK
     temperature_uk: float
-    power_mw: float = 0.0
 
     def __post_init__(self):
         for name in ("waist_um", "wavelength_nm", "depth_mk", "temperature_uk"):
@@ -112,8 +113,7 @@ class ConvergenceError(RuntimeError):
 def average_blockade(rho1: GaussianCloud, rho2: GaussianCloud,
                      model: BlockadeModel, method: str = "mc",
                      samples: int = 100_000, seed: int = 0,
-                     rel_tol: float | None = None,
-                     quad_order: int = 48) -> BlockadeEstimate:
+                     rel_tol: float | None = None) -> BlockadeEstimate:
     """Tweezer-averaged blockade <B> = E[B(|r2 - r1|)] over both clouds.
 
     ``method='mc'`` draws positions and reports mean and standard error;
@@ -128,22 +128,20 @@ def average_blockade(rho1: GaussianCloud, rho2: GaussianCloud,
     sig = np.sqrt(var)
 
     if method == "quadrature":
-        nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
+        nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_ORDER)
         axes = [mean_sep[i] + math.sqrt(2.0) * sig[i] * nodes for i in range(3)]
         dx, dy, dz = np.meshgrid(*axes, indexing="ij", sparse=True)
-        r = np.sqrt(dx * dx + dy * dy + dz * dz)
-        vals = model.c6_mhz_um6 / np.maximum(r, SEPARATION_FLOOR_UM) ** 6
+        vals = blockade_point(model, np.sqrt(dx * dx + dy * dy + dz * dz))
         wx, wy, wz = np.meshgrid(weights, weights, weights,
                                  indexing="ij", sparse=True)
         mean = float(np.sum(vals * wx * wy * wz) / math.pi ** 1.5)
-        return BlockadeEstimate(mean, 0.0, "quadrature", quad_order ** 3)
+        return BlockadeEstimate(mean, 0.0, "quadrature", _QUAD_ORDER ** 3)
 
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     sep = mean_sep[None, :] + rng.normal(size=(samples, 3)) * sig[None, :]
-    r = np.linalg.norm(sep, axis=1)
-    vals = model.c6_mhz_um6 / np.maximum(r, SEPARATION_FLOOR_UM) ** 6
+    vals = blockade_point(model, np.linalg.norm(sep, axis=1))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     if rel_tol is not None and stderr > rel_tol * abs(mean):

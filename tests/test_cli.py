@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 import math
@@ -13,10 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rydsim
 from rydsim import qnd
-from rydsim.cli import main
+from rydsim.cli import build_parser, main
 from rydsim.laser import LaserNoiseModel, ServoBump, heterodyne_spectrum, model_to_json
 from rydsim.params import (dumps_params, load_preset, loads_params,
-                           params_digest, save_params)
+                           params_digest, resolve_config, save_params)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,20 @@ def test_unknown_config_path_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_config_path_with_directory_never_names_a_preset(tmp_path, gate_file,
+                                                       capsys):
+    # a mistyped directory must not fall back to the preset of the file stem
+    missing = tmp_path / "no_such_dir" / "projected.cfg"
+    out = tmp_path / "out"
+    rc = main(["budget", "run", "--config", str(missing), "--gate", gate_file,
+               "--shots", "10", "--out", str(out)])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not out.exists()
+    assert resolve_config("projected.cfg") == load_preset("projected")
+    assert resolve_config("projected") == load_preset("projected")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("shared", "detuning_laser_khz", "nan"),
     ("shared", "atom_separation_um", "inf"),
@@ -130,6 +145,69 @@ def test_separation_floor_redraw_limit_exit_code(tmp_path, gate_file, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "atom_separation_um = 0.01" in err and "0.5 um" in err
+
+
+# ---------------------------------------------------------------------------
+# CLI surface: options and manifests
+# ---------------------------------------------------------------------------
+
+def _subcommands():
+    """{'group cmd': parser} for every subcommand of `build_parser`."""
+    def children(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {f"{g} {c}": q for g, gp in children(build_parser()).items()
+            for c, q in children(gp).items()}
+
+
+def test_cli_surface_options():
+    commands = _subcommands()
+    assert len(commands) == 11
+    options = {name: q._option_string_actions for name, q in commands.items()}
+    for name, opts in options.items():
+        assert opts["--seed"].default == 0, name
+        assert opts["--out"].default == ".", name
+    shots = {name: opts["--shots"].default for name, opts in options.items()
+             if "--shots" in opts}
+    assert shots == {"budget run": 10000, "budget exclude": 10000,
+                     "qnd simulate": 10000, "sweep 2d": 500,
+                     "sweep adiabatic": 500}
+    assert {n for n, o in options.items() if "--config" in o} == {
+        "budget optimize", "budget run", "budget exclude", "sweep 2d",
+        "sweep adiabatic"}
+    assert {n for n, o in options.items() if "--gate" in o} == {
+        "budget run", "budget exclude", "sweep 2d", "sweep adiabatic"}
+
+
+@pytest.mark.parametrize("command", ["budget run", "sweep adiabatic",
+                                     "laser rabi-error", "analyze qnd",
+                                     "qnd simulate"])
+def test_manifest_keys(tmp_path, gate_file, command):
+    model = tmp_path / "model.json"
+    model.write_text(model_to_json(LaserNoiseModel(h0=2.0)))
+    counts = tmp_path / "counts.csv"
+    counts.write_text("00,93,7\n01,90,10\n")
+    circuit = circuit_path("qnd2")
+    config = {"config_digest": params_digest(load_preset("current"))}
+    argv, inputs = {
+        "budget run": (["--config", "current", "--gate", gate_file,
+                        "--shots", "100"], dict(shots=100, **config)),
+        "sweep adiabatic": (["--config", "current", "--gate", gate_file,
+                             "--powers", "2.8:40:2", "--shots", "100"],
+                            dict(shots=100, gate_source=gate_file, **config)),
+        "laser rabi-error": (["--model", str(model), "--omega-grid", "1:2:2"],
+                             {"model": str(model), "n_half_turns": 2}),
+        "analyze qnd": (["--data", str(counts)], {"data": str(counts)}),
+        "qnd simulate": (["--circuit", circuit, "--shots", "30"],
+                         {"shots": 30, "circuit": circuit}),
+    }[command]
+    out = tmp_path / "out"
+    assert main(command.split() + argv + ["--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    artifacts = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest.pop("wall_time_s") >= 0
+    assert manifest == dict(command=command, artifacts=artifacts, seed=3,
+                            **inputs)
 
 
 # ---------------------------------------------------------------------------
