@@ -6,9 +6,12 @@ non-Hermitian diagonal terms, so the state norm decays and the deficit is
 tracked as accumulated loss.  The two-atom Hamiltonian is block diagonal in
 the four sectors defined by whether each atom occupies |0> or the driven
 {|1>, |r>} manifold.  Each driven sector is propagated for a whole batch of
-shots with the fourth-order commutator-free Magnus method (CFM4), whose step
-exponentials take the constant blockade shift exactly, so the step count does
-not grow with the blockade.
+shots in the frame that follows the drive phase, where the Hamiltonian is
+constant per shot and only a diagonal frame phase, shared by all shots,
+changes with time.  A step is Suzuki's fourth-order composition of five
+exponential-midpoint stages; each applies one of two per-shot propagators
+exp(-i tau H0), built once per call, which take the constant blockade shift
+exactly, so the step count does not grow with the blockade.
 
 `GateParams` is the one description of the pulse, shared by every shot; a
 `DriveBatch` (built by `noise.resolve_drive_batch`) holds the per-shot drives
@@ -125,19 +128,28 @@ class DriveBatch:
         return len(self.omega_a)
 
 
-def _single_atom_hamiltonian(batch: DriveBatch, atom: str, shot: int,
-                             phi: float) -> np.ndarray:
+def _single_atom_hamiltonian(batch: DriveBatch, atom: str,
+                             shot: int) -> np.ndarray:
     omega, delta, gamma1, gammar = (
         float(getattr(batch, f"{name}_{atom}")[shot])
         for name in ("omega", "delta", "gamma1", "gammar"))
     h = np.zeros((3, 3), dtype=complex)
-    coupling = 0.5 * omega * np.exp(1j * phi)
-    h[G1, RYD] = coupling
-    h[RYD, G1] = np.conj(coupling)
+    h[G1, RYD] = h[RYD, G1] = 0.5 * omega
     h[RYD, RYD] = -delta
     h[G1, G1] += -0.5j * gamma1
     h[RYD, RYD] += -0.5j * gammar
     return h
+
+
+def _hamiltonian_parts(batch: DriveBatch, shot: int):
+    """(D, U) of one shot of ``batch``: its 9x9 Hamiltonian at drive phase
+    phi is D + exp(i phi) U + exp(-i phi) U^T, with D diagonal and U the
+    couplings from |r> into |1>."""
+    ha = _single_atom_hamiltonian(batch, "a", shot)
+    hb = _single_atom_hamiltonian(batch, "b", shot)
+    h = np.kron(ha, np.eye(3)) + np.kron(np.eye(3), hb)
+    h[pair_index(RYD, RYD), pair_index(RYD, RYD)] += float(batch.blockade[shot])
+    return np.diag(np.diag(h)), np.triu(h, 1)
 
 
 def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
@@ -147,12 +159,9 @@ def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
 
     H = H_a x I + I x H_b + B |rr><rr| with non-Hermitian decay diagonals.
     """
-    phi = float(waveform_phase(gate, t))
-    ha = _single_atom_hamiltonian(batch, "a", shot, phi)
-    hb = _single_atom_hamiltonian(batch, "b", shot, phi)
-    h = np.kron(ha, np.eye(3)) + np.kron(np.eye(3), hb)
-    h[pair_index(RYD, RYD), pair_index(RYD, RYD)] += float(batch.blockade[shot])
-    return h
+    d, u = _hamiltonian_parts(batch, shot)
+    e = np.exp(1j * float(waveform_phase(gate, t)))
+    return d + e * u + np.conj(e) * u.T
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +175,7 @@ _MAX_STEPS = 5_000_000
 
 
 def _steps_for(duration: float, scale: float, steps_per_period: int) -> int:
-    """CFM4 steps resolving the period of ``scale``, a sector's fastest
+    """Steps resolving the period of ``scale``, a sector's fastest
     non-blockade angular frequency, with ``steps_per_period`` points."""
     dt_max = TWO_PI / (steps_per_period * max(scale, TWO_PI / duration))
     steps = duration / dt_max if dt_max > 0 else math.inf
@@ -176,21 +185,15 @@ def _steps_for(duration: float, scale: float, steps_per_period: int) -> int:
     return max(math.ceil(steps), _MIN_STEPS)
 
 
-# CFM4, the fourth-order commutator-free Magnus propagator (Alvermann &
-# Fehske, J. Comput. Phys. 230, 5930 (2011)):
-#   psi(t+h) = exp(-ih(b H1 + a H2)) exp(-ih(a H1 + b H2)) psi(t)
-# with H1, H2 = H at the Gauss points t + (1/2 -/+ sqrt(3)/6) h.  Since
-# a + b = 1/2, each exponential holds half the constant diagonal and only
-# the coupling phase factors differ between the two.
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_CF_A = 0.25 + math.sqrt(3.0) / 6.0
-_CF_B = 0.25 - math.sqrt(3.0) / 6.0
+# A step of h is five exponential-midpoint stages of lengths _STAGES * h,
+# Suzuki's fourth-order composition of the symmetric midpoint rule (Suzuki,
+# Phys. Lett. A 146, 319 (1990)); the middle stage runs backwards.
+_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_STAGES = (_P, _P, 1.0 - 4.0 * _P, _P, _P)
 
-# truncation bound per exponential, and the largest ||h M|| whose Taylor
-# series is summed on the state; above it the step matrix is scaled and
-# squared, so the cost grows as log ||h M||
+# truncation bound of the Taylor series; a propagator with ||tau H0|| above
+# 1 is summed for tau / 2^s and squared s times
 _TAYLOR_TOL = 2.0 ** -53
-_THETA_MAX = 1.0
 
 
 def _taylor_terms(theta: float) -> int:
@@ -206,44 +209,45 @@ def _taylor_terms(theta: float) -> int:
 _FLIPS = ((slice(None, None, -1),), (slice(None), slice(None, None, -1)))
 
 
-def _apply(term, diag, coups):
-    """A term for A = diag + the couplings; coupling i flips atom axis i,
-    taking |r> into the |1> row with coups[i][0] and back with coups[i][1]."""
-    out = diag * term
-    for flip, c in zip(_FLIPS, coups):
-        out += c * term[flip]
-    return out
-
-
 def _taylor_action(psi, diag, coups, m):
-    """exp(A) psi summed to m Taylor terms."""
+    """exp(A) psi summed to m Taylor terms, for A = diag + the couplings;
+    coupling i flips atom axis i, between |1> and |r>, with factor coups[i]."""
     out = psi.copy()
     term = psi
     for k in range(1, m + 1):
-        term = _apply(term, diag, coups)
-        term *= 1.0 / k
-        out += term
+        new = diag * term
+        for flip, c in zip(_FLIPS, coups):
+            new += c * term[flip]
+        new *= 1.0 / k
+        out += new
+        term = new
     return out
 
 
-def _expm_scaled(a, theta):
-    """exp(a) of (n, d, d) matrices with norms <= theta, by scaling and
-    squaring."""
-    s = max(0, math.ceil(math.log2(theta / _THETA_MAX)))
-    a = a / 2.0 ** s
-    out = np.eye(a.shape[-1]) + a
-    term = a
-    for k in range(2, _taylor_terms(theta / 2.0 ** s) + 1):
-        term = term @ a / k
-        out += term
+def _propagator(diag, coups, mid, tau):
+    """exp(-i tau (M + mid)) per shot as (d, d, n) [row, column, shot]
+    matrices, where M = diag + the couplings (see `_taylor_action`) and mid
+    is a real shift per shot; built one identity column at a time."""
+    d, n = diag[..., 0].size, diag.shape[-1]
+    theta = abs(tau) * (float(np.max(np.abs(diag)))
+                        + sum(float(np.max(c)) for c in coups))
+    s = math.ceil(math.log2(max(theta, 1.0)))
+    a = -1j * tau / 2.0 ** s
+    m = _taylor_terms(theta / 2.0 ** s)
+    a_diag, a_coups = a * diag, [a * c for c in coups]
+    prop = np.empty((d, d, n), dtype=complex)
+    for j in range(d):
+        col = np.zeros(diag.shape, dtype=complex)
+        col.reshape(d, n)[j] = 1.0
+        prop[:, j] = _taylor_action(col, a_diag, a_coups, m).reshape(d, n)
     for _ in range(s):
-        out = out @ out
-    return out
+        prop = np.einsum("ijn,jkn->ikn", prop, prop)
+    return prop * np.exp(-1j * tau * mid)
 
 
-def _cfm4_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
-                 accumulate=False):
-    """CFM4-evolve a batch of sector states through ``gate`` in nsteps steps.
+def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
+                   accumulate=False):
+    """Evolve a batch of sector states through ``gate`` in nsteps steps.
 
     psi : (2,) * k + (n,) complex; axis i is the level (|1>, |r>) of the
         i-th driven atom, the last axis the shot
@@ -253,59 +257,47 @@ def _cfm4_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
         waveform
     accumulate : also return trapezoid integrals of |psi|^2 dt over the
         step endpoints
+
+    With psi = P(phi) chi and P(phi) = exp(-i phi n_r), n_r counting the
+    atoms in |r>, H(t) = P(phi(t)) H0 P(phi(t))^dagger with H0 = H at phi =
+    0.  A midpoint stage of length tau therefore rotates chi into the frame
+    of its midpoint phase, one phase per component shared by all shots, and
+    applies the constant per-shot propagator exp(-i tau H0).
     """
-    k = len(omegas)
+    d, n = diag[..., 0].size, diag.shape[-1]
     h = gate.duration / nsteps
-    # the midpoint of the real diagonal comes out as a global phase per shot
-    re = diag.real.reshape(-1, diag.shape[-1])
+    # the midpoint of the real diagonal is taken out of the Taylor sums and
+    # put back as a phase per shot
+    re = diag.real.reshape(d, n)
     mid = 0.5 * (re.max(axis=0) + re.min(axis=0))
-    half = -0.5j * h * (diag - mid)
-    theta = float(np.max(np.abs(half)))
+    coups = [0.5 * omega for omega in omegas]
+    props = {c: _propagator(diag - mid, coups, mid, c * h)
+             for c in set(_STAGES)}
+    stages = [props[c] for c in _STAGES]
 
-    # (nsteps, 2 exponentials, 2 rows) coupling factors, shared by the atoms
-    t = h * np.arange(nsteps)
-    e1, e2 = (np.exp(1j * waveform_phase(gate, t + c * h)) for c in _GAUSS)
-    w = np.stack([_CF_A * e1 + _CF_B * e2, _CF_B * e1 + _CF_A * e2], 1)
-    c = -0.5j * h * np.stack([w, np.conj(w)], 2)
-    w_max = np.max(np.abs(w))
-    coefs = []
-    for i, omega in enumerate(omegas):
-        coefs.append((c.reshape((nsteps, 2) + (1,) * i + (2,)
-                                + (1,) * (k - i)), omega))
-        theta += 0.5 * h * float(w_max * np.max(np.abs(omega)))
+    ends = np.cumsum((0.0,) + _STAGES)
+    t = h * (np.arange(nsteps)[:, None] + 0.5 * (ends[:-1] + ends[1:]))
+    phi = waveform_phase(gate, t).ravel()
+    n_r = np.indices(diag.shape[:-1]).sum(axis=0).reshape(d, 1)
+    rot = np.exp(1j * np.diff(phi, prepend=0.0)[:, None, None] * n_r)
+    rot = rot.reshape(nsteps, len(_STAGES), d, 1)
 
-    if theta <= _THETA_MAX:
-        m = _taylor_terms(theta)
-
-        def expo(psi, coups):
-            return _taylor_action(psi, half, coups, m)
-    else:
-        # the step matrix is A applied to the identity's columns, held on an
-        # extra axis before the shot axis; made contiguous, since a strided
-        # stack would take matmul off BLAS
-        d = 2 ** k
-        eye = np.eye(d).reshape((2,) * k + (d, 1))
-        half_cols = half[..., None, :]
-
-        def expo(psi, coups):
-            a = _apply(eye, half_cols, [c[..., None, :] for c in coups])
-            a = np.ascontiguousarray(a.reshape(d, d, -1).transpose(2, 0, 1))
-            out = np.einsum("nij,jn->in", _expm_scaled(a, theta),
-                            psi.reshape(d, -1))
-            return out.reshape(psi.shape)
-
+    chi = psi.reshape(d, n).copy()
+    prod = np.empty((d, d, n), dtype=complex)
     if accumulate:
-        pop = np.abs(psi) ** 2
-        acc = np.zeros(psi.shape)
-    for step in range(nsteps):
-        for j in (0, 1):
-            psi = expo(psi, [c[step, j] * omega for c, omega in coefs])
+        pop = np.abs(chi) ** 2
+        acc = np.zeros((d, n))
+    for step_rot in rot:
+        for r, prop in zip(step_rot, stages):
+            chi *= r
+            np.multiply(prop, chi, out=prod)
+            np.add.reduce(prod, axis=1, out=chi)
         if accumulate:
-            pop_new = np.abs(psi) ** 2
+            pop_new = np.abs(chi) ** 2
             acc += 0.5 * h * (pop + pop_new)
             pop = pop_new
-    psi = psi * np.exp(-1j * h * nsteps * mid)
-    return (psi, acc) if accumulate else psi
+    psi = (chi * np.exp(-1j * phi[-1] * n_r)).reshape(psi.shape)
+    return (psi, acc.reshape(psi.shape)) if accumulate else psi
 
 
 def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
@@ -354,8 +346,8 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
             (SECTOR_AB, max(scale_a, scale_b), diag_ab,
              [batch.omega_a, batch.omega_b])):
         nsteps = _steps_for(gate.duration, scale, steps_per_period)
-        out = _cfm4_sector(psi[:, idxs].T.reshape(diag.shape), diag, omegas,
-                           gate, nsteps, accumulate)
+        out = _evolve_sector(psi[:, idxs].T.reshape(diag.shape), diag,
+                             omegas, gate, nsteps, accumulate)
         if accumulate:
             out, acc[:, idxs] = out[0], out[1].reshape(len(idxs), n).T
         psi[:, idxs] = out.reshape(len(idxs), n).T
@@ -376,16 +368,23 @@ def evolve_dense_reference(psi, batch: DriveBatch, gate: GateParams,
     amplitudes."""
     psi = np.array(psi, dtype=complex)
     dt = gate.duration / nsteps
+    d, u = _hamiltonian_parts(batch, shot)
+    d, up, down = -1j * d, -1j * u, -1j * u.T
 
-    def rhs(t, y):
-        return -1j * build_hamiltonian(batch, gate, t, shot) @ y
+    def rhs_matrix(t):
+        """-i H(t)."""
+        e = np.exp(1j * float(waveform_phase(gate, t)))
+        return d + e * up + np.conj(e) * down
 
     t = 0.0
+    m_end = rhs_matrix(t)
     for _ in range(nsteps):
-        k1 = rhs(t, psi)
-        k2 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = rhs(t + dt, psi + dt * k3)
+        m_start, m_mid = m_end, rhs_matrix(t + 0.5 * dt)
+        m_end = rhs_matrix(t + dt)
+        k1 = m_start @ psi
+        k2 = m_mid @ (psi + 0.5 * dt * k1)
+        k3 = m_mid @ (psi + 0.5 * dt * k2)
+        k4 = m_end @ (psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         t += dt
     return psi
