@@ -48,6 +48,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}; expected MIN:MAX:N") from exc
+    if not np.all(np.isfinite((lo, hi))):
+        raise ConfigError(f"grid bounds must be finite: {spec!r}")
     if num < 1:
         raise ConfigError(f"grid needs at least one point: {spec!r}")
     return np.linspace(lo, hi, num)

@@ -245,8 +245,7 @@ def _propagator(diag, coups, mid, tau):
     return prop * np.exp(-1j * tau * mid)
 
 
-def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
-                   accumulate=False):
+def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int):
     """Evolve a batch of sector states through ``gate`` in nsteps steps.
 
     psi : (2,) * k + (n,) complex; axis i is the level (|1>, |r>) of the
@@ -255,8 +254,6 @@ def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
     omegas : Rabi frequency per driven atom; its coupling is
         0.5 * omega * exp(i phi(t)) from |r> into |1>, with phi the gate's
         waveform
-    accumulate : also return trapezoid integrals of |psi|^2 dt over the
-        step endpoints
 
     With psi = P(phi) chi and P(phi) = exp(-i phi n_r), n_r counting the
     atoms in |r>, H(t) = P(phi(t)) H0 P(phi(t))^dagger with H0 = H at phi =
@@ -284,37 +281,28 @@ def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
 
     chi = psi.reshape(d, n).copy()
     prod = np.empty((d, d, n), dtype=complex)
-    if accumulate:
-        pop = np.abs(chi) ** 2
-        acc = np.zeros((d, n))
     for step_rot in rot:
         for r, prop in zip(step_rot, stages):
             chi *= r
             np.multiply(prop, chi, out=prod)
             np.add.reduce(prod, axis=1, out=chi)
-        if accumulate:
-            pop_new = np.abs(chi) ** 2
-            acc += 0.5 * h * (pop + pop_new)
-            pop = pop_new
-    psi = (chi * np.exp(-1j * phi[-1] * n_r)).reshape(psi.shape)
-    return (psi, acc.reshape(psi.shape)) if accumulate else psi
+    return (chi * np.exp(-1j * phi[-1] * n_r)).reshape(psi.shape)
 
 
 def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
-                 steps_per_period: int = 100, accumulate: bool = False):
+                 steps_per_period: int = 100) -> np.ndarray:
     """Evolve a batch of 9-dim amplitude vectors through the pulse ``gate``
     under per-shot drives.
 
     psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
-    for norm loss.  With ``accumulate``, also returns (n, 9) integrals of
-    |psi_i|^2 dt used for first-order decay estimates.  Each sector takes
-    one fixed step count for the whole batch: ``steps_per_period`` points
-    per period of the batch's fastest non-blockade frequency, and at least
-    16 (`_steps_for`).  The default of 100 keeps the norm drift of a
-    decay-free gate below 1e-9.  Raises IntegrationError before stepping if
-    a shot's drive holds a non-finite value or a negative Rabi frequency, or
-    a sector needs more than `_MAX_STEPS` steps, and after stepping if any
-    shot's norm grew by more than 1e-9.
+    for norm loss.  Each sector takes one fixed step count for the whole
+    batch: ``steps_per_period`` points per period of the batch's fastest
+    non-blockade frequency, and at least 16 (`_steps_for`).  The default of
+    100 keeps the norm drift of a decay-free gate below 1e-9.  Raises
+    IntegrationError before stepping if a shot's drive holds a non-finite
+    value or a negative Rabi frequency, or a sector needs more than
+    `_MAX_STEPS` steps, and after stepping if any shot's norm grew by more
+    than 1e-9.
     """
     psi = np.array(psi, dtype=complex)
     n = len(psi)
@@ -328,7 +316,6 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
             f"non-finite drive or negative Rabi frequency in "
             f"{int(np.sum(bad))} of {n} shots")
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
-    acc = np.zeros(psi.shape) if accumulate else None
     # fastest non-blockade angular frequency of each single-driven sector
     peak, bw = np.max(np.abs(values), axis=1), phase_bandwidth(gate)
     scale_a, scale_b = max(peak[0], peak[1], bw), max(peak[4], peak[5], bw)
@@ -347,9 +334,7 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
              [batch.omega_a, batch.omega_b])):
         nsteps = _steps_for(gate.duration, scale, steps_per_period)
         out = _evolve_sector(psi[:, idxs].T.reshape(diag.shape), diag,
-                             omegas, gate, nsteps, accumulate)
-        if accumulate:
-            out, acc[:, idxs] = out[0], out[1].reshape(len(idxs), n).T
+                             omegas, gate, nsteps)
         psi[:, idxs] = out.reshape(len(idxs), n).T
 
     growth = np.sum(np.abs(psi) ** 2, axis=1) - norm_in
@@ -358,7 +343,7 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
         raise IntegrationError(
             f"norm grew by {np.nanmax(growth):.3e} in {int(np.sum(bad))} "
             f"of {len(psi)} shots; integration unstable")
-    return (psi, acc) if accumulate else psi
+    return psi
 
 
 def evolve_dense_reference(psi, batch: DriveBatch, gate: GateParams,
@@ -458,11 +443,10 @@ def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
 
 
 def pulse_state_nominal(gate: GateParams, batch: DriveBatch,
-                        steps_per_period: int = 100,
-                        accumulate: bool = False):
-    """Post-pulse amplitudes from the Bell prep state (pre-Rz), batched."""
+                        steps_per_period: int = 100) -> np.ndarray:
+    """Post-pulse (n, 9) amplitudes from the Bell prep state (pre-Rz)."""
     psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
-    return evolve_batch(psi0, batch, gate, steps_per_period, accumulate)
+    return evolve_batch(psi0, batch, gate, steps_per_period)
 
 
 def bell_errors_batch(gate: GateParams, batch: DriveBatch) -> np.ndarray:

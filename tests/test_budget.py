@@ -11,13 +11,16 @@ from rydsim.budget import (EXCLUSION_MECHANISMS, MonteCarloReport,
                            monte_carlo_error, optimize_gate,
                            sweep_temperature_power)
 from rydsim import budget, gate as gate_mod
-from rydsim.gate import bell_errors_batch
+from rydsim.gate import GateParams, bell_errors_batch
 from rydsim.noise import MechanismMask, nominal_shot, resolve_drive_batch
+from rydsim.params import load_preset
 
 
 def test_optimized_error_sits_at_decay_floor(current_opt):
     assert abs(current_opt.error - current_opt.decay_floor) <= 2e-4
     assert current_opt.error > 0.0
+    gate = current_opt.gate
+    assert gate.phase_mod_delay == 0.5 * gate.duration
 
 
 def test_optimizer_restart_stability(current_params, monkeypatch):
@@ -45,10 +48,10 @@ def test_optimizer_restart_stability(current_params, monkeypatch):
         res = optimize_gate(current_params, seed=seed)
         assert res.restarts == 1 and len(floors) == 2
         assert res.error < max(10.0 * res.decay_floor, 1e-6)
-        # per pass: one simplex per pulse seed, then the polish
+        # per pass: one simplex per pulse seed
         n_seeds = len(budget._PULSE_SEEDS)
-        assert len(starts) == 2 * (n_seeds + 1)
-        restart_starts[seed] = np.array(starts[n_seeds + 1:-1])
+        assert len(starts) == 2 * n_seeds
+        restart_starts[seed] = np.array(starts[n_seeds:])
         assert not np.any(restart_starts[seed]
                           == np.array(budget._PULSE_SEEDS))
     assert not np.any(restart_starts[0] == restart_starts[1])
@@ -58,6 +61,25 @@ def test_projected_optimum(projected_opt):
     assert abs(projected_opt.error - projected_opt.decay_floor) <= 2e-4
     # shorter pulse at the higher projected Rabi rate
     assert projected_opt.gate.duration < 0.6e-6
+    gate = projected_opt.gate
+    assert gate.phase_mod_delay == 0.5 * gate.duration
+
+
+# the frozen projected gate of perfbench/data/gate_projected.json
+_FROZEN_GATE = GateParams(
+    detuning=-4099507.8100330182, duration=4.945406739896419e-07,
+    phase_mod_rate=11871078.001087084, phase_mod_depth=1.2263436530847254,
+    phase_mod_delay=2.4727033698545954e-07)
+
+
+@pytest.mark.parametrize("preset, integral", [
+    ("current", 0.004230412979), ("projected", 0.002372122655)])
+def test_decay_floor_matches_population_integral(preset, integral):
+    # integral: the decay-free pulse's pair-state populations integrated
+    # over time and weighted with their loss rates, by the trapezoid rule at
+    # 3200 points per period (1600 points per period differ by 1e-11)
+    assert abs(decay_floor(load_preset(preset), _FROZEN_GATE)
+               - integral) <= 1e-10
 
 
 def test_monte_carlo_all_off_equals_noiseless(current_params, current_opt):

@@ -393,6 +393,26 @@ def test_laser_rabi_error_negative_h0_exit_code(tmp_path, capsys):
     assert "h0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["nan", "1e999"])
+@pytest.mark.parametrize("command, flag", [
+    ("laser rabi-error", "--omega-grid"), ("sweep 2d", "--t-grid"),
+    ("sweep adiabatic", "--powers")])
+def test_nonfinite_grid_bound_exit_code(tmp_path, gate_file, capsys, command,
+                                        flag, bound):
+    model = tmp_path / "model.json"
+    model.write_text(model_to_json(LaserNoiseModel(h0=2.0)))
+    inputs = {"laser rabi-error": ["--model", str(model)],
+              "sweep 2d": ["--p-grid", "2.8:2.8:1"],
+              "sweep adiabatic": []}[command]
+    if command != "laser rabi-error":
+        inputs += ["--config", "current", "--gate", gate_file, "--shots", "100"]
+    spec = f"{bound}:2:3"
+    rc = main(command.split() + inputs + [flag, spec,
+                                          "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert spec in capsys.readouterr().err
+
+
 def test_laser_rabi_error_missing_model_file_exit_code(tmp_path):
     rc = main(["laser", "rabi-error", "--model", str(tmp_path / "nope.json"),
                "--omega-grid", "0.5:4:5", "--out", str(tmp_path / "out")])
