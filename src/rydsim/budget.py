@@ -189,8 +189,15 @@ def monte_carlo_error(params: SystemParams, gate: GateParams,
     The draws do not depend on the mask, so ``rejected_shots`` counts the
     same separation-floor redraws under every mask.
     """
+    _check_shots(shots)
     return _score_shots(params, gate, mask or MechanismMask(),
                         sample_shots(params, seed, shots), seed)
+
+
+def _check_shots(shots: int) -> None:
+    """Reject a shot count too small to score, before any are sampled."""
+    if shots < 100:
+        raise ValueError(f"shots must be >= 100, got {shots}")
 
 
 def _score_shots(params: SystemParams, gate: GateParams,
@@ -204,8 +211,6 @@ def _score_shots(params: SystemParams, gate: GateParams,
     is left out as NaN.
     """
     shots = len(samples)
-    if shots < 100:
-        raise ValueError("shots must be >= 100")
     rejected = int(np.sum(samples.redraws))
 
     errors = np.full(shots, np.nan)
@@ -289,6 +294,7 @@ def exclusion_table(params: SystemParams, gate: GateParams,
     (common random numbers), so each row's uncertainty comes from the paired
     per-shot differences.
     """
+    _check_shots(shots)
     samples = sample_shots(params, seed, shots)
     baseline = _score_shots(params, gate, MechanismMask(), samples, seed)
     rows = []
@@ -363,6 +369,7 @@ def adiabatic_trace(params: SystemParams, gate: GateParams, powers_mw,
     full error model, velocity frozen to zero, and atom position frozen to
     zero.
     """
+    _check_shots(shots)
     powers_mw = np.atleast_1d(np.asarray(powers_mw, dtype=float))
     t_anchor = params.atom_temperature_uk
     p_anchor = params.trap_power_mw

@@ -435,6 +435,18 @@ def cmd_qnd_simulate(run: _Run, args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer, as the samplers need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _command(sub, name, func, help, config=False, gate=False, shots=None):
     """Add subcommand ``name`` with the options its `_Run` reads: --config,
     --gate and --shots where asked for, --seed and --out always."""
@@ -444,7 +456,7 @@ def _command(sub, name, func, help, config=False, gate=False, shots=None):
                        help="config file path, or preset name")
     if gate:
         q.add_argument("--gate", help="gate.json from 'budget optimize'")
-    q.add_argument("--seed", type=int, default=0, help="run seed")
+    q.add_argument("--seed", type=_seed, default=0, help="run seed (>= 0)")
     q.add_argument("--out", default=".", help="output directory")
     if shots:
         q.add_argument("--shots", type=int, default=shots)

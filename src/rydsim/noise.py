@@ -2,9 +2,16 @@
 
 Every mechanism in the error model can be switched off individually.  A shot
 is addressed by (seed, index): the same pair always yields the identical
-draws.  Sampling takes no mask: `sample_shots` returns the unmasked draws as
-one record array, and `resolve_drive_batch` applies the mask when it turns
-them into drives.  Runs with different masks therefore share their draws by
+draws.  Shot i of run ``seed`` draws from numpy's PCG64 seeded by
+``SeedSequence(seed, spawn_key=(0, i))``: 20 standard normals (positions,
+velocities, pulse energies, pointing), 2 uniforms on +-rabi_mismatch_halfwidth,
+4 normals (magnetic, electric and the two laser detunings), then its
+separation-floor redraws, 3 + 3 normals each.  `sample_shots` seeds a whole
+block with one vectorized run of numpy's seed hash and resets one generator
+to each shot's state, which reproduces that stream bit for bit.  Sampling
+takes no mask: `sample_shots` returns the unmasked draws as one record
+array, and `resolve_drive_batch` applies the mask when it turns them into
+drives.  Runs with different masks therefore share their draws by
 construction (common random numbers, which tighten exclusion-table
 differences), and one sample serves every mask.  Static beam misalignment is
 drawn once per run (per seed), not per shot.  A resolved `DriveBatch` is plain
@@ -14,6 +21,7 @@ per-shot data; the pulse itself is described by `GateParams` alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -132,19 +140,86 @@ def nominal_shot() -> np.recarray:
                         MechanismMask.all_off())
 
 
-def _shot_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, index)))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier, for seeding a block of shots at once
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _fixed_draws(rng: np.random.Generator, halfwidth: float):
-    """One shot's draws in stream order.
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n >= 0``; ``[0]`` for zero."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
 
-    20 normals (positions, velocities, pulse energies, pointing), the two
-    Rabi-mismatch uniforms, then 4 normals (magnetic, electric and the two
-    laser detunings).  Separation-floor redraws come after this block.
+
+# The hash runs on Python ints and on uint64 arrays of 32-bit values alike:
+# every product of two words fits in 64 bits and is masked back to 32.
+def _hashmix(value, const, mult=_MULT_A):
+    """numpy's `hashmix` (with ``mult`` _MULT_B, one `generate_state` word):
+    the hashed value and the next hash constant."""
+    nxt = (const * mult) & _M32
+    value = ((value ^ const) * nxt) & _M32
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _spawn_pool(entropy: list) -> list:
+    """numpy's `mix_entropy` into a 4-word pool.  The first four words are
+    ints; later ones may be arrays, which the pool then broadcasts over."""
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool
+
+
+def _pcg64_states(seed: int, start: int, n: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=(0, i))``
+    for i = start .. start + n - 1, with numpy's hash run over the block.
+
+    The entropy is the seed's words zero-padded to the 4-word pool, then the
+    spawn key's: 0 and i's words.  Indices are split at multiples of 2^32, so
+    within a part only i's low word varies.
     """
-    return (rng.normal(size=20), rng.uniform(-halfwidth, halfwidth, size=2),
-            rng.normal(size=4))
+    run = _words(seed)
+    run += [0] * (4 - len(run))
+    out, lo, end = [], start, start + n
+    while lo < end:
+        hi = min(end, ((lo >> 32) + 1) << 32)
+        low = np.arange(lo & _M32, (lo & _M32) + hi - lo, dtype=np.uint64)
+        pool = _spawn_pool(run + [0, low] + _words(lo)[1:])
+        # generate_state(4, np.uint64): eight hashed words cycling the pool,
+        # paired little-endian into 64-bit words
+        const, w = _INIT_B, []
+        for k in range(8):
+            value, const = _hashmix(pool[k % 4], const, _MULT_B)
+            w.append(value)
+        w = [(w[2 * j] | (w[2 * j + 1] << 32)).tolist() for j in range(4)]
+        # pcg64_set_seed: inc = (initseq << 1) | 1, two LCG steps from 0
+        for s_hi, s_lo, q_hi, q_lo in zip(*w):
+            inc = (((q_hi << 64 | q_lo) << 1) | 1) & _M128
+            out.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc)
+                        & _M128, inc))
+        lo = hi
+    return out
 
 
 def static_offsets_nm(params: SystemParams,
@@ -157,6 +232,11 @@ def static_offsets_nm(params: SystemParams,
     return rb, cs
 
 
+def _pcg64_state(state: int, inc: int) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def sample_shots(params: SystemParams, seed: int, shots: int,
                  start_index: int = 0) -> np.recarray:
     """Draw shots ``start_index ..`` of run ``seed``, unmasked.
@@ -167,15 +247,34 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
     cannot clear the floor raises ConfigError even for a run that switches
     atom_localization off.
     """
+    seed, start_index = operator.index(seed), operator.index(start_index)
+    if seed < 0 or start_index < 0:
+        raise ValueError(f"seed and start_index must be >= 0, got seed "
+                         f"{seed} and start_index {start_index}")
     srho_rb, sz_rb = params.localization_um("rb")
     srho_cs, sz_cs = params.localization_um("cs")
     sig_rb = np.array([srho_rb, srho_rb, sz_rb])
     sig_cs = np.array([srho_cs, srho_cs, sz_cs])
     hw = params.rabi_mismatch_halfwidth
 
-    z, u, d = np.empty((shots, 20)), np.empty((shots, 2)), np.empty((shots, 4))
-    for i in range(shots):
-        z[i], u[i], d[i] = _fixed_draws(_shot_rng(seed, start_index + i), hw)
+    # one generator, reset to each shot's seeded state in turn.  Drawing
+    # moves only the LCG state, not inc, so the state after a shot's fixed
+    # block is all its separation-floor redraws need to resume from.
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    seeded = _pcg64_states(seed, start_index, shots)
+    draws = np.empty((shots, 26))
+    after = []
+    for i, (state, inc) in enumerate(seeded):
+        bitgen.state = _pcg64_state(state, inc)
+        rng.standard_normal(out=draws[i, :20])
+        rng.random(out=draws[i, 20:22])
+        rng.standard_normal(out=draws[i, 22:])
+        after.append(bitgen.state["state"]["state"])
+    # Generator.normal and .uniform, as the stream is defined, return
+    # 0.0 + x (which turns a -0.0 draw into 0.0) and low + (high - low) * u
+    z, d = draws[:, :20] + 0.0, draws[:, 22:] + 0.0
+    u = -hw + (hw - -hw) * draws[:, 20:22]
 
     out = np.zeros(shots, dtype=SHOT_DTYPE).view(np.recarray)
     out.position_rb_um = z[:, 0:3] * sig_rb
@@ -203,8 +302,7 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
     floor2 = (1 + 1e-9) * SEPARATION_FLOOR_UM ** 2
     near = np.einsum("ij,ij->i", sep, sep) < floor2
     for i in np.flatnonzero(near):
-        rng = _shot_rng(seed, start_index + i)
-        _fixed_draws(rng, hw)
+        bitgen.state = _pcg64_state(after[i], seeded[i][1])
         pos_rb, pos_cs = out.position_rb_um[i], out.position_cs_um[i]
         while np.linalg.norm(sep0 + pos_cs - pos_rb) < SEPARATION_FLOOR_UM:
             out.redraws[i] += 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rydsim
-from rydsim import qnd
+from rydsim import budget, qnd
 from rydsim.cli import build_parser, main
 from rydsim.laser import LaserNoiseModel, ServoBump, heterodyne_spectrum, model_to_json
 from rydsim.params import (dumps_params, load_preset, loads_params,
@@ -297,6 +297,42 @@ def test_budget_exclude_structure(tmp_path, gate_file):
     assert lines[-1].startswith("quadrature sum,")
     doc = json.loads((out / "exclusion.json").read_text())
     assert len(doc["rows"]) == 14
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("budget run", []), ("budget exclude", []),
+    ("sweep 2d", ["--t-grid", "4:4:1", "--p-grid", "2.8:2.8:1"]),
+    ("sweep adiabatic", ["--powers", "2.8:40:2"])])
+def test_too_few_shots_exit_code_before_sampling(tmp_path, gate_file, capsys,
+                                                 monkeypatch, command, inputs):
+    def sample_shots(*args, **kwargs):
+        raise AssertionError("sample_shots called")
+
+    monkeypatch.setattr(budget, "sample_shots", sample_shots)
+    rc = main(command.split() + inputs + [
+        "--config", "current", "--gate", gate_file, "--shots", "-3",
+        "--out", str(tmp_path)])
+    assert rc == 2
+    assert "shots must be >= 100, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("budget run", []), ("budget exclude", []),
+    ("sweep 2d", ["--t-grid", "4:4:1", "--p-grid", "2.8:2.8:1"]),
+    ("qnd simulate", ["--shots", "30"])])
+def test_negative_seed_exit_code(tmp_path, gate_file, capsys, command, inputs):
+    if command == "qnd simulate":
+        inputs = inputs + ["--circuit", circuit_path("qnd2")]
+    else:
+        inputs = inputs + ["--config", "current", "--gate", gate_file,
+                           "--shots", "100"]
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + inputs + ["--seed", "-1",
+                                         "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

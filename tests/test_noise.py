@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rydsim.budget import EXCLUSION_MECHANISMS
 from rydsim.constants import KB, KHZ, MASS_CS133, MASS_RB87, MHZ
 from rydsim.gate import GateParams
-from rydsim.noise import (MECHANISM_FLAGS, MechanismMask, masked_draws,
-                          nominal_shot, resolve_drive_batch, resolve_drives,
-                          sample_shots, static_offsets_nm)
+from rydsim.noise import (MECHANISM_FLAGS, SHOT_DTYPE, MechanismMask,
+                          _pcg64_states, masked_draws, nominal_shot,
+                          resolve_drive_batch, resolve_drives, sample_shots,
+                          static_offsets_nm)
+from rydsim.params import load_preset
+from rydsim.trap import SEPARATION_FLOOR_UM
 
 BATCH_FIELDS = ("omega_a", "delta_a", "gamma1_a", "gammar_a", "omega_b",
                 "delta_b", "gamma1_b", "gammar_b", "blockade")
@@ -142,18 +146,118 @@ def test_static_offset_is_per_run(current_params):
     assert not np.array_equal(first, other)
 
 
+def close_params():
+    """`current` shrunk so the separation floor engages with realistic
+    spreads."""
+    return replace(load_preset("current"), atom_separation_um=0.62,
+                   atom_temperature_uk=15.0, trap_power_mw=2.8)
+
+
 def test_separation_floor_redraw():
-    from rydsim.params import load_preset
-    params = load_preset("current")
-    # shrink the separation so the floor engages with realistic spreads
-    params = replace(params, atom_separation_um=0.62,
-                     atom_temperature_uk=15.0, trap_power_mw=2.8)
+    params = close_params()
     shots = sample_shots(params, seed=1, shots=300)
     sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
     seps = [np.linalg.norm(sep0 + s.position_cs_um - s.position_rb_um)
             for s in shots]
     assert min(seps) >= 0.5
     assert sum(s.redraws for s in shots) > 0
+
+
+def assert_same_records(got, want):
+    """Field for field and bit for bit, signed zeros included."""
+    for name in SHOT_DTYPE.names:
+        if name == "redraws":    # Python ints
+            assert list(got[name]) == list(want[name])
+        else:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_separation_floor_redraw_block_matches_single_shots():
+    # a block resumes each redrawn shot from its own saved stream state
+    params = close_params()
+    block = sample_shots(params, seed=1, shots=300)
+    assert sum(block.redraws) > 0
+    for i in range(300):
+        assert_same_records(block[i:i + 1], one_shot(params, 1, i))
+
+
+def test_negative_seed_or_index_rejected(current_params):
+    with pytest.raises(ValueError, match="seed -1"):
+        sample_shots(current_params, -1, 10)
+    with pytest.raises(ValueError, match="start_index -1"):
+        sample_shots(current_params, 0, 10, start_index=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128, 2**130 + 5])
+def test_pcg64_seeding_matches_numpy(seed):
+    def numpy_state(index):
+        state = np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=(0, index))).state["state"]
+        return state["state"], state["inc"]
+
+    for index in (0, 2**32 - 1, 2**32, 2**64):
+        assert _pcg64_states(seed, index, 1) == [numpy_state(index)], index
+    # a block across the one- to two-word spawn-key boundary
+    assert _pcg64_states(seed, 2**32 - 2, 4) == [
+        numpy_state(i) for i in range(2**32 - 2, 2**32 + 2)]
+
+
+def oracle_shots(params, seed, shots, start_index):
+    """The documented stream, shot by shot from numpy's own seeding: 20
+    normals, 2 uniforms, 4 normals, then the position redraws."""
+    srho_rb, sz_rb = params.localization_um("rb")
+    srho_cs, sz_cs = params.localization_um("cs")
+    sig_rb = np.array([srho_rb, srho_rb, sz_rb])
+    sig_cs = np.array([srho_cs, srho_cs, sz_cs])
+    hw = params.rabi_mismatch_halfwidth
+    sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
+    static = static_offsets_nm(params, seed)
+    records = []
+    for i in range(start_index, start_index + shots):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(0, i)))
+        z = rng.normal(size=20)
+        u = rng.uniform(-hw, hw, size=2)
+        d = rng.normal(size=4)
+        pos_rb, pos_cs, redraws = z[0:3] * sig_rb, z[3:6] * sig_cs, 0
+        while np.linalg.norm(sep0 + pos_cs - pos_rb) < SEPARATION_FLOOR_UM:
+            redraws += 1
+            pos_rb = rng.normal(size=3) * sig_rb
+            pos_cs = rng.normal(size=3) * sig_cs
+        records.append((
+            pos_rb, pos_cs, z[6:9] * params.velocity_sigma_ms("rb"),
+            z[9:12] * params.velocity_sigma_ms("cs"),
+            1.0 + z[12] * params.red_pulse_energy_std,
+            1.0 + z[13] * params.blue_pulse_energy_std,
+            1.0 + z[14] * params.red_pulse_energy_std,
+            1.0 + z[15] * params.blue_pulse_energy_std,
+            z[16:18] * params.pointing_dynamic_nm,
+            z[18:20] * params.pointing_dynamic_nm, *static,
+            1.0 + u[0], 1.0 + u[1],
+            d[0] * params.detuning_magnetic_khz,
+            d[1] * params.detuning_electric_khz,
+            d[2] * params.detuning_laser_khz,
+            d[3] * params.detuning_laser_khz, redraws))
+    return np.array(records, dtype=SHOT_DTYPE)
+
+
+@pytest.fixture(scope="module")
+def stream_params():
+    return {"current": load_preset("current"),
+            "projected": load_preset("projected"), "close": close_params()}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(preset=st.sampled_from(["current", "projected", "close"]),
+       seed=st.integers(0, 2**70),
+       start=st.one_of(st.integers(0, 2**33),
+                       st.integers(2**32 - 64, 2**32)),
+       shots=st.integers(1, 64))
+def test_block_sampler_matches_per_shot_oracle(stream_params, preset, seed,
+                                               start, shots):
+    params = stream_params[preset]
+    assert_same_records(sample_shots(params, seed, shots, start),
+                        oracle_shots(params, seed, shots, start))
 
 
 # ---------------------------------------------------------------------------
