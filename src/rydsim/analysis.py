@@ -195,6 +195,10 @@ def fit_decay_oscillation(times, values, model: str = "exponential") -> dict:
     values = np.asarray(values, dtype=float)
     if len(times) < 5:
         raise FitFailure("need at least 5 points")
+    if len(np.unique(times)) < 2:
+        raise FitFailure("times need a spread: fewer than 2 distinct times")
+    if not np.any(values):
+        raise FitFailure("degenerate data: all values are zero")
 
     if model == "exponential":
         def f(t, a, rate):

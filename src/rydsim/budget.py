@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .gate import (GateParams, IntegrationError, bell_error_from_pulse_state,
-                   bell_errors_batch, optimal_virtual_rz, pulse_state_nominal)
+from .gate import (DriveBatch, GateParams, IntegrationError,
+                   bell_error_from_pulse_state, bell_errors_batch,
+                   optimal_virtual_rz, pulse_state_nominal)
 from .noise import MechanismMask, resolve_drive_batch, resolve_drives, sample_shots
 from .params import SystemParams
 
@@ -76,12 +77,11 @@ def decay_floor(params: SystemParams, gate: GateParams) -> float:
     its four decay rates, from one batch of three shots with the rates scaled
     by 0, eps and 2 eps: (4 L1 - L2 - 3 L0) / (2 eps), with an O(eps^2) error.
     """
-    eps = 1e-2
-    nominal = resolve_drives(params, gate)
-    batch = replace(nominal, **{
-        f.name: getattr(nominal, f.name)[0] * (
-            eps * np.arange(3.0) if f.name.startswith("gamma") else np.ones(3))
-        for f in fields(nominal)})
+    eps, nominal = 1e-2, resolve_drives(params, gate)
+    ones, scale = np.ones(3), eps * np.arange(3.0)
+    batch = DriveBatch(nominal.omega * ones, nominal.delta * ones,
+                       nominal.gamma1 * scale, nominal.gammar * scale,
+                       nominal.blockade * ones)
     loss = 1.0 - np.sum(np.abs(pulse_state_nominal(gate, batch)) ** 2, axis=1)
     return float((4.0 * loss[1] - loss[2] - 3.0 * loss[0]) / (2.0 * eps))
 

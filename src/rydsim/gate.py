@@ -5,21 +5,23 @@ Each atom is modeled as a three-level system {|0>, |1>, |r>} driven on the
 non-Hermitian diagonal terms, so the state norm decays and the deficit is
 tracked as accumulated loss.  The two-atom Hamiltonian is block diagonal in
 the four sectors defined by whether each atom occupies |0> or the driven
-{|1>, |r>} manifold.  Each driven sector is propagated for a whole batch of
-shots in the frame that follows the drive phase, where the Hamiltonian is
-constant per shot and only a diagonal frame phase, shared by all shots,
-changes with time.  A step is Suzuki's fourth-order composition of five
-exponential-midpoint stages; each applies one of two per-shot propagators
-exp(-i tau H0), built once per call, which take the constant blockade shift
-exactly, so the step count does not grow with the blockade.
+{|1>, |r>} manifold.  With the 9 amplitudes of a shot viewed as a (3, 3)
+tensor over (level of A, level of B), the driven sectors are the slices
+[1:, 0], [0, 1:] and [1:, 1:].  Each driven sector is propagated for a whole
+batch of shots in the frame that follows the drive phase, where the
+Hamiltonian is constant per shot and only a diagonal frame phase, shared by
+all shots, changes with time.  A step is Suzuki's fourth-order composition
+of five exponential-midpoint stages; each applies one of two per-shot
+propagators exp(-i tau H0), built once per call, which take the constant
+blockade shift exactly, so the step count does not grow with the blockade.
 
 `GateParams` is the one description of the pulse, shared by every shot; a
 `DriveBatch` (built by `noise.resolve_drive_batch`) holds the per-shot drives
-of n shots as plain arrays.  `evolve_batch`, `pulse_state_nominal` and
-`bell_errors_batch` take both and are the ways into the engine; a single
-drive is a batch of one.  As an independent check, `build_hamiltonian` gives
-the full 9x9 matrix of one shot of a batch, and `evolve_dense_reference`
-integrates it with plain RK4.
+of n shots as plain arrays, one row per atom.  `evolve_batch`,
+`pulse_state_nominal` and `bell_errors_batch` take both and are the ways
+into the engine; a single drive is a batch of one.  As an independent
+check, `build_hamiltonian` gives the full 9x9 matrix of one shot of a batch,
+and `evolve_dense_reference` integrates it with plain RK4.
 """
 
 from __future__ import annotations
@@ -38,18 +40,6 @@ G0, G1, RYD = 0, 1, 2
 # two-atom basis index: 3*a + b for atom-A level a, atom-B level b
 def pair_index(a: int, b: int) -> int:
     return 3 * a + b
-
-
-# sector index lists within the 9-dim basis
-SECTOR_00 = [pair_index(G0, G0)]
-SECTOR_0B = [pair_index(G0, G1), pair_index(G0, RYD)]
-SECTOR_A0 = [pair_index(G1, G0), pair_index(RYD, G0)]
-SECTOR_AB = [
-    pair_index(G1, G1),
-    pair_index(G1, RYD),
-    pair_index(RYD, G1),
-    pair_index(RYD, RYD),
-]
 
 
 class IntegrationError(RuntimeError):
@@ -82,11 +72,13 @@ class GateParams:
             raise ValueError("phase_mod_depth must be >= 0")
         for name in ("detuning", "duration", "phase_mod_rate",
                      "phase_mod_depth", "phase_mod_delay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
         rz = tuple(self.virtual_rz)
-        if len(rz) != 2 or not all(isinstance(v, Real) and math.isfinite(v)
-                                   for v in rz):
+        if len(rz) != 2 or not all(
+                isinstance(v, Real) and not isinstance(v, bool)
+                and math.isfinite(v) for v in rz):
             raise ValueError("virtual_rz must be two finite numbers")
         object.__setattr__(self, "virtual_rz", rz)
 
@@ -106,33 +98,30 @@ def phase_bandwidth(params: GateParams) -> float:
 
 @dataclass
 class DriveBatch:
-    """Per-shot drive parameters for batched evolution (all arrays (n,)).
+    """Per-shot drive parameters for batched evolution of n shots.
 
-    Atom A drives with ``omega_a`` (two-photon Rabi frequency) at detuning
-    ``delta_a``, with loss rates ``gamma1_a`` out of |1> and ``gammar_a`` out
-    of |r>; atom B likewise; ``blockade`` shifts |rr>.  The pulse duration
-    and phase waveform come from the `GateParams` passed beside the batch.
+    Each per-atom array is (2, n), row 0 for atom A (Rb) and row 1 for atom
+    B (Cs): the atom drives with ``omega`` (two-photon Rabi frequency) at
+    detuning ``delta``, with loss rates ``gamma1`` out of |1> and ``gammar``
+    out of |r>.  ``blockade`` (n,) shifts |rr>.  The pulse duration and
+    phase waveform come from the `GateParams` passed beside the batch.
     """
 
-    omega_a: np.ndarray
-    delta_a: np.ndarray
-    gamma1_a: np.ndarray
-    gammar_a: np.ndarray     # total |r> loss rate for atom A
-    omega_b: np.ndarray
-    delta_b: np.ndarray
-    gamma1_b: np.ndarray
-    gammar_b: np.ndarray
+    omega: np.ndarray
+    delta: np.ndarray
+    gamma1: np.ndarray
+    gammar: np.ndarray       # total |r> loss rate
     blockade: np.ndarray
 
     def __len__(self):
-        return len(self.omega_a)
+        return len(self.blockade)
 
 
-def _single_atom_hamiltonian(batch: DriveBatch, atom: str,
+def _single_atom_hamiltonian(batch: DriveBatch, atom: int,
                              shot: int) -> np.ndarray:
     omega, delta, gamma1, gammar = (
-        float(getattr(batch, f"{name}_{atom}")[shot])
-        for name in ("omega", "delta", "gamma1", "gammar"))
+        float(rates[atom, shot])
+        for rates in (batch.omega, batch.delta, batch.gamma1, batch.gammar))
     h = np.zeros((3, 3), dtype=complex)
     h[G1, RYD] = h[RYD, G1] = 0.5 * omega
     h[RYD, RYD] = -delta
@@ -145,8 +134,8 @@ def _hamiltonian_parts(batch: DriveBatch, shot: int):
     """(D, U) of one shot of ``batch``: its 9x9 Hamiltonian at drive phase
     phi is D + exp(i phi) U + exp(-i phi) U^T, with D diagonal and U the
     couplings from |r> into |1>."""
-    ha = _single_atom_hamiltonian(batch, "a", shot)
-    hb = _single_atom_hamiltonian(batch, "b", shot)
+    ha = _single_atom_hamiltonian(batch, 0, shot)
+    hb = _single_atom_hamiltonian(batch, 1, shot)
     h = np.kron(ha, np.eye(3)) + np.kron(np.eye(3), hb)
     h[pair_index(RYD, RYD), pair_index(RYD, RYD)] += float(batch.blockade[shot])
     return np.diag(np.diag(h)), np.triu(h, 1)
@@ -306,36 +295,33 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     """
     psi = np.array(psi, dtype=complex)
     n = len(psi)
-    values = np.stack([batch.omega_a, batch.delta_a, batch.gamma1_a,
-                       batch.gammar_a, batch.omega_b, batch.delta_b,
-                       batch.gamma1_b, batch.gammar_b, batch.blockade])
-    bad = (~np.all(np.isfinite(values), axis=0) | (batch.omega_a < 0)
-           | (batch.omega_b < 0))
+    rates = np.stack([batch.omega, batch.delta, batch.gamma1, batch.gammar])
+    bad = (~np.all(np.isfinite(rates), axis=(0, 1))
+           | ~np.isfinite(batch.blockade) | np.any(batch.omega < 0, axis=0))
     if np.any(bad):
         raise IntegrationError(
             f"non-finite drive or negative Rabi frequency in "
             f"{int(np.sum(bad))} of {n} shots")
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
-    # fastest non-blockade angular frequency of each single-driven sector
-    peak, bw = np.max(np.abs(values), axis=1), phase_bandwidth(gate)
-    scale_a, scale_b = max(peak[0], peak[1], bw), max(peak[4], peak[5], bw)
-    # diagonal of H on (|1>, |r>) per atom; the SECTOR_AB diagonal is the
-    # sum of both plus the blockade on |rr>
-    diag_a = np.stack([-0.5j * batch.gamma1_a,
-                       -batch.delta_a - 0.5j * batch.gammar_a])
-    diag_b = np.stack([-0.5j * batch.gamma1_b,
-                       -batch.delta_b - 0.5j * batch.gammar_b])
-    diag_ab = diag_a[:, None] + diag_b[None, :]
+    # fastest non-blockade angular frequency of each atom's single-driven
+    # sector
+    scale = np.maximum(np.max(np.abs(rates[:2]), axis=(0, 2)),
+                       phase_bandwidth(gate))
+    # diagonal of H on (|1>, |r>) per atom; the [1:, 1:] sector's diagonal
+    # is the sum of both plus the blockade on |rr>
+    diag = np.stack([-0.5j * batch.gamma1,
+                     -batch.delta - 0.5j * batch.gammar], axis=1)
+    diag_ab = diag[0][:, None] + diag[1][None, :]
     diag_ab[1, 1] += batch.blockade
-    for idxs, scale, diag, omegas in (
-            (SECTOR_A0, scale_a, diag_a, [batch.omega_a]),
-            (SECTOR_0B, scale_b, diag_b, [batch.omega_b]),
-            (SECTOR_AB, max(scale_a, scale_b), diag_ab,
-             [batch.omega_a, batch.omega_b])):
-        nsteps = _steps_for(gate.duration, scale, steps_per_period)
-        out = _evolve_sector(psi[:, idxs].T.reshape(diag.shape), diag,
-                             omegas, gate, nsteps)
-        psi[:, idxs] = out.reshape(len(idxs), n).T
+    # (level of A, level of B, shot), a view of psi
+    amps = psi.reshape(n, 3, 3).transpose(1, 2, 0)
+    for sector, sector_scale, sector_diag, omegas in (
+            (np.s_[1:, G0], scale[0], diag[0], batch.omega[:1]),
+            (np.s_[G0, 1:], scale[1], diag[1], batch.omega[1:]),
+            (np.s_[1:, 1:], max(scale), diag_ab, batch.omega)):
+        nsteps = _steps_for(gate.duration, sector_scale, steps_per_period)
+        amps[sector] = _evolve_sector(amps[sector], sector_diag, omegas,
+                                      gate, nsteps)
 
     growth = np.sum(np.abs(psi) ** 2, axis=1) - norm_in
     bad = ~(growth <= 1e-9)

@@ -30,10 +30,10 @@ class ServoBump:
     sigma: float
 
     def __post_init__(self):
-        if not all(v > 0 and math.isfinite(v)
+        if not all(v > 0 and math.isfinite(v) and not isinstance(v, bool)
                    for v in (self.h, self.f, self.sigma)):
-            raise ValueError("servo bump parameters must be positive and "
-                             "finite")
+            raise ValueError("servo bump parameters must be positive finite "
+                             "numbers")
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,9 @@ class LaserNoiseModel:
     t_d: float = 48.9e-6                   # s, delay-line time
 
     def __post_init__(self):
+        for name in ("h0", "s_dark", "t_d"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not (self.h0 >= 0 and math.isfinite(self.h0)):
             raise ValueError("h0 must be finite and >= 0")
         if not (self.s_dark >= 0 and math.isfinite(self.s_dark)):

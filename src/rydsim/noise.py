@@ -257,20 +257,21 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
     sig_cs = np.array([srho_cs, srho_cs, sz_cs])
     hw = params.rabi_mismatch_halfwidth
 
-    # one generator, reset to each shot's seeded state in turn.  Drawing
-    # moves only the LCG state, not inc, so the state after a shot's fixed
-    # block is all its separation-floor redraws need to resume from.
+    # one generator, reset to each shot's seeded state in turn
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+
+    def fixed_block(state_inc, row):
+        """Seed the generator for one shot and draw its fixed block."""
+        bitgen.state = _pcg64_state(*state_inc)
+        rng.standard_normal(out=row[:20])
+        rng.random(out=row[20:22])
+        rng.standard_normal(out=row[22:])
+
     seeded = _pcg64_states(seed, start_index, shots)
     draws = np.empty((shots, 26))
-    after = []
-    for i, (state, inc) in enumerate(seeded):
-        bitgen.state = _pcg64_state(state, inc)
-        rng.standard_normal(out=draws[i, :20])
-        rng.random(out=draws[i, 20:22])
-        rng.standard_normal(out=draws[i, 22:])
-        after.append(bitgen.state["state"]["state"])
+    for state_inc, row in zip(seeded, draws):
+        fixed_block(state_inc, row)
     # Generator.normal and .uniform, as the stream is defined, return
     # 0.0 + x (which turns a -0.0 draw into 0.0) and low + (high - low) * u
     z, d = draws[:, :20] + 0.0, draws[:, 22:] + 0.0
@@ -296,13 +297,14 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
     out.detuning_laser_cs_khz = d[:, 3] * params.detuning_laser_khz
 
     # screen with a margin of a few ulp, then decide on the exact per-shot
-    # norm; redraws continue the shot's stream after its fixed block
+    # norm; redraws continue the shot's stream after its fixed block, which
+    # is drawn again to get there
     sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
     sep = sep0 + out.position_cs_um - out.position_rb_um
     floor2 = (1 + 1e-9) * SEPARATION_FLOOR_UM ** 2
     near = np.einsum("ij,ij->i", sep, sep) < floor2
     for i in np.flatnonzero(near):
-        bitgen.state = _pcg64_state(after[i], seeded[i][1])
+        fixed_block(seeded[i], np.empty(26))
         pos_rb, pos_cs = out.position_rb_um[i], out.position_cs_um[i]
         while np.linalg.norm(sep0 + pos_cs - pos_rb) < SEPARATION_FLOOR_UM:
             out.redraws[i] += 1
@@ -327,7 +329,8 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 def _resolve_atom(params: SystemParams, species: str, gate: GateParams,
                   mask: MechanismMask, shots: np.recarray,
                   extra_detuning_rad_s):
-    """Per-atom (rabi, detuning, gamma1, gammar_scatter) arrays over shots."""
+    """Per-atom (rabi, detuning, gamma1, gammar) arrays over shots; gammar
+    is the total |r> loss, scattering plus Rydberg decay."""
     sp = params.species(species)
     pos_um = shots[f"position_{species}_um"]
     beam_off_um = (shots[f"pointing_{species}_nm"]
@@ -356,7 +359,8 @@ def _resolve_atom(params: SystemParams, species: str, gate: GateParams,
     else:
         gamma1 = np.zeros_like(i_blue)
         gammar_sc = np.zeros_like(i_red)
-    return rabi, delta, gamma1, gammar_sc
+    ryd = sp.rydberg_decay_rate if mask.rydberg_decay else 0.0
+    return rabi, delta, gamma1, gammar_sc + ryd
 
 
 def _blockade_rad_s(params: SystemParams, mask: MechanismMask,
@@ -377,9 +381,10 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
     Only the nominal two-photon detuning is read from ``gate``; its duration
     and waveform go to the engine beside the returned batch.  This is the one
     place a mechanism flag acts: the draw-level flags set their fields
-    nominal (`masked_draws`); the beam-profile and scattering flags act in
-    `_resolve_atom`, Rydberg decay here, and blockade fluctuation in
-    `_blockade_rad_s`.
+    nominal (`masked_draws`); the beam-profile, scattering and Rydberg decay
+    flags act in `_resolve_atom`, and blockade fluctuation in
+    `_blockade_rad_s`.  Row 0 of each per-atom array is Rb (atom A), row 1
+    Cs (atom B).
     """
     if len(shots) == 0:
         raise ValueError("no shots to resolve")
@@ -387,21 +392,12 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
     corr = (shots["detuning_magnetic_khz"]
             + shots["detuning_electric_khz"]) * KHZ
 
-    out = {}
-    for key, species in (("a", "rb"), ("b", "cs")):
-        rabi, delta, gamma1, gammar_sc = _resolve_atom(
-            params, species, gate, mask, shots,
-            corr + shots[f"detuning_laser_{species}_khz"] * KHZ)
-        ryd = (params.species(species).rydberg_decay_rate
-               if mask.rydberg_decay else 0.0)
-        out[f"omega_{key}"] = rabi
-        out[f"delta_{key}"] = delta
-        out[f"gamma1_{key}"] = gamma1
-        out[f"gammar_{key}"] = gammar_sc + ryd
-
-    blockade = _blockade_rad_s(params, mask, shots["position_rb_um"],
-                               shots["position_cs_um"])
-    return DriveBatch(blockade=blockade, **out)
+    omega, delta, gamma1, gammar = np.stack([
+        _resolve_atom(params, species, gate, mask, shots,
+                      corr + shots[f"detuning_laser_{species}_khz"] * KHZ)
+        for species in ("rb", "cs")], axis=1)
+    return DriveBatch(omega, delta, gamma1, gammar, _blockade_rad_s(
+        params, mask, shots["position_rb_um"], shots["position_cs_um"]))
 
 
 def resolve_drives(params: SystemParams, gate: GateParams) -> DriveBatch:

@@ -204,6 +204,22 @@ def test_constant_data_gives_zero_rate():
     assert abs(fit["rate"]) < 1e-8
 
 
+# one distinct time, or all-zero values, would return the starting guess
+DEGENERATE_DECAY = [
+    pytest.param("exponential", [2.0] * 5, [1, 0.9, 0.8, 0.7, 0.6],
+                 id="exponential-one-time"),
+    pytest.param("exponential", range(6), [0.0] * 6, id="exponential-zeros"),
+    pytest.param("gaussian-envelope-sinusoid", range(6), [0.0] * 6,
+                 id="gaussian-zeros"),
+]
+
+
+@pytest.mark.parametrize("model, times, values", DEGENERATE_DECAY)
+def test_decay_fit_rejects_degenerate_data(model, times, values):
+    with pytest.raises(FitFailure, match="distinct times|all values are zero"):
+        fit_decay_oscillation(times, values, model)
+
+
 def test_decay_fit_requires_points():
     with pytest.raises(FitFailure):
         fit_decay_oscillation([0, 1, 2, 3], [1, 0.9, 0.8, 0.7])

@@ -212,7 +212,9 @@ def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
     def poisoned(params, samples, mask, g):
         batch = resolve(params, samples, mask, g)
         hit = np.all(samples["position_rb_um"] == bad_pos, axis=-1)
-        return replace(batch, gammar_a=np.where(hit, -1e5, batch.gammar_a))
+        gammar = batch.gammar.copy()
+        gammar[0, hit] = -1e5
+        return replace(batch, gammar=gammar)
 
     def counted(*args, **kwargs):
         calls.append(len(args[0]))

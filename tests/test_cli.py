@@ -537,6 +537,23 @@ def test_analyze_decay_failure_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("model, rows", [
+    pytest.param("exponential", "2.0,1.0\n" * 5, id="exponential-one-time"),
+    pytest.param("exponential", "".join(f"{t},0.0\n" for t in range(6)),
+                 id="exponential-zeros"),
+    pytest.param("gaussian-envelope-sinusoid",
+                 "".join(f"{t},0.0\n" for t in range(6)), id="gaussian-zeros")])
+def test_analyze_decay_degenerate_data_exit_code(tmp_path, model, rows):
+    # the fit would report its starting guess
+    data = tmp_path / "degenerate.csv"
+    data.write_text(rows)
+    out = tmp_path / "out"
+    rc = main(["analyze", "decay", "--data", str(data), "--model", model,
+               "--out", str(out)])
+    assert rc == 3
+    assert not (out / "decay_fit.json").exists()
+
+
 def test_analyze_qnd_malformed_csv_exit_code(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("00,93\n")
@@ -697,6 +714,23 @@ def test_budget_run_gate_bad_virtual_rz_exit_code(tmp_path, gate_file, capsys,
     assert "virtual_rz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("phase_mod_depth", True),
+                                        ("virtual_rz", [True, False])],
+                         ids=["phase_mod_depth", "virtual_rz"])
+def test_budget_run_gate_boolean_exit_code(tmp_path, gate_file, capsys, key,
+                                           value):
+    # JSON true is a Python bool, which is an int; it is still not a number
+    doc = json.loads(read(gate_file))
+    doc[key] = value
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(doc))
+    rc = main(["budget", "run", "--config", "current", "--gate", str(gate),
+               "--shots", "100", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_budget_run_gate_deeply_nested_json_exit_code(tmp_path):
     gate = tmp_path / "gate.json"
     gate.write_text("[" * 100_000)
@@ -745,6 +779,18 @@ def test_laser_fit_nonfinite_trace_exit_code(tmp_path, capsys, value):
     '{"h0": NaN}', '{"h0": Infinity}', '{"h0": 1.0, "t_d": Infinity}',
     '{"h0": 1.0, "bumps": [{"h": 1.0, "f": NaN, "sigma": 1e3}]}'])
 def test_laser_rabi_error_nonfinite_model_exit_code(tmp_path, doc):
+    mf = tmp_path / "model.json"
+    mf.write_text(doc)
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", "0.5:4:2", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert not (tmp_path / "out" / "rabi_error.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    '{"h0": true}', '{"h0": 1.0, "t_d": true}',
+    '{"h0": 1.0, "bumps": [{"h": true, "f": 1e5, "sigma": 1e3}]}'])
+def test_laser_rabi_error_boolean_model_exit_code(tmp_path, doc):
     mf = tmp_path / "model.json"
     mf.write_text(doc)
     rc = main(["laser", "rabi-error", "--model", str(mf),

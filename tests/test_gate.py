@@ -38,10 +38,10 @@ def phase_mod(duration):
 
 def batch_of(pairs, blockade):
     """One DriveBatch holding a shot per (drive_a, drive_b) pair."""
-    cols = {f"{name}_{atom}": np.array([p[i][name] for p in pairs], dtype=float)
-            for i, atom in enumerate("ab")
+    rows = {name: np.array([[p[atom][name] for p in pairs] for atom in (0, 1)],
+                           dtype=float)
             for name in ("omega", "delta", "gamma1", "gammar")}
-    return DriveBatch(**cols, blockade=np.full(len(pairs), float(blockade)))
+    return DriveBatch(**rows, blockade=np.full(len(pairs), float(blockade)))
 
 
 def pair(da, db, blockade):
@@ -119,14 +119,17 @@ def test_drive_spec_rejects_negative_rates():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("omega_a", np.inf), ("blockade", np.nan), ("delta_b", np.nan),
-    ("gammar_a", np.inf)])
+    pytest.param(("omega", 0), np.inf, id="omega_a-inf"),
+    pytest.param(("blockade",), np.nan, id="blockade-nan"),
+    pytest.param(("delta", 1), np.nan, id="delta_b-nan"),
+    pytest.param(("gammar", 0), np.inf, id="gammar_a-inf")])
 def test_nonfinite_drive_raises(field, value):
     # one bad shot of three fails the batch before any step is taken
     omega = 2 * np.pi * 1.2e6
     da = drive(rabi=omega, g1=100.0, gr=100.0)
     batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
-    getattr(batch, field)[1] = value
+    name, *atom = field
+    getattr(batch, name)[(*atom, 1)] = value
     psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
     with pytest.raises(IntegrationError, match="in 1 of 3 shots"):
         evolve_batch(psi0, batch, pulse(1e-6))
@@ -213,6 +216,22 @@ def test_block_engine_matches_dense_reference():
     assert np.max(np.abs(o1 - o2)) < 1e-7
 
 
+@pytest.mark.parametrize("detuned", [0, 1], ids=["a", "b"])
+def test_single_atom_sectors_take_own_step_count(detuned):
+    # the detuned atom's sector needs its own 40 MHz scale: with the two
+    # atoms' step scales swapped it is 6.5e-7 off the reference, not 1.7e-9
+    omega = 2 * np.pi * 1e6
+    drives = [drive(rabi=omega), drive(rabi=omega)]
+    drives[detuned] = drive(rabi=omega, detuning=2 * np.pi * 40e6)
+    batch, gate = pair(*drives, 2 * np.pi * 12e6), phase_mod(1e-6)
+    psi0 = bell_prep_state()
+    out = evolve_batch(psi0[None, :], batch, gate)[0]
+    ref = evolve_dense_reference(psi0, batch, gate, nsteps=20000)
+    single = [pair_index(G1, G0), pair_index(RYD, G0), pair_index(G0, G1),
+              pair_index(G0, RYD)]
+    assert np.max(np.abs(out[single] - ref[single])) < 1e-8
+
+
 def test_integration_error_on_step_underflow(monkeypatch):
     monkeypatch.setattr(gate_mod, "_MAX_STEPS", 8)
     with pytest.raises(IntegrationError):
@@ -288,9 +307,9 @@ def test_bell_error_in_unit_interval(current_params, current_opt):
 def test_norm_conservation_decay_free(current_params, current_opt):
     gate = current_opt.gate
     from dataclasses import replace
-    zero = np.zeros(1)
-    batch = replace(resolve_drives(current_params, gate), gamma1_a=zero,
-                    gammar_a=zero, gamma1_b=zero, gammar_b=zero)
+    zero = np.zeros((2, 1))
+    batch = replace(resolve_drives(current_params, gate), gamma1=zero,
+                    gammar=zero)
     psi = pulse_state_nominal(gate, batch)[0]
     assert abs(np.sum(np.abs(psi) ** 2) - 1.0) <= 1e-9
 
@@ -465,7 +484,7 @@ def test_norm_growth_raises():
     batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
     psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
     evolve_batch(psi0, batch, pulse(1e-6))
-    batch.gammar_a[1] = -1e5
+    batch.gammar[0, 1] = -1e5
     with pytest.raises(IntegrationError, match="norm grew"):
         evolve_batch(psi0, batch, pulse(1e-6))
 
@@ -483,10 +502,9 @@ def test_norm_never_grows(case):
     u = np.array(unit).reshape(9, n)
     rng = np.random.default_rng(seed)
     batch = DriveBatch(
-        omega_a=2 * np.pi * 3e6 * u[0], delta_a=2 * np.pi * 4e6 * (u[1] - 0.5),
-        gamma1_a=1e6 * u[2], gammar_a=1e6 * u[3],
-        omega_b=2 * np.pi * 3e6 * u[4], delta_b=2 * np.pi * 4e6 * (u[5] - 0.5),
-        gamma1_b=1e6 * u[6], gammar_b=1e6 * u[7],
+        omega=2 * np.pi * 3e6 * u[[0, 4]],
+        delta=2 * np.pi * 4e6 * (u[[1, 5]] - 0.5),
+        gamma1=1e6 * u[[2, 6]], gammar=1e6 * u[[3, 7]],
         blockade=2 * np.pi * 1000e6 * u[8])
     psi0 = rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))
     psi0 /= np.linalg.norm(psi0, axis=1)[:, None]

@@ -15,8 +15,7 @@ from rydsim.noise import (MECHANISM_FLAGS, SHOT_DTYPE, MechanismMask,
 from rydsim.params import load_preset
 from rydsim.trap import SEPARATION_FLOOR_UM
 
-BATCH_FIELDS = ("omega_a", "delta_a", "gamma1_a", "gammar_a", "omega_b",
-                "delta_b", "gamma1_b", "gammar_b", "blockade")
+BATCH_FIELDS = ("omega", "delta", "gamma1", "gammar", "blockade")
 
 
 def one_shot(params, seed, index):
@@ -270,17 +269,17 @@ def resolve(params, shot, gate, mask=None):
 
 def test_nominal_drives_match_table(current_params, gate):
     b = resolve_drives(current_params, gate)
-    assert b.omega_a[0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
-    assert b.omega_b[0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
-    assert b.delta_a[0] == pytest.approx(gate.detuning, rel=1e-12)
+    assert b.omega[0, 0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
+    assert b.omega[1, 0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
+    assert b.delta[0, 0] == pytest.approx(gate.detuning, rel=1e-12)
     assert b.blockade[0] == pytest.approx(2 * np.pi * 12e6, rel=1e-12)
     # the Rydberg share of the |r> loss rate is what switching off
     # intermediate-state scattering leaves
     ryd = resolve(current_params, nominal_shot(), gate,
                   MechanismMask().without("intermediate_state_decay"))
-    assert ryd.gammar_a[0] == pytest.approx(1 / 112e-6, rel=1e-12)
-    assert ryd.gammar_b[0] == pytest.approx(1 / 115e-6, rel=1e-12)
-    assert b.gamma1_a[0] > 0 and b.gammar_a[0] - ryd.gammar_a[0] > 0
+    assert ryd.gammar[0, 0] == pytest.approx(1 / 112e-6, rel=1e-12)
+    assert ryd.gammar[1, 0] == pytest.approx(1 / 115e-6, rel=1e-12)
+    assert b.gamma1[0, 0] > 0 and b.gammar[0, 0] - ryd.gammar[0, 0] > 0
 
 
 def test_blockade_r6_scaling(current_params, gate):
@@ -306,8 +305,8 @@ def test_doppler_shift_from_wavelengths(current_params, gate):
     s.velocity_rb_ms = np.array([0.0, 0.0, v])
     b = resolve(current_params, s, gate)
     k_eff = 2 * np.pi * (1.0 / 421e-9 - 1.0 / 1005e-9)
-    assert b.delta_a[0] - gate.detuning == pytest.approx(k_eff * v, rel=1e-12)
-    assert b.delta_b[0] == pytest.approx(gate.detuning, rel=1e-12)
+    assert b.delta[0, 0] - gate.detuning == pytest.approx(k_eff * v, rel=1e-12)
+    assert b.delta[1, 0] == pytest.approx(gate.detuning, rel=1e-12)
 
 
 def test_doppler_uses_configured_axis(current_params, gate):
@@ -316,7 +315,7 @@ def test_doppler_uses_configured_axis(current_params, gate):
     s.velocity_rb_ms = np.array([0.013, 0.0, 0.0])
     b = resolve(params, s, gate)
     k_eff = current_params.rb.doppler_k_eff()
-    assert b.delta_a[0] - gate.detuning == pytest.approx(
+    assert b.delta[0, 0] - gate.detuning == pytest.approx(
         k_eff * 0.013, rel=1e-12)
 
 
@@ -324,11 +323,11 @@ def test_pulse_energy_affects_rabi_and_detuning(current_params, gate):
     s = nominal_shot()
     s.energy_blue_rb = 1.04
     b = resolve(current_params, s, gate)
-    assert b.omega_a[0] == pytest.approx(
+    assert b.omega[0, 0] == pytest.approx(
         2 * np.pi * 1.2e6 * math.sqrt(1.04), rel=1e-12)
     shift = current_params.rb.stark_coeff_blue() * 0.04
-    assert b.delta_a[0] - gate.detuning == pytest.approx(shift, rel=1e-12)
-    assert b.delta_b[0] == pytest.approx(gate.detuning, rel=1e-12)
+    assert b.delta[0, 0] - gate.detuning == pytest.approx(shift, rel=1e-12)
+    assert b.delta[1, 0] == pytest.approx(gate.detuning, rel=1e-12)
 
 
 def test_finite_beam_mask_flattens_profile(current_params, gate):
@@ -336,13 +335,13 @@ def test_finite_beam_mask_flattens_profile(current_params, gate):
     s.position_rb_um = np.array([1.0, 0.5, 0.0])
     b = resolve(current_params, s, gate,
                 MechanismMask().without("finite_beam_blue", "finite_beam_red"))
-    assert b.omega_a[0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
+    assert b.omega[0, 0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
 
     b2 = resolve(current_params, s, gate)
     rho2 = 1.0 ** 2 + 0.5 ** 2
     g_blue = math.exp(-2 * rho2 / current_params.rb.blue_waist_um ** 2)
     g_red = math.exp(-2 * rho2 / current_params.rb.red_waist_um ** 2)
-    assert b2.omega_a[0] == pytest.approx(
+    assert b2.omega[0, 0] == pytest.approx(
         2 * np.pi * 1.2e6 * math.sqrt(g_blue * g_red), rel=1e-12)
 
 
@@ -350,13 +349,13 @@ def test_decay_masks(current_params, gate):
     # gammar is the total |r> loss: scattering plus Rydberg decay
     b = resolve(current_params, nominal_shot(), gate,
                 MechanismMask().without("intermediate_state_decay"))
-    assert b.gamma1_a[0] == 0.0
-    assert b.gammar_a[0] == current_params.rb.rydberg_decay_rate
-    assert b.gammar_a[0] > 0.0
+    assert b.gamma1[0, 0] == 0.0
+    assert b.gammar[0, 0] == current_params.rb.rydberg_decay_rate
+    assert b.gammar[0, 0] > 0.0
     b2 = resolve(current_params, nominal_shot(), gate,
                  MechanismMask().without("rydberg_decay"))
-    assert b2.gammar_a[0] == current_params.rb.scattering_rate_r()
-    assert b2.gamma1_a[0] > 0.0
+    assert b2.gammar[0, 0] == current_params.rb.scattering_rate_r()
+    assert b2.gamma1[0, 0] > 0.0
 
 
 def test_correlated_vs_uncorrelated_detunings(current_params, gate):
@@ -365,9 +364,9 @@ def test_correlated_vs_uncorrelated_detunings(current_params, gate):
     s.detuning_electric_khz = 2.0
     s.detuning_laser_rb_khz = 1.5
     b = resolve(current_params, s, gate)
-    assert b.delta_a[0] - gate.detuning == pytest.approx(
+    assert b.delta[0, 0] - gate.detuning == pytest.approx(
         (3.0 + 2.0 + 1.5) * KHZ, rel=1e-12)
-    assert b.delta_b[0] - gate.detuning == pytest.approx(
+    assert b.delta[1, 0] - gate.detuning == pytest.approx(
         (3.0 + 2.0) * KHZ, rel=1e-12)
 
 
