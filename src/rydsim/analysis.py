@@ -243,6 +243,8 @@ def fit_decay_oscillation(times, values, model: str = "exponential") -> dict:
                                    maxfev=40000)
         except RuntimeError as exc:
             raise FitFailure(f"oscillation fit did not converge: {exc}") from exc
+        if not np.all(np.isfinite(pcov)):
+            raise FitFailure("oscillation fit left its covariance non-finite")
         a, freq, tau, phase, offset = popt
         return {"amplitude": float(a), "frequency": float(abs(freq)),
                 "tau": float(abs(tau)), "phase": float(phase),

@@ -13,7 +13,7 @@ Hamiltonian is constant per shot and only a diagonal frame phase, shared by
 all shots, changes with time.  A step is Suzuki's fourth-order composition
 of five exponential-midpoint stages; each applies one of two per-shot
 propagators exp(-i tau H0), built once per call, which take the constant
-blockade shift exactly, so the step count does not grow with the blockade.
+blockade shift exactly: the step count does not grow with it, the error does.
 
 `GateParams` is the one description of the pulse, shared by every shot; a
 `DriveBatch` (built by `noise.resolve_drive_batch`) holds the per-shot drives

@@ -10,6 +10,7 @@ against a rotation filter function.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -17,8 +18,6 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .constants import C_LIGHT
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -213,29 +212,34 @@ def fit_heterodyne(freqs, psd_samples,
 # ---------------------------------------------------------------------------
 
 def _rabi_integrand(model: LaserNoiseModel, omega0: float, n_half: int):
-    """The integrand of `rabi_error` as a function of one float f (Hz).
-
-    Stable form of the rotation filter: the apparent pole at 2 pi f =
-    omega0 is removable for integer N,
+    """The integrand of `rabi_error` at frequencies f (Hz), with the rotation
+    filter in stable form: the apparent pole at 2 pi f = omega0 is removable
+    for integer N,
     1 - cos(4 pi^2 N f / omega0) = 2 sin^2(pi N (omega0 - 2 pi f)/omega0 + N pi).
     """
     pref = 8.0 * math.pi ** 2 * omega0 ** 2 * (math.pi * n_half / omega0) ** 2
-    bumps = [(b.h, b.f, 2.0 * b.sigma ** 2) for b in model.bumps]
-
-    def g(f: float) -> float:
-        x = math.pi * (n_half * ((omega0 - 2.0 * math.pi * f) / omega0))
-        y = x if x else _EPS          # np.sinc's guard at x = 0
-        sinc = float(np.sin(y)) / y
-        psd = model.h0
-        for h, fb, two_var in bumps:
-            psd = psd + h * float(np.exp(-((f - fb) ** 2) / two_var)
-                                  + np.exp(-((f + fb) ** 2) / two_var))
-        return pref * psd * sinc ** 2 / (omega0 + 2.0 * math.pi * f) ** 2
+    def g(f):
+        sinc = np.sinc(n_half * ((omega0 - 2.0 * math.pi * f) / omega0))
+        return (pref * psd_frequency(model, f) * sinc ** 2
+                / (omega0 + 2.0 * math.pi * f) ** 2)
     return g
 
 
-# relative accuracy asked of the rotation-error integral
-_RABI_REL_TOL = 1e-6
+_BUMP_GRID = np.arange(-10.0, 11.0)     # panel edges b.f + k sigma of a bump
+_MAX_PANELS = 50_000
+
+
+@functools.cache
+def _gauss_legendre(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], by Newton's method."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (p0 - x * p1) / (1.0 - x * x)          # P_n'(x)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp ** 2)
 
 
 def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
@@ -243,40 +247,34 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
     """Error of an N*pi Rabi rotation at Rabi frequency omega0 (rad/s).
 
     Integrates the frequency-noise PSD against the rotation filter over
-    (0, f_max], subdividing symmetrically around the filter feature at
-    2 pi f = omega0.  N must be a positive integer.
-
-    QUADPACK calls the integrand one float at a time, several hundred times
-    per point, so the integrand is scalar Python arithmetic: on 0-d arrays
-    numpy's per-call overhead was nearly all of the time.  It performs the
-    operations of ``psd_frequency`` and ``np.sinc`` in their order (``** 2``
-    is ``pow`` for numpy scalars and floats alike), so each value equals
-    theirs bit for bit.  Sine and exponential stay numpy's, whose SIMD
-    kernels can differ from ``math``'s in the last bit (``exp`` does on
-    AVX-512 hosts).
+    [0, f_max] (default 100 f_res, f_res = omega0 / 2 pi) on 16-point
+    Gauss-Legendre panels that end at 0, f_max, every filter zero
+    f_res (1 + k/N) and each bump's b.f + k sigma, |k| <= 10, so the
+    integrand is analytic on each.  It agrees with `scipy.integrate.quad` on
+    the same panels at epsrel 1e-13 to 3e-15 relative.  Raises FitError
+    above `_MAX_PANELS` panels (about 100 N) or when the arithmetic overflows.
     """
-    from scipy import integrate
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
     if n_half < 1 or int(n_half) != n_half:
         raise ValueError("N (half turns) must be a positive integer")
-    n_half = int(n_half)
     f_res = omega0 / (2.0 * math.pi)
-    if f_max is None:
-        f_max = 100.0 * f_res
-    # split at the resonance feature and at bump centers for quad accuracy
-    points = {f_res * (1.0 - 1.0 / n_half), f_res, f_res * (1.0 + 1.0 / n_half)}
-    for b in model.bumps:
-        points.update({b.f - 3 * b.sigma, b.f, b.f + 3 * b.sigma})
-    pts = sorted(p for p in points if 0.0 < p < f_max)
-
-    total, abserr = integrate.quad(_rabi_integrand(model, omega0, n_half),
-                                   0.0, f_max, points=pts, limit=400,
-                                   epsrel=_RABI_REL_TOL, epsabs=0.0)
-    if (not math.isfinite(total)
-            or abserr > max(_RABI_REL_TOL * abs(total), 1e-16) * 50.0):
-        raise FitError(f"rabi error integral did not converge: "
-                       f"{total:.3e} +- {abserr:.1e}")
+    f_max = 100.0 * f_res if f_max is None else f_max
+    n_lobes = n_half * f_max / f_res
+    if not n_lobes + len(_BUMP_GRID) * len(model.bumps) <= _MAX_PANELS:
+        raise FitError(f"rabi error integral needs over {_MAX_PANELS} panels")
+    zeros = f_res * (1.0 + np.arange(-n_half, n_lobes - n_half + 1) / n_half)
+    edges = np.unique(np.clip(np.concatenate(
+        [[0.0, f_max], zeros, *(b.f + _BUMP_GRID * b.sigma
+                                for b in model.bumps)]), 0.0, f_max))
+    half = 0.5 * np.diff(edges)
+    x, w = _gauss_legendre()
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            g = _rabi_integrand(model, omega0, n_half)
+            total = g(edges[:-1, None] + half[:, None] * (1.0 + x)) @ w @ half
+    except FloatingPointError as exc:
+        raise FitError(f"rabi error integral: {exc}") from exc
     return max(float(total), 0.0)
 
 

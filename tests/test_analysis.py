@@ -204,6 +204,15 @@ def test_constant_data_gives_zero_rate():
     assert abs(fit["rate"]) < 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:Covariance of the parameters")
+def test_oscillation_fit_rejects_constant_data():
+    # only the offset is constrained: the fit would return its starting
+    # guess with an infinite covariance
+    with pytest.raises(FitFailure, match="covariance"):
+        fit_decay_oscillation(np.arange(8.0), np.full(8, 0.7),
+                              model="gaussian-envelope-sinusoid")
+
+
 # one distinct time, or all-zero values, would return the starting guess
 DEGENERATE_DECAY = [
     pytest.param("exponential", [2.0] * 5, [1, 0.9, 0.8, 0.7, 0.6],

@@ -261,6 +261,18 @@ def test_budget_run_imports_no_scipy(tmp_path, gate_file):
     assert out.splitlines()[-1] == "0 []"
 
 
+def test_cli_import_loads_no_scipy_or_numpy_polynomial():
+    # both would add to the start-up time of every command
+    code = ("import sys, rydsim.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))\n")
+    src = str(Path(rydsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_budget_run_gate_negative_duration_exit_code(tmp_path, capsys):
     gate = tmp_path / "gate.json"
     gate.write_text(json.dumps({
@@ -821,6 +833,28 @@ def test_laser_rabi_error_overflow_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_laser_rabi_error_vanishing_width_exit_code(tmp_path, capsys):
+    # sigma ** 2 underflows to 0, so the bump's Gaussian divides by zero
+    mf = tmp_path / "model.json"
+    mf.write_text(json.dumps(
+        {"h0": 1.0, "bumps": [{"h": 1.0, "f": 1e6, "sigma": 1e-200}]}))
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", "0.5:4:2", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_laser_rabi_error_panel_limit_exit_code(tmp_path, capsys):
+    # about 100 N quadrature panels per point: a huge N is refused up front
+    model = tmp_path / "model.json"
+    model.write_text(model_to_json(LaserNoiseModel(h0=2.0)))
+    rc = main(["laser", "rabi-error", "--model", str(model), "--omega-grid",
+               "0.5:4:2", "--n", "1000000", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rabi_error.csv").exists()
+
+
 def test_laser_model_not_an_object_exit_code(tmp_path):
     model = tmp_path / "model.json"
     model.write_text("[1.0, 2.0]")
@@ -842,6 +876,16 @@ def test_analyze_decay_oscillation_no_spread_exit_code(tmp_path, capsys):
                "gaussian-envelope-sinusoid", "--out", str(tmp_path)])
     assert rc == 3
     assert "spread" in capsys.readouterr().err
+
+
+def test_analyze_decay_oscillation_constant_data_exit_code(tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    data.write_text("".join(f"{t},0.7\n" for t in range(8)))
+    rc = main(["analyze", "decay", "--data", str(data), "--model",
+               "gaussian-envelope-sinusoid", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "decay_fit.json").exists()
 
 
 def test_analyze_rb_full_leak_exit_code(tmp_path, capsys):

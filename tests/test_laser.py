@@ -205,6 +205,57 @@ def test_scalar_rabi_integrand_matches_array_form():
             assert float(g(float(f))).hex() == float(ref).hex(), (n_half, f)
 
 
+def _converged_rabi_error(model, omega0, n_half, f_max=None):
+    """`scipy.integrate.quad` at epsrel 1e-12 on every span between filter
+    zeros f_res (1 + k/N) and bump grid points b.f + k sigma, |k| <= 10."""
+    f_res = omega0 / (2 * np.pi)
+    f_max = 100.0 * f_res if f_max is None else f_max
+    pts = {0.0, f_max}
+    pts.update(f_res * (1.0 + k / n_half)
+               for k in range(-n_half, int(n_half * f_max / f_res) + 1))
+    for b in model.bumps:
+        pts.update(b.f + k * b.sigma for k in range(-10, 11))
+    pts = sorted(p for p in pts if 0.0 <= p <= f_max)
+    pref = 8.0 * math.pi ** 2 * omega0 ** 2 * (math.pi * n_half / omega0) ** 2
+
+    def g(f):
+        sinc = np.sinc(n_half * (omega0 - 2.0 * math.pi * f) / omega0)
+        return (pref * psd_frequency(model, f) * sinc ** 2
+                / (omega0 + 2.0 * math.pi * f) ** 2)
+    return math.fsum(integrate.quad(g, a, b, epsrel=1e-12, epsabs=0.0,
+                                    limit=200)[0]
+                     for a, b in zip(pts, pts[1:]))
+
+
+RABI_MODELS = {
+    "perfbench": LaserNoiseModel(h0=2.0, bumps=(ServoBump(40.0, 1.2e5, 8e3),),
+                                 s_dark=1e-10, t_d=TD),
+    "two-bump": LaserNoiseModel(h0=1.7, bumps=(ServoBump(40.0, 1.2e5, 8e3),
+                                               ServoBump(9.0, 3.1e5, 2e4)),
+                                t_d=TD),
+    # f_b < 10 sigma: the mirror Gaussian at -f_b reaches f >= 0
+    "mirror": LaserNoiseModel(h0=2.0, bumps=(ServoBump(50.0, 3e4, 5e3),),
+                              t_d=TD),
+    # sigma above the filter-lobe width f_res / N at every rate below
+    "wide": LaserNoiseModel(h0=0.5, bumps=(ServoBump(20.0, 2e6, 1.5e6),),
+                            t_d=TD),
+}
+
+
+@pytest.mark.parametrize("n_half", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RABI_MODELS))
+def test_rabi_error_matches_converged_reference(name, n_half):
+    m = RABI_MODELS[name]
+    for f_rabi in (0.2e6, 0.7e6, 1.3e6):
+        om = 2 * np.pi * f_rabi
+        assert rabi_error(m, om, n_half) == pytest.approx(
+            _converged_rabi_error(m, om, n_half), rel=1e-10, abs=0.0)
+    if name == "two-bump" and n_half == 2:
+        om = 2 * np.pi * 1e6
+        assert rabi_error(m, om, 2, f_max=20e6) == pytest.approx(
+            _converged_rabi_error(m, om, 2, f_max=20e6), rel=1e-10, abs=0.0)
+
+
 def test_rabi_error_input_validation():
     with pytest.raises(ValueError):
         rabi_error(white(1.0), -1.0, 2)
