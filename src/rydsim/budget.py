@@ -33,10 +33,14 @@ _PULSE_SEEDS = (
     (0.033823, 9.324450, 1.345996, 0.935179),
 )
 
-# coarse stepping (points per period) used only inside optimizer iterations,
-# stable for the blockade sector (B*dt ~ 0.5): an evaluation costs a third of
-# one at 100 points per period, and the optimum found lay within 1.6e-6 in
-# error of the 100-point one on both presets and four perturbed configs
+# coarse stepping (points per period) used only inside optimizer iterations.
+# It is not resolved for the blockade sector: on the projected Monte Carlo
+# gate (B/Omega = 26) the coarse objective takes the 16-step floor, where
+# B*h = 12.6 rad (B*h/2pi = 2.01, on the splitting error's second resonance
+# peak), against B*h = 1.63 rad at 100 points per period.  An evaluation
+# costs a third of one at 100 points per period, and the optimum found lay
+# within 1.6e-6 in error of the 100-point one on both presets and four
+# perturbed configs
 _COARSE_STEPS_PER_PERIOD = 12
 
 # optimizer restarts from perturbed seeds, and the evaluation limit of each

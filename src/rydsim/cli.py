@@ -52,7 +52,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid bounds must be finite: {spec!r}")
     if num < 1:
         raise ConfigError(f"grid needs at least one point: {spec!r}")
-    return np.linspace(lo, hi, num)
+    try:
+        return np.linspace(lo, hi, num)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate grid {spec!r}: {exc}") from exc
 
 
 def _read_text(path: str, build):

@@ -7,11 +7,9 @@ attached to each CZ: a symmetric two-qubit depolarizing channel (probability
 folds loss/leak into the blow-away convention: a lost atom reads dark (1), a
 leaked atom stays bright (0).  Per-qubit SPAM errors flip readout bits.
 
-Two evaluation paths exist: an exact density-channel computation (branching
-over loss/leak events) and a trajectory sampler; they agree in distribution
-and are cross-checked in the tests.  The sampler evolves each group of shots
-that share a history once, and keeps its random stream (see `simulate`):
-the same draws in the same order, so a seed's histograms never change.
+The channel is evaluated exactly, as a density matrix per loss/leak status
+(`exact_distribution`).  Shots are independent, so a sampled histogram is a
+multinomial draw from that distribution (`simulate`).
 """
 
 from __future__ import annotations
@@ -239,7 +237,7 @@ ACTIVE, LOST, LEAKED = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
-# exact density-channel path
+# the noisy channel: exact distribution and sampled histograms
 # ---------------------------------------------------------------------------
 
 def _depolarize(rho: np.ndarray, i: int, j: int, n: int, sigma: float,
@@ -260,13 +258,16 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
 
     Branches over per-CZ loss/leak events; a lost or leaked participant
     freezes (gates act as identity on its partner for that CZ) and reads out
-    dark (1) or bright (0) respectively.
+    dark (1) or bright (0) respectively.  Each branch is one unnormalized
+    density matrix keyed by its per-qubit status, so histories that leave the
+    same atoms lost or leaked are summed: at most 3^n branches.
     """
     circuit.validate()
     n = circuit.n
+    k = _state_index(input_label, n)
     rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    rho0[_state_index(input_label, n), _state_index(input_label, n)] = 1.0
-    branches = [(1.0, rho0, tuple([ACTIVE] * n))]
+    rho0[k, k] = 1.0
+    branches = {(ACTIVE,) * n: rho0}
 
     fates = [(p, code) for p, code in ((1.0 - noise.loss - noise.leak, ACTIVE),
                                        (noise.loss, LOST), (noise.leak, LEAKED))
@@ -276,20 +277,20 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
             q, u = _single(op)
             full = _lift(u, q, n)
             dag = full.conj().T
-            branches = [(w, full @ rho @ dag if status[q] == ACTIVE else rho,
-                         status) for w, rho, status in branches]
+            branches = {status: full @ rho @ dag if status[q] == ACTIVE else rho
+                        for status, rho in branches.items()}
             continue
         _, i, j = op
         d = _cz_diag(i, j, n)
-        nxt = []
-        for w, rho, status in branches:
+        nxt: dict[tuple, np.ndarray] = {}
+        for status, rho in branches.items():
             events = [(1.0, status)]
             for q in (i, j):
                 if status[q] == ACTIVE:
                     events = [(wq * p, st[:q] + (code,) + st[q + 1:])
                               for wq, st in events for p, code in fates]
             for wq, st in events:
-                r = rho
+                r = wq * rho
                 for q in (i, j):
                     if st[q] != status[q]:      # newly lost or leaked
                         p0, p1 = _projectors(q, n)
@@ -298,22 +299,18 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
                     r = d[:, None] * r * np.conj(d)[None, :]
                     r = _depolarize(r, i, j, n, noise.depolarizing,
                                     noise.depolarizing_mode)
-                nxt.append((w * wq, r, st))
+                nxt[st] = nxt[st] + r if st in nxt else r
         branches = nxt
 
     # readout
     out: dict[str, float] = {}
-    for w, rho, status in branches:
-        probs = np.real(np.diag(rho)).clip(min=0.0)
-        total = probs.sum()
-        if total > 0:
-            probs = probs / total
-        for idx, p in enumerate(probs):
+    for status, rho in branches.items():
+        for idx, p in enumerate(np.real(np.diag(rho)).clip(min=0.0)):
             if p <= 1e-16:
                 continue
             bits = [1 if status[q] == LOST else 0 if status[q] == LEAKED
                     else (idx >> (n - 1 - q)) & 1 for q in circuit.measured]
-            _accumulate_spam(out, bits, w * total * p, noise.spam)
+            _accumulate_spam(out, bits, p, noise.spam)
     return out
 
 
@@ -350,142 +347,26 @@ def predicted_fqnd(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     return total / len(input_labels)
 
 
-# ---------------------------------------------------------------------------
-# trajectory sampler
-# ---------------------------------------------------------------------------
-
-class _Trajectories:
-    """Shots grouped into classes that share a state and a status.
-
-    Row r is in class ``cls[r]``, with state ``states[cls[r]]`` and
-    per-qubit status ``status[cls[r]]``.  Each operation runs once per class
-    through the numpy calls a batch of rows would take, so every row's
-    floats are those of evolving the row itself.
-    """
-
-    def __init__(self, n: int, index: int, shots: int):
-        self.n, self.cls = n, np.zeros(shots, dtype=np.intp)
-        self.states = np.zeros((1, 2 ** n), dtype=complex)
-        self.states[0, index] = 1.0
-        self.status = np.zeros((1, n), dtype=np.int8)
-
-    def apply(self, u: np.ndarray, q: int, classes: np.ndarray):
-        """2x2 ``u`` on qubit q of the masked classes."""
-        if classes.any():
-            sel = self.states[classes]
-            shaped = sel.reshape(-1, 2 ** q, 2, 2 ** (self.n - 1 - q))
-            self.states[classes] = np.einsum("bj,iajc->iabc", u, shaped
-                                             ).reshape(sel.shape)
-
-    def branch(self, event: np.ndarray, kinds: int) -> np.ndarray:
-        """Split the classes by each row's event in [0, kinds); returns the
-        event of each new class.  The caller transforms those with event > 0."""
-        key = self.cls * kinds + event
-        occupied = np.bincount(key) > 0
-        codes = np.flatnonzero(occupied)
-        self.cls = (np.cumsum(occupied) - 1)[key]
-        self.states, self.status = (self.states[codes // kinds],
-                                    self.status[codes // kinds])
-        return codes % kinds
-
-    def twirl(self, hit: np.ndarray, picks: np.ndarray, qubits: tuple):
-        """Pauli string ``picks[r]`` (base 4, first qubit's Pauli most
-        significant) on ``qubits`` of each hit row."""
-        m = len(qubits)
-        code = self.branch(np.where(hit, 1 + picks, 0), 1 + 4 ** m)
-        for p in range(4 ** m):
-            for k, q in enumerate(qubits):
-                self.apply(_PAULIS[p // 4 ** (m - 1 - k) % 4], q, code == p + 1)
-
-    def measure(self, q: int, rows: np.ndarray, rng: np.random.Generator,
-                mark: int = ACTIVE) -> np.ndarray:
-        """Projective Z measurement with collapse on the masked rows; sets
-        their status on q to ``mark`` and returns each row's bit (0 off the
-        mask)."""
-        bits = np.zeros(self.cls.shape[0], dtype=np.intp)
-        if not rows.any():
-            return bits
-        shaped = (np.abs(self.states) ** 2).reshape(-1, 2 ** q, 2,
-                                                   2 ** (self.n - 1 - q))
-        p1 = shaped[:, :, 1, :].sum(axis=(1, 2))
-        tot = shaped.sum(axis=(1, 2, 3))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p1 = np.where(tot > 0, p1 / np.maximum(tot, 1e-300), 0.0)
-        bits[rows] = rng.random(np.count_nonzero(rows)) < p1[self.cls[rows]]
-        code = self.branch(np.where(rows, 1 + bits, 0), 3)
-        hit = code > 0
-        sel = self.states[hit].reshape(-1, 2 ** q, 2, 2 ** (self.n - 1 - q))
-        keep = np.zeros_like(sel)
-        idx, outcome = np.arange(sel.shape[0]), code[hit] - 1
-        keep[idx, :, outcome, :] = sel[idx, :, outcome, :]
-        norms = np.sqrt((np.abs(keep) ** 2).sum(axis=(1, 2, 3)))
-        keep /= np.maximum(norms, 1e-300)[:, None, None, None]
-        self.states[hit] = keep.reshape(-1, 2 ** self.n)
-        self.status[hit, q] = mark
-        return bits
-
-
 def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
              input_labels: list[str], shots: int,
              seed: int = 0) -> dict[str, dict[str, int]]:
-    """Trajectory sampling: per input label, a histogram over outcome strings.
+    """Per input label, a histogram of ``shots`` independent outcome strings.
 
-    Deterministic in (circuit, noise, input_labels, shots, seed).  Stream
-    contract, unchanged by the batched sampler: per label and CZ
-    participant, ``shots`` uniforms for loss/leak, then one per lost and
-    then per leaked row (row order) for the collapse; if any row has both
-    participants active and ``depolarizing > 0``, ``shots`` uniforms, then
-    ``shots`` integers in [0, 16) (two-qubit mode) or, per participant,
-    ``shots`` uniforms and integers in [0, 4); at readout, one uniform per
-    active row per measured qubit, then ``shots`` uniforms if ``spam > 0``.
-    Shots that share a history are evolved together (`_Trajectories`).
+    The shots are independent, so each histogram is one Multinomial(shots,
+    p) draw over the exact distribution p (`exact_distribution`).  Stream
+    contract: one ``default_rng(seed)``; labels in the order given, one
+    ``multinomial`` call each, over that label's outcomes in index order
+    (first measured qubit most significant) with p normalized by its sum.
     """
     circuit.validate()
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
-    n, m = circuit.n, len(circuit.measured)
     results: dict[str, dict[str, int]] = {}
     for label in input_labels:
-        traj = _Trajectories(n, _state_index(label, n), shots)
-        for op in circuit.ops:
-            if op[0] != "cz":
-                q, u = _single(op)
-                traj.apply(u, q, traj.status[:, q] == ACTIVE)
-                continue
-            _, i, j = op
-            for q in (i, j):
-                active = traj.status[traj.cls, q] == ACTIVE
-                draw = rng.random(shots)
-                lost = active & (draw < noise.loss)
-                traj.measure(q, lost, rng, LOST)
-                traj.measure(q, active & ~lost
-                             & (draw < noise.loss + noise.leak), rng, LEAKED)
-            cz = (traj.status[:, i] == ACTIVE) & (traj.status[:, j] == ACTIVE)
-            both = cz[traj.cls]
-            if not both.any():
-                continue
-            traj.states[cz] *= _cz_diag(i, j, n)
-            if noise.depolarizing > 0.0:
-                hit = both & (rng.random(shots) < noise.depolarizing)
-                if noise.depolarizing_mode == "two-qubit":
-                    traj.twirl(hit, rng.integers(0, 16, size=shots), (i, j))
-                else:
-                    for q in (i, j):
-                        hit = both & (rng.random(shots) < noise.depolarizing)
-                        traj.twirl(hit, rng.integers(0, 4, size=shots), (q,))
-
-        # readout with collapse, then status overrides and SPAM flips; each
-        # row's bits pack into an outcome index, first measured qubit first
-        index = np.zeros(shots, dtype=np.intp)
-        for q in circuit.measured:
-            status = traj.status[traj.cls, q]
-            bits = traj.measure(q, status == ACTIVE, rng)
-            bits[status == LOST] = 1
-            if noise.spam > 0.0:
-                bits ^= rng.random(shots) < noise.spam
-            index = 2 * index + bits
-        counts = np.bincount(index, minlength=2 ** m)
-        results[label] = {format(k, f"0{m}b"): int(c)
-                          for k, c in enumerate(counts) if c}
+        dist = exact_distribution(circuit, noise, label)
+        outcomes = sorted(dist)
+        p = np.array([dist[o] for o in outcomes])
+        counts = rng.multinomial(shots, p / p.sum())
+        results[label] = {o: int(c) for o, c in zip(outcomes, counts) if c}
     return results

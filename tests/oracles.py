@@ -68,9 +68,11 @@ def trajectory_rabi_error(h0: float, omega0: float, n_half: int,
 def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
     """Row-by-row QND trajectory sampler: every shot is its own state row.
 
-    The reference for ``rydsim.qnd.simulate``, which evolves shots that share
-    a history together: both draw the same random numbers in the same order
-    and perform the same arithmetic per row, so their histograms are equal.
+    An independent check of ``rydsim.qnd.exact_distribution``, which
+    ``rydsim.qnd.simulate`` draws its histograms from: each shot's loss and
+    leak are collapsed by a projective measurement, and its depolarizing by
+    a sampled Pauli string, so its histograms agree with the exact channel
+    only in distribution.
     """
     from rydsim.qnd import (ACTIVE, LEAKED, LOST, _PAULIS, _cz_diag, _single,
                             _state_index)

@@ -441,12 +441,13 @@ def test_laser_rabi_error_negative_h0_exit_code(tmp_path, capsys):
     assert "h0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["nan", "1e999"])
-@pytest.mark.parametrize("command, flag", [
+_GRID_COMMANDS = pytest.mark.parametrize("command, flag", [
     ("laser rabi-error", "--omega-grid"), ("sweep 2d", "--t-grid"),
     ("sweep adiabatic", "--powers")])
-def test_nonfinite_grid_bound_exit_code(tmp_path, gate_file, capsys, command,
-                                        flag, bound):
+
+
+def _run_grid(tmp_path, gate_file, command, flag, spec):
+    """Exit code of ``command`` with ``flag spec`` and valid other inputs."""
     model = tmp_path / "model.json"
     model.write_text(model_to_json(LaserNoiseModel(h0=2.0)))
     inputs = {"laser rabi-error": ["--model", str(model)],
@@ -454,10 +455,24 @@ def test_nonfinite_grid_bound_exit_code(tmp_path, gate_file, capsys, command,
               "sweep adiabatic": []}[command]
     if command != "laser rabi-error":
         inputs += ["--config", "current", "--gate", gate_file, "--shots", "100"]
+    return main(command.split() + inputs + [flag, spec,
+                                            "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("bound", ["nan", "1e999"])
+@_GRID_COMMANDS
+def test_nonfinite_grid_bound_exit_code(tmp_path, gate_file, capsys, command,
+                                        flag, bound):
     spec = f"{bound}:2:3"
-    rc = main(command.split() + inputs + [flag, spec,
-                                          "--out", str(tmp_path / "out")])
-    assert rc == 2
+    assert _run_grid(tmp_path, gate_file, command, flag, spec) == 2
+    assert spec in capsys.readouterr().err
+
+
+@_GRID_COMMANDS
+def test_oversized_grid_exit_code(tmp_path, gate_file, capsys, command, flag):
+    # a grid whose points cannot be allocated is a config error, not a crash
+    spec = "0.2:4:1000000000000"
+    assert _run_grid(tmp_path, gate_file, command, flag, spec) == 2
     assert spec in capsys.readouterr().err
 
 

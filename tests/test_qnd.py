@@ -3,7 +3,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rydsim.qnd import (CircuitError, NoiseChannelParams, PlaquetteCircuit,
                         Qubit, exact_distribution, ideal_outcome,
@@ -186,21 +186,44 @@ def noisy_circuits(draw):
     return circuit, noise, "".join(label)
 
 
+# every noise mechanism on a 4-qubit circuit with 8 CZs, deeper than the
+# golden ``mixed4``: loss and leak freeze atoms mid-circuit, so many
+# histories merge into one branch
+_EIGHT_CZ = (
+    parse_circuit("qubit d1 rb data\nqubit a1 cs ancilla\n"
+                  "qubit d2 rb data\nqubit a2 cs ancilla\n"
+                  "r all pi/3 0.4\ncz d1 a1\ncz d2 a1\ncz d2 a2\ncz d1 a2\n"
+                  "r cs pi/2 0\nrz d2 0.7\n"
+                  "cz d1 a1\ncz d2 a1\ncz d2 a2\ncz d1 a2\n"
+                  "r all pi/2 pi\nmeasure d1 a1 d2 a2\n"),
+    NoiseChannelParams(depolarizing=0.05, leak=0.03, loss=0.04, spam=0.02),
+    "0110")
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(noisy_circuits())
+@example(_EIGHT_CZ)
 def test_trajectories_match_exact_on_random_circuits(case):
     circuit, noise, label = case
     shots = 4000
     dist = exact_distribution(circuit, noise, label)
-    hist = simulate(circuit, noise, [label], shots=shots, seed=13)[label]
-    assert hist == simulate_rows(circuit, noise, [label], shots, seed=13)[label]
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-    assert sum(hist.values()) == shots
-    for outcome in set(dist) | set(hist):
-        p = dist.get(outcome, 0.0)
-        k = hist.get(outcome, 0)
-        sd = max(math.sqrt(shots * p * (1.0 - p)), 1.0)
-        assert abs(k - shots * p) <= 4.5 * sd, (outcome, p, k / shots)
+    for hist in (simulate(circuit, noise, [label], shots=shots, seed=13)[label],
+                 simulate_rows(circuit, noise, [label], shots, seed=13)[label]):
+        assert sum(hist.values()) == shots
+        for outcome in set(dist) | set(hist):
+            p = dist.get(outcome, 0.0)
+            k = hist.get(outcome, 0)
+            sd = max(math.sqrt(shots * p * (1.0 - p)), 1.0)
+            assert abs(k - shots * p) <= 4.5 * sd, (outcome, p, k / shots)
+
+
+def test_histograms_at_huge_shot_counts(qnd3):
+    noise = NoiseChannelParams(depolarizing=0.025, leak=0.01, loss=0.02,
+                               spam=0.01)
+    labels = [format(i, "03b") for i in range(8)]
+    hists = simulate(qnd3, noise, labels, shots=10 ** 12)
+    assert [sum(hists[label].values()) for label in labels] == [10 ** 12] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +288,8 @@ def _golden_circuit(golden, name):
 
 def test_golden_simulate_pins_histograms():
     """(circuit, noise, labels, shots, seed) -> histograms is fixed; a
-    change to the trajectory sampler's random stream fails here."""
+    change to the multinomial draws or to the distributions they are drawn
+    from fails here."""
     golden = _golden()
     spec = golden["simulate"]
     for case in spec["cases"]:
