@@ -34,13 +34,14 @@ _PULSE_SEEDS = (
 )
 
 # coarse stepping (points per period) used only inside optimizer iterations.
-# It is not resolved for the blockade sector: on the projected Monte Carlo
-# gate (B/Omega = 26) the coarse objective takes the 16-step floor, where
-# B*h = 12.6 rad (B*h/2pi = 2.01, on the splitting error's second resonance
-# peak), against B*h = 1.63 rad at 100 points per period.  An evaluation
-# costs a third of one at 100 points per period, and the optimum found lay
-# within 1.6e-6 in error of the 100-point one on both presets and four
-# perturbed configs
+# On the projected Monte Carlo gate (B/Omega = 26) the single-atom sectors
+# take the 16-step floor, and so would the [1:, 1:] sector, at B*h/2pi =
+# 2.01 on the splitting error's second resonance peak; the blockade floor
+# gives it 43 steps instead (B*h/2pi = 0.75), against 87 at the default 70
+# points per period (B*h/2pi = 0.37).  An evaluation costs half of one at 70
+# points per period.  Before the blockade floor, the optimum found lay within
+# 1.6e-6 in error of the 100-point one on both presets and four perturbed
+# configs
 _COARSE_STEPS_PER_PERIOD = 12
 
 # optimizer restarts from perturbed seeds, and the evaluation limit of each

@@ -13,7 +13,10 @@ Hamiltonian is constant per shot and only a diagonal frame phase, shared by
 all shots, changes with time.  A step is Suzuki's fourth-order composition
 of five exponential-midpoint stages; each applies one of two per-shot
 propagators exp(-i tau H0), built once per call, which take the constant
-blockade shift exactly: the step count does not grow with it, the error does.
+blockade shift B exactly.  The splitting error still peaks where B h is a
+multiple of 2 pi (h the step length; Hairer, Lubich & Wanner, Geometric
+Numerical Integration, ch. XIII), so the [1:, 1:] sector takes enough steps
+to keep B h / 2 pi at or below 0.75, below the first peak.
 
 `GateParams` is the one description of the pulse, shared by every shot; a
 `DriveBatch` (built by `noise.resolve_drive_batch`) holds the per-shot drives
@@ -162,10 +165,17 @@ def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
 _MIN_STEPS = 16
 _MAX_STEPS = 5_000_000
 
+# the [1:, 1:] sector takes at least 4/3 steps per period of the largest
+# blockade of its batch, so B h / 2 pi <= 0.75.  On the nominal projected
+# drives at 70 points per period, the Bell error is within 7.7e-9 of a
+# 3200-point run from B h / 2 pi = 0.5 to 0.75, 1.2e-8 off at 0.8 and
+# 1.3e-5 and 1.7e-5 off at 1 and 2 (the scan is in CHANGES.md)
+_BLOCKADE_STEPS_PER_PERIOD = 4.0 / 3.0
 
-def _steps_for(duration: float, scale: float, steps_per_period: int) -> int:
-    """Steps resolving the period of ``scale``, a sector's fastest
-    non-blockade angular frequency, with ``steps_per_period`` points."""
+
+def _steps_for(duration: float, scale: float, steps_per_period: float) -> int:
+    """Steps resolving the period of the angular frequency ``scale`` with
+    ``steps_per_period`` points."""
     dt_max = TWO_PI / (steps_per_period * max(scale, TWO_PI / duration))
     steps = duration / dt_max if dt_max > 0 else math.inf
     if not steps <= _MAX_STEPS:
@@ -279,15 +289,17 @@ def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int):
 
 
 def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
-                 steps_per_period: int = 100) -> np.ndarray:
+                 steps_per_period: int = 70) -> np.ndarray:
     """Evolve a batch of 9-dim amplitude vectors through the pulse ``gate``
     under per-shot drives.
 
     psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
     for norm loss.  Each sector takes one fixed step count for the whole
     batch: ``steps_per_period`` points per period of the batch's fastest
-    non-blockade frequency, and at least 16 (`_steps_for`).  The default of
-    100 keeps the norm drift of a decay-free gate below 1e-9.  Raises
+    non-blockade frequency, and at least 16 (`_steps_for`); the [1:, 1:]
+    sector takes more where the batch's largest blockade B needs them to
+    keep B h / 2 pi <= 0.75.  At the default of 70 a sampled shot's Bell
+    error is within 2e-8 of an 800-point run on both presets.  Raises
     IntegrationError before stepping if a shot's drive holds a non-finite
     value or a negative Rabi frequency, or a sector needs more than
     `_MAX_STEPS` steps, and after stepping if any shot's norm grew by more
@@ -315,11 +327,15 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     diag_ab[1, 1] += batch.blockade
     # (level of A, level of B, shot), a view of psi
     amps = psi.reshape(n, 3, 3).transpose(1, 2, 0)
-    for sector, sector_scale, sector_diag, omegas in (
-            (np.s_[1:, G0], scale[0], diag[0], batch.omega[:1]),
-            (np.s_[G0, 1:], scale[1], diag[1], batch.omega[1:]),
-            (np.s_[1:, 1:], max(scale), diag_ab, batch.omega)):
-        nsteps = _steps_for(gate.duration, sector_scale, steps_per_period)
+    steps = [_steps_for(gate.duration, s, steps_per_period)
+             for s in (scale[0], scale[1], max(scale))]
+    steps[2] = max(steps[2], _steps_for(
+        gate.duration, float(np.max(np.abs(batch.blockade))),
+        _BLOCKADE_STEPS_PER_PERIOD))
+    for sector, nsteps, sector_diag, omegas in (
+            (np.s_[1:, G0], steps[0], diag[0], batch.omega[:1]),
+            (np.s_[G0, 1:], steps[1], diag[1], batch.omega[1:]),
+            (np.s_[1:, 1:], steps[2], diag_ab, batch.omega)):
         amps[sector] = _evolve_sector(amps[sector], sector_diag, omegas,
                                       gate, nsteps)
 
@@ -429,7 +445,7 @@ def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
 
 
 def pulse_state_nominal(gate: GateParams, batch: DriveBatch,
-                        steps_per_period: int = 100) -> np.ndarray:
+                        steps_per_period: int = 70) -> np.ndarray:
     """Post-pulse (n, 9) amplitudes from the Bell prep state (pre-Rz)."""
     psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
     return evolve_batch(psi0, batch, gate, steps_per_period)

@@ -77,6 +77,11 @@ class PlaquetteCircuit:
             raise CircuitError("circuits support 1 to 4 qubits")
         if not self.measured:
             raise CircuitError("no measured qubits declared")
+        repeated = sorted({self.qubits[i].name for i in self.measured
+                           if self.measured.count(i) > 1})
+        if repeated:
+            raise CircuitError(
+                f"qubits measured more than once: {' '.join(repeated)}")
         if any(op[0] == "cz" and {self.qubits[op[1]].role,
                                   self.qubits[op[2]].role} != {"data", "ancilla"}
                for op in self.ops):

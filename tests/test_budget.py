@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -235,3 +237,36 @@ def test_report_dict_round_trips(current_params, current_opt):
     doc = rep.as_dict()
     assert doc["shots"] == 100 and doc["seed"] == 1
     assert set(doc["mask"]) == set(MechanismMask().as_dict())
+
+
+# ---------------------------------------------------------------------------
+# golden Monte Carlo pin
+# ---------------------------------------------------------------------------
+
+_GOLDEN_MC = Path(__file__).parent / "golden_mc.json"
+
+
+def monte_carlo_pins(gate: GateParams) -> dict:
+    """Per preset, float.hex of `monte_carlo_error`'s mean and std and its
+    first 16 per-shot errors, on 512 shots (seed 7) through ``gate``."""
+    pins = {}
+    for preset in ("current", "projected"):
+        rep = monte_carlo_error(load_preset(preset), gate, shots=512, seed=7)
+        pins[preset] = {"mean_error": rep.mean_error.hex(),
+                        "std_error": rep.std_error.hex(),
+                        "errors": [float(e).hex() for e in rep.errors[:16]]}
+    return pins
+
+
+def repin_golden_mc():
+    """Rewrite the pins of ``golden_mc.json`` from the code as it stands."""
+    golden = json.loads(_GOLDEN_MC.read_text())
+    golden["pins"] = monte_carlo_pins(GateParams(**golden["gate"]))
+    _GOLDEN_MC.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+def test_golden_monte_carlo_pins_errors():
+    """(params, gate, shots, seed) -> Monte Carlo bytes is fixed; an engine,
+    step-count or sampler change that moves them fails here."""
+    golden = json.loads(_GOLDEN_MC.read_text())
+    assert monte_carlo_pins(GateParams(**golden["gate"])) == golden["pins"]

@@ -671,6 +671,18 @@ def test_qnd_simulate_bad_circuit_exit_code(tmp_path):
     assert rc == 4
 
 
+def test_qnd_simulate_repeated_measurement_exit_code(tmp_path, capsys):
+    # refused before the 2^30 SPAM patterns of 30 measured entries are summed
+    bad = tmp_path / "repeat.txt"
+    bad.write_text("qubit d rb data\nqubit a cs ancilla\nr all pi/2 0\n"
+                   "cz d a\nmeasure" + " d a" * 15 + "\n")
+    rc = main(["qnd", "simulate", "--circuit", str(bad), "--spam", "0.01",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert "measured more than once: a d" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
 def test_qnd_simulate_non_utf8_circuit_exit_code(tmp_path):
     bad = tmp_path / "utf16.txt"
     bad.write_bytes(b"\xff\xfe" + "qubit a rb data\n".encode("utf-16-le"))

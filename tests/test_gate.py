@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,7 +386,8 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
                          [(12.0, 1000), (100.0, 2000), (1000.0, 16000)])
 def test_batched_engine_matches_dense_reference(b_mhz, ref_steps):
     # the reference RK4 resolves the blockade (B dt ~ 0.016 at 1 GHz); the
-    # batch takes its default 100 steps at every blockade
+    # batch's [1:, 1:] sector takes the 16-step floor at 12 and 100 MHz and
+    # the blockade floor of 54 steps (B h / 2 pi = 0.74) at 1 GHz
     rng = np.random.default_rng(2)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
@@ -466,15 +469,75 @@ def test_sampled_shots_match_dense_reference(preset, request):
             ref, gate.virtual_rz)) <= 1e-7
 
 
-def test_step_count_does_not_scale_with_blockade(monkeypatch):
-    # a step rule resolving the blockade would need 10^5 steps here; the
-    # phase bandwidth sets 143
-    monkeypatch.setattr(gate_mod, "_MAX_STEPS", 400)
+def _sector_steps(monkeypatch):
+    """Step counts of every `_evolve_sector` call, in call order."""
+    steps, evolve = [], gate_mod._evolve_sector
+
+    def counted(psi, diag, omegas, gate, nsteps):
+        steps.append(nsteps)
+        return evolve(psi, diag, omegas, gate, nsteps)
+    monkeypatch.setattr(gate_mod, "_evolve_sector", counted)
+    return steps
+
+
+def test_blockade_sector_steps_grow_linearly_with_blockade(monkeypatch):
+    # the [1:, 1:] sector takes 4/3 steps per blockade period once that is
+    # more than the 101 the phase bandwidth sets: 1334 at 1 GHz, where 101
+    # steps (B h / 2 pi = 9.9) are 1.1e-5 off
+    steps = _sector_steps(monkeypatch)
     omega = 2 * np.pi * 1.2e6
-    da = drive(rabi=omega)
-    batch = pair(da, da, 2 * np.pi * 1000e6)
-    out = evolve_batch(bell_prep_state()[None, :], batch, phase_mod(1e-6))
-    assert abs(np.sum(np.abs(out) ** 2) - 1.0) <= 1e-9
+    gate, psi0 = phase_mod(1e-6), bell_prep_state()[None, :]
+    counts = {}
+    for b_mhz in (12.0, 250.0, 500.0, 1000.0):
+        batch = pair(drive(rabi=omega), drive(rabi=omega),
+                     2 * np.pi * b_mhz * 1e6)
+        out = evolve_batch(psi0, batch, gate, steps_per_period=70)[0]
+        counts[b_mhz] = steps[-1]
+    assert counts[12.0] == steps[0] == 101
+    assert counts[1000.0] == math.ceil(1000e6 * gate.duration / 0.75) == 1334
+    for b_mhz in (500.0, 1000.0):
+        assert counts[b_mhz] <= 2 * counts[b_mhz / 2]
+    fine = evolve_batch(psi0, batch, gate, steps_per_period=3200)[0]
+    assert np.max(np.abs(out - fine)) <= 1e-7
+
+
+@pytest.mark.parametrize("turns", [1.0, 2.0])
+@pytest.mark.parametrize("drives", ["phase_mod", "projected"])
+def test_blockade_resonance_is_stepped_over(drives, turns, projected_params):
+    # the splitting error peaks where B h / 2 pi is a whole number; without
+    # the blockade step floor these pulses are 3.6e-6 and 4.7e-6 off
+    # (phase_mod) and 1.3e-5 and 1.7e-5 (projected, on the benchmark gate
+    # pinned in golden_mc.json) at 70 points
+    if drives == "projected":
+        gate = GateParams(**json.loads(
+            (Path(__file__).parent / "golden_mc.json").read_text())["gate"])
+        batch = resolve_drives(projected_params, gate)
+    else:
+        omega = 2 * np.pi * 1.2e6
+        gate = phase_mod(1e-6)
+        batch = pair(drive(rabi=omega), drive(rabi=omega), 0.0)
+    scale = max(float(np.max(np.abs(np.stack([batch.omega, batch.delta])))),
+                gate_mod.phase_bandwidth(gate))
+    h = gate.duration / gate_mod._steps_for(gate.duration, scale, 70)
+    batch.blockade[:] = turns * 2 * np.pi / h
+    err, ref = (bell_error_from_pulse_state(
+        pulse_state_nominal(gate, batch, steps)[0], gate.virtual_rz)
+        for steps in (70, 3200))
+    assert abs(err - ref) <= 1e-7
+
+
+@pytest.mark.parametrize("preset", ["current", "projected"])
+def test_sampled_shot_step_error(preset, request):
+    # the scheme is fourth order, so |e(70) - e(140)| * 16/15 estimates the
+    # step error of e(70) per shot
+    params = request.getfixturevalue(f"{preset}_params")
+    gate = request.getfixturevalue(f"{preset}_opt").gate
+    batch = resolve_drive_batch(params, sample_shots(params, 7, 256),
+                                MechanismMask(), gate)
+    e70, e140 = (bell_error_from_pulse_state(
+        pulse_state_nominal(gate, batch, steps), gate.virtual_rz)
+        for steps in (70, 140))
+    assert np.max(np.abs(e70 - e140)) * 16.0 / 15.0 <= 1e-7
 
 
 def test_norm_growth_raises():

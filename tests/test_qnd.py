@@ -47,6 +47,13 @@ def test_cz_must_pair_data_with_ancilla():
                       "cz d1 d2\nmeasure d1 d2\n")
 
 
+def test_parse_rejects_qubit_measured_twice():
+    # each repeat would double the SPAM patterns exact_distribution sums
+    with pytest.raises(CircuitError, match="measured more than once: d$"):
+        parse_circuit("qubit d rb data\nqubit a cs ancilla\ncz d a\n"
+                      "measure d a d\n")
+
+
 def test_parse_angles_and_species_targets():
     c = parse_circuit(
         "qubit d rb data\nqubit a cs ancilla\n"
