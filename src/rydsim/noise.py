@@ -268,8 +268,12 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
         rng.random(out=row[20:22])
         rng.standard_normal(out=row[22:])
 
+    # sized first, so that a count numpy cannot allocate fails before hashing
+    try:
+        draws = np.empty((shots, 26))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate {shots} shots: {exc}") from exc
     seeded = _pcg64_states(seed, start_index, shots)
-    draws = np.empty((shots, 26))
     for state_inc, row in zip(seeded, draws):
         fixed_block(state_inc, row)
     # Generator.normal and .uniform, as the stream is defined, return

@@ -8,14 +8,15 @@ folds loss/leak into the blow-away convention: a lost atom reads dark (1), a
 leaked atom stays bright (0).  Per-qubit SPAM errors flip readout bits.
 
 The channel is evaluated exactly, as a density matrix per loss/leak status
-(`exact_distribution`).  Shots are independent, so a sampled histogram is a
-multinomial draw from that distribution (`simulate`).
+(`exact_distribution`).  The depolarizing Pauli twirl on a qubit is the
+partial trace Tr_q(rho) (x) I/2, and SPAM is one bit flip per measured
+qubit on the outcome distribution.  Shots are independent, so a sampled
+histogram is a multinomial draw from that distribution (`simulate`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -179,12 +180,6 @@ def parse_circuit(text: str) -> PlaquetteCircuit:
 # operators
 # ---------------------------------------------------------------------------
 
-_PAULIS = [np.eye(2, dtype=complex),
-           np.array([[0, 1], [1, 0]], dtype=complex),
-           np.array([[0, -1j], [1j, 0]], dtype=complex),
-           np.array([[1, 0], [0, -1]], dtype=complex)]
-
-
 def _rot(theta: float, phi: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -1j * np.exp(-1j * phi) * s],
@@ -204,26 +199,17 @@ def _lift(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _paulis_on(qubits: tuple[int, ...], n: int) -> tuple:
-    """Read-only (P, P^dagger) for each Pauli string on ``qubits``, lifted
-    onto n qubits, with the first qubit's Pauli varying slowest."""
-    ops = []
-    for picks in itertools.product(range(4), repeat=len(qubits)):
-        op = _lift(_PAULIS[picks[0]], qubits[0], n)
-        for p, q in zip(picks[1:], qubits[1:]):
-            op = op @ _lift(_PAULIS[p], q, n)
-        dag = op.conj().T
-        op.flags.writeable = dag.flags.writeable = False
-        ops.append((op, dag))
-    return tuple(ops)
-
-
-@functools.lru_cache(maxsize=None)
-def _projectors(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    p0, p1 = (_lift(np.diag(d).astype(complex), qubit, n)
-              for d in ([1.0, 0.0], [0.0, 1.0]))
-    p0.flags.writeable = p1.flags.writeable = False
-    return p0, p1
+def _bit_tables(n: int) -> tuple[list, list]:
+    """Per qubit q, over the entries of a 2^n x 2^n matrix: ``same[q]`` is 1
+    where bit q of the row index equals bit q of the column index, else 0;
+    ``flipped[q]`` is the flat index of the entry with bit q flipped in both
+    the row and the column index."""
+    bit = (1 << np.arange(n - 1, -1, -1))[:, None, None]
+    row, col = np.arange(2 ** n)[:, None], np.arange(2 ** n)
+    same = ((row ^ col) & bit == 0).astype(complex)
+    flipped = (row ^ bit) * 2 ** n + (col ^ bit)
+    same.flags.writeable = flipped.flags.writeable = False
+    return list(same), list(flipped)
 
 
 def _cz_diag(i: int, j: int, n: int) -> np.ndarray:
@@ -245,18 +231,6 @@ ACTIVE, LOST, LEAKED = 0, 1, 2
 # the noisy channel: exact distribution and sampled histograms
 # ---------------------------------------------------------------------------
 
-def _depolarize(rho: np.ndarray, i: int, j: int, n: int, sigma: float,
-                mode: str) -> np.ndarray:
-    if sigma == 0.0:
-        return rho
-    for qubits in [(i, j)] if mode == "two-qubit" else [(i,), (j,)]:
-        acc = np.zeros_like(rho)
-        for op, dag in _paulis_on(qubits, n):
-            acc += op @ rho @ dag
-        rho = (1.0 - sigma) * rho + (sigma / 4 ** len(qubits)) * acc
-    return rho
-
-
 def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
                        input_label: str) -> dict[str, float]:
     """Outcome distribution over measured-qubit bit strings (exact channel).
@@ -266,6 +240,13 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     dark (1) or bright (0) respectively.  Each branch is one unnormalized
     density matrix keyed by its per-qubit status, so histories that leave the
     same atoms lost or leaked are summed: at most 3^n branches.
+
+    The depolarizing twirl on a qubit is a partial trace, Tr_q(rho) (x) I/2
+    (two-qubit mode: the twirl on one participant, then on the other).  A
+    lost or leaked atom is not projected: no later gate acts on it and its
+    readout bit is fixed, so its coherences never reach the diagonal that
+    readout sums onto the measured outcomes.  SPAM then flips one measured
+    bit at a time.
     """
     circuit.validate()
     n = circuit.n
@@ -273,6 +254,8 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho0[k, k] = 1.0
     branches = {(ACTIVE,) * n: rho0}
+    same, flipped = _bit_tables(n)
+    sigma = noise.depolarizing
 
     fates = [(p, code) for p, code in ((1.0 - noise.loss - noise.leak, ACTIVE),
                                        (noise.loss, LOST), (noise.leak, LEAKED))
@@ -287,6 +270,8 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
             continue
         _, i, j = op
         d = _cz_diag(i, j, n)
+        twirled = ([(i, j)] if noise.depolarizing_mode == "two-qubit"
+                   else [(i,), (j,)])
         nxt: dict[tuple, np.ndarray] = {}
         for status, rho in branches.items():
             events = [(1.0, status)]
@@ -296,39 +281,36 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
                               for wq, st in events for p, code in fates]
             for wq, st in events:
                 r = wq * rho
-                for q in (i, j):
-                    if st[q] != status[q]:      # newly lost or leaked
-                        p0, p1 = _projectors(q, n)
-                        r = p0 @ r @ p0 + p1 @ r @ p1
                 if st[i] == ACTIVE and st[j] == ACTIVE:
                     r = d[:, None] * r * np.conj(d)[None, :]
-                    r = _depolarize(r, i, j, n, noise.depolarizing,
-                                    noise.depolarizing_mode)
+                    for qubits in twirled if sigma else ():
+                        t = r
+                        for q in qubits:        # Tr_q(t) (x) I/2
+                            t = 0.5 * (t + t.take(flipped[q])) * same[q]
+                        r = (1.0 - sigma) * r + sigma * t
                 nxt[st] = nxt[st] + r if st in nxt else r
         branches = nxt
 
-    # readout
-    out: dict[str, float] = {}
-    for status, rho in branches.items():
-        for idx, p in enumerate(np.real(np.diag(rho)).clip(min=0.0)):
-            if p <= 1e-16:
-                continue
-            bits = [1 if status[q] == LOST else 0 if status[q] == LEAKED
-                    else (idx >> (n - 1 - q)) & 1 for q in circuit.measured]
-            _accumulate_spam(out, bits, p, noise.spam)
-    return out
-
-
-def _accumulate_spam(out: dict, bits: list[int], weight: float, spam: float):
-    """Add ``weight`` to the outcome ``bits``, spread over SPAM flips."""
-    for flips in range(2 ** len(bits)) if spam else (0,):
-        w, key = weight, ""
-        for k, b in enumerate(bits):
-            flip = (flips >> k) & 1
-            w *= spam if flip else 1.0 - spam
-            key += str(b ^ flip)
-        if w != 0.0:
-            out[key] = out.get(key, 0.0) + w
+    # readout: every branch's diagonal onto the measured outcomes, the
+    # first measured qubit most significant
+    status = np.array(list(branches))
+    p = np.array([rho.diagonal().real for rho in branches.values()])
+    p[p <= 1e-16] = 0.0
+    idx = np.arange(2 ** n)
+    key = 0
+    for q in circuit.measured:
+        st = status[:, q, None]
+        key = 2 * key + np.where(st == ACTIVE, (idx >> (n - 1 - q)) & 1,
+                                 st == LOST)
+    m = len(circuit.measured)
+    probs = np.bincount(key.ravel(), weights=p.ravel(), minlength=2 ** m)
+    if noise.spam:
+        probs = probs.reshape((2,) * m)
+        for axis in range(m):
+            probs = ((1.0 - noise.spam) * probs
+                     + noise.spam * np.flip(probs, axis))
+    return {format(o, f"0{m}b"): p
+            for o, p in enumerate(probs.ravel().tolist()) if p > 0.0}
 
 
 def ideal_outcome(circuit: PlaquetteCircuit, input_label: str) -> str:
@@ -366,6 +348,8 @@ def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     circuit.validate()
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
+    if shots > np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
     rng = np.random.default_rng(seed)
     results: dict[str, dict[str, int]] = {}
     for label in input_labels:

@@ -1,6 +1,15 @@
 """Independent numerical oracles used by the unit and acceptance tests."""
 
+import functools
+import itertools
+
 import numpy as np
+
+# I, X, Y, Z
+PAULIS = [np.eye(2, dtype=complex),
+          np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex)]
 
 
 def trajectory_rabi_error(h0: float, omega0: float, n_half: int,
@@ -74,7 +83,7 @@ def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
     a sampled Pauli string, so its histograms agree with the exact channel
     only in distribution.
     """
-    from rydsim.qnd import (ACTIVE, LEAKED, LOST, _PAULIS, _cz_diag, _single,
+    from rydsim.qnd import (ACTIVE, LEAKED, LOST, _cz_diag, _single,
                             _state_index)
 
     def apply(psi, u, q, rows):
@@ -132,14 +141,14 @@ def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
             if noise.depolarizing_mode == "two-qubit":
                 picks = rng.integers(0, 16, size=shots)
                 for p in np.unique(picks[hit]):
-                    apply(psi, _PAULIS[p // 4], i, hit & (picks == p))
-                    apply(psi, _PAULIS[p % 4], j, hit & (picks == p))
+                    apply(psi, PAULIS[p // 4], i, hit & (picks == p))
+                    apply(psi, PAULIS[p % 4], j, hit & (picks == p))
             else:
                 for q in (i, j):
                     hit_q = both & (rng.random(shots) < noise.depolarizing)
                     picks = rng.integers(0, 4, size=shots)
                     for p in np.unique(picks[hit_q]):
-                        apply(psi, _PAULIS[p], q, hit_q & (picks == p))
+                        apply(psi, PAULIS[p], q, hit_q & (picks == p))
         hist = {}
         bits = np.zeros((shots, len(circuit.measured)), dtype=np.int64)
         for k, q in enumerate(circuit.measured):
@@ -153,6 +162,99 @@ def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
             hist[key] = hist.get(key, 0) + 1
         results[label] = hist
     return results
+
+
+def exact_distribution_reference(circuit, noise, input_label: str) -> dict:
+    """Branch-by-branch exact QND channel, by explicit operator sums.
+
+    The same channel as ``rydsim.qnd.exact_distribution``, written out
+    term by term: depolarizing as the sum of Pauli sandwiches P rho P^dagger
+    over every Pauli string on the CZ pair (two-qubit mode) or on each
+    participant in turn, a new loss or leak as the projector pair
+    p0 rho p0 + p1 rho p1, and SPAM as a sum over all 2^m flip patterns of
+    the m measured bits.  Branches are keyed by per-qubit loss/leak status.
+    """
+    from rydsim.qnd import (ACTIVE, LEAKED, LOST, _cz_diag, _single,
+                            _state_index)
+
+    def lift(u, qubit):
+        return functools.reduce(np.kron, [u if k == qubit else PAULIS[0]
+                                          for k in range(n)])
+
+    def pauli_strings(qubits):
+        for picks in itertools.product(range(4), repeat=len(qubits)):
+            op = np.eye(2 ** n, dtype=complex)
+            for p, q in zip(picks, qubits):
+                op = op @ lift(PAULIS[p], q)
+            yield op
+
+    def depolarize(rho, i, j):
+        sigma = noise.depolarizing
+        if sigma == 0.0:
+            return rho
+        for qubits in ([(i, j)] if noise.depolarizing_mode == "two-qubit"
+                       else [(i,), (j,)]):
+            acc = np.zeros_like(rho)
+            for op in pauli_strings(qubits):
+                acc += op @ rho @ op.conj().T
+            rho = (1.0 - sigma) * rho + (sigma / 4 ** len(qubits)) * acc
+        return rho
+
+    circuit.validate()
+    n = circuit.n
+    k = _state_index(input_label, n)
+    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho0[k, k] = 1.0
+    branches = {(ACTIVE,) * n: rho0}
+    fates = [(p, code) for p, code in ((1.0 - noise.loss - noise.leak, ACTIVE),
+                                       (noise.loss, LOST), (noise.leak, LEAKED))
+             if p != 0.0]
+    for op in circuit.ops:
+        if op[0] != "cz":
+            q, u = _single(op)
+            full = lift(u, q)
+            branches = {status: full @ rho @ full.conj().T
+                        if status[q] == ACTIVE else rho
+                        for status, rho in branches.items()}
+            continue
+        _, i, j = op
+        d = _cz_diag(i, j, n)
+        nxt = {}
+        for status, rho in branches.items():
+            events = [(1.0, status)]
+            for q in (i, j):
+                if status[q] == ACTIVE:
+                    events = [(wq * p, st[:q] + (code,) + st[q + 1:])
+                              for wq, st in events for p, code in fates]
+            for wq, st in events:
+                r = wq * rho
+                for q in (i, j):
+                    if st[q] != status[q]:      # newly lost or leaked
+                        p0, p1 = (lift(np.diag(v).astype(complex), q)
+                                  for v in ([1.0, 0.0], [0.0, 1.0]))
+                        r = p0 @ r @ p0 + p1 @ r @ p1
+                if st[i] == ACTIVE and st[j] == ACTIVE:
+                    r = depolarize(d[:, None] * r * np.conj(d)[None, :], i, j)
+                nxt[st] = nxt[st] + r if st in nxt else r
+        branches = nxt
+
+    out = {}
+    spam = noise.spam
+    for status, rho in branches.items():
+        for idx, p in enumerate(np.real(np.diag(rho)).clip(min=0.0)):
+            if p <= 1e-16:
+                continue
+            bits = [1 if status[q] == LOST else 0 if status[q] == LEAKED
+                    else (idx >> (n - 1 - q)) & 1 for q in circuit.measured]
+            for flips in range(2 ** len(bits)) if spam else (0,):
+                w, key = p, ""
+                for b_k, b in enumerate(bits):
+                    flip = (flips >> b_k) & 1
+                    w *= spam if flip else 1.0 - spam
+                    key += str(b ^ flip)
+                if w != 0.0:
+                    out[key] = out.get(key, 0.0) + w
+    return out
 
 
 def bell_error_matrix_form(psi_after_pulse, rz):

@@ -328,6 +328,20 @@ def test_too_few_shots_exit_code_before_sampling(tmp_path, gate_file, capsys,
     assert "shots must be >= 100, got -3" in capsys.readouterr().err
 
 
+# more shots than numpy can size an array for: nothing is allocated, so the
+# count cannot pass by allocating lazily
+HUGE_SHOTS = "100000000000000000000000"
+
+
+@pytest.mark.parametrize("command", ["budget run", "budget exclude"])
+def test_unallocatable_shots_exit_code(tmp_path, gate_file, capsys, command):
+    rc = main(command.split() + [
+        "--config", "current", "--gate", gate_file, "--shots", HUGE_SHOTS,
+        "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"cannot allocate {HUGE_SHOTS} shots" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, inputs", [
     ("budget run", []), ("budget exclude", []),
     ("sweep 2d", ["--t-grid", "4:4:1", "--p-grid", "2.8:2.8:1"]),
@@ -696,6 +710,14 @@ def test_qnd_simulate_nonpositive_shots_exit_code(tmp_path, capsys, shots):
                "--shots", shots, "--out", str(tmp_path)])
     assert rc == 2
     assert "shots must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "histogram.csv").exists()
+
+
+def test_qnd_simulate_shots_beyond_int64_exit_code(tmp_path, capsys):
+    rc = main(["qnd", "simulate", "--circuit", circuit_path("qnd2"),
+               "--shots", HUGE_SHOTS, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "shots must be at most 2**63 - 1" in capsys.readouterr().err
     assert not (tmp_path / "histogram.csv").exists()
 
 

@@ -1,5 +1,8 @@
+import json
 import math
+from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from rydsim.qnd import (CircuitError, NoiseChannelParams, PlaquetteCircuit,
                         Qubit, exact_distribution, ideal_outcome,
                         parse_circuit, predicted_fqnd, simulate)
 
-from oracles import simulate_rows
+from oracles import exact_distribution_reference, simulate_rows
 
 
 def load_circuit(name):
@@ -48,7 +51,8 @@ def test_cz_must_pair_data_with_ancilla():
 
 
 def test_parse_rejects_qubit_measured_twice():
-    # each repeat would double the SPAM patterns exact_distribution sums
+    # a repeated qubit has one readout bit, so a second entry for it in
+    # ``measure`` would be a duplicate, not a second measurement
     with pytest.raises(CircuitError, match="measured more than once: d$"):
         parse_circuit("qubit d rb data\nqubit a cs ancilla\ncz d a\n"
                       "measure d a d\n")
@@ -225,6 +229,40 @@ def test_trajectories_match_exact_on_random_circuits(case):
             assert abs(k - shots * p) <= 4.5 * sd, (outcome, p, k / shots)
 
 
+def _assert_matches_reference(circuit, noise, label):
+    got = exact_distribution(circuit, noise, label)
+    ref = exact_distribution_reference(circuit, noise, label)
+    assert set(got) == set(ref)
+    for outcome, p in ref.items():
+        assert abs(got[outcome] - p) <= 1e-14, (outcome, got[outcome], p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(noisy_circuits())
+@example(_EIGHT_CZ)
+@example((_EIGHT_CZ[0],
+          replace(_EIGHT_CZ[1], depolarizing_mode="one-qubit-each"),
+          _EIGHT_CZ[2]))
+def test_exact_distribution_matches_operator_sums(case):
+    """The partial-trace twirl, the coherence masks and the per-qubit SPAM
+    flips give the Pauli sums, projector pairs and flip patterns they
+    replace, outcome for outcome."""
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("mode", ["two-qubit", "one-qubit-each"])
+@pytest.mark.parametrize("extreme", [{"loss": 1.0, "leak": 0.0},
+                                     {"loss": 0.0, "leak": 1.0},
+                                     {"spam": 0.0}, {"spam": 1.0}])
+def test_exact_distribution_matches_operator_sums_at_extremes(qnd3, mode,
+                                                              extreme):
+    circuit, noise, label = _EIGHT_CZ
+    noise = replace(noise, depolarizing_mode=mode, **extreme)
+    _assert_matches_reference(circuit, noise, label)
+    for label in ("000", "011", "101"):
+        _assert_matches_reference(qnd3, noise, label)
+
+
 def test_histograms_at_huge_shot_counts(qnd3):
     noise = NoiseChannelParams(depolarizing=0.025, leak=0.01, loss=0.02,
                                spam=0.01)
@@ -282,10 +320,12 @@ def test_noise_params_validation():
 # golden pins
 # ---------------------------------------------------------------------------
 
+_GOLDEN_QND = Path(__file__).parent / "golden_qnd.json"
+_REPIN_MAX_MOVE = 1e-14    # a larger move is a numerical change, not rounding
+
+
 def _golden():
-    import json
-    from pathlib import Path
-    return json.loads((Path(__file__).parent / "golden_qnd.json").read_text())
+    return json.loads(_GOLDEN_QND.read_text())
 
 
 def _golden_circuit(golden, name):
@@ -321,3 +361,38 @@ def test_golden_exact_distribution_pins_floats():
                 case["circuit"], case["mode"], label)
         if case["predicted_fqnd"] is not None:
             assert predicted_fqnd(circuit, noise).hex() == case["predicted_fqnd"]
+
+
+def repin_golden_qnd() -> float:
+    """Rewrite the ``exact_distribution`` pins of ``golden_qnd.json`` (its
+    float.hex probabilities and ``predicted_fqnd``) from the code as it
+    stands, and return the largest move.  Refuses, writing nothing, if an
+    outcome set changes or a value moves by more than ``_REPIN_MAX_MOVE``; the
+    ``simulate`` and ``rabi_error`` sections are left as they are."""
+    golden = _golden()
+    worst = 0.0
+
+    def move(old_hex: str, new: float) -> str:
+        nonlocal worst
+        delta = abs(new - float.fromhex(old_hex))
+        if delta > _REPIN_MAX_MOVE:
+            raise ValueError(f"{old_hex} -> {new.hex()} moves by {delta:.3g}")
+        worst = max(worst, delta)
+        return new.hex()
+
+    for case in golden["exact_distribution"]["cases"]:
+        circuit = _golden_circuit(golden, case["circuit"])
+        noise = NoiseChannelParams(depolarizing_mode=case["mode"],
+                                   **golden["simulate"]["noise"])
+        for label, dist in case["distributions"].items():
+            got = exact_distribution(circuit, noise, label)
+            if set(got) != set(dist):
+                raise ValueError(f"{case['circuit']} {case['mode']} {label}: "
+                                 f"outcomes {sorted(dist)} -> {sorted(got)}")
+            case["distributions"][label] = {o: move(dist[o], p)
+                                            for o, p in sorted(got.items())}
+        if case["predicted_fqnd"] is not None:
+            case["predicted_fqnd"] = move(case["predicted_fqnd"],
+                                          predicted_fqnd(circuit, noise))
+    _GOLDEN_QND.write_text(json.dumps(golden, indent=1) + "\n")
+    return worst
