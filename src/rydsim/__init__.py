@@ -23,7 +23,7 @@ from .noise import (MechanismMask, resolve_drive_batch, resolve_drives,
                     sample_shots)
 from .params import SystemParams, load_params, load_preset, save_params
 from .qnd import (NoiseChannelParams, PlaquetteCircuit, exact_distribution,
-                  parse_circuit, predicted_fqnd, simulate)
+                  exact_distributions, parse_circuit, predicted_fqnd, simulate)
 from .trap import (BlockadeModel, GaussianCloud, TrapSpec,
                    adiabatic_temperature, average_blockade, blockade_point,
                    localization_sigmas)

@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -467,7 +468,9 @@ def _command(sub, name, func, help, config=False, gate=False, shots=None):
     return q
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rydsim`` parser, built once per process: never mutate it."""
     p = argparse.ArgumentParser(
         prog="rydsim",
         description="Dual-species Rydberg CZ simulator and analysis toolkit")
@@ -538,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(_Run(args), args)
     except ConfigError as exc:

@@ -7,11 +7,11 @@ attached to each CZ: a symmetric two-qubit depolarizing channel (probability
 folds loss/leak into the blow-away convention: a lost atom reads dark (1), a
 leaked atom stays bright (0).  Per-qubit SPAM errors flip readout bits.
 
-The channel is evaluated exactly, as a density matrix per loss/leak status
-(`exact_distribution`).  The depolarizing Pauli twirl on a qubit is the
-partial trace Tr_q(rho) (x) I/2, and SPAM is one bit flip per measured
-qubit on the outcome distribution.  Shots are independent, so a sampled
-histogram is a multinomial draw from that distribution (`simulate`).
+The channel is evaluated exactly, for a batch of inputs in one pass, as a
+stack of density matrices per loss/leak status (`exact_distributions`;
+`exact_distribution` is a batch of one).  The Pauli twirl on a qubit is the
+partial trace Tr_q(rho) (x) I/2, and SPAM one bit flip per measured qubit.
+Shots are independent: a histogram is one multinomial draw (`simulate`).
 """
 
 from __future__ import annotations
@@ -193,23 +193,29 @@ def _single(op: tuple) -> tuple[int, np.ndarray]:
     return op[1], np.diag([1.0, np.exp(1j * op[2])]).astype(complex)
 
 
-def _lift(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    return functools.reduce(np.kron, [u if k == qubit else np.eye(2, dtype=complex)
+@functools.lru_cache(maxsize=256)
+def _lifted(op: tuple, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Cached, read-only (qubit, U, U^dagger) of an "r"/"rz" op on n qubits."""
+    q, u = _single(op)
+    full = functools.reduce(np.kron, [u if k == q else np.eye(2, dtype=complex)
                                       for k in range(n)])
+    dag = full.conj().T
+    full.flags.writeable = dag.flags.writeable = False
+    return q, full, dag
 
 
 @functools.lru_cache(maxsize=None)
 def _bit_tables(n: int) -> tuple[list, list]:
-    """Per qubit q, over the entries of a 2^n x 2^n matrix: ``same[q]`` is 1
-    where bit q of the row index equals bit q of the column index, else 0;
-    ``flipped[q]`` is the flat index of the entry with bit q flipped in both
-    the row and the column index."""
+    """Per qubit q, over the flattened entries of a 2^n x 2^n matrix:
+    ``same[q]`` is 1 where bit q of the row index equals bit q of the column
+    index, else 0; ``flipped[q]`` is the flat index of the entry with bit q
+    flipped in both the row and the column index."""
     bit = (1 << np.arange(n - 1, -1, -1))[:, None, None]
     row, col = np.arange(2 ** n)[:, None], np.arange(2 ** n)
     same = ((row ^ col) & bit == 0).astype(complex)
     flipped = (row ^ bit) * 2 ** n + (col ^ bit)
     same.flags.writeable = flipped.flags.writeable = False
-    return list(same), list(flipped)
+    return list(same.reshape(n, -1)), list(flipped.reshape(n, -1))
 
 
 def _cz_diag(i: int, j: int, n: int) -> np.ndarray:
@@ -231,15 +237,15 @@ ACTIVE, LOST, LEAKED = 0, 1, 2
 # the noisy channel: exact distribution and sampled histograms
 # ---------------------------------------------------------------------------
 
-def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
-                       input_label: str) -> dict[str, float]:
-    """Outcome distribution over measured-qubit bit strings (exact channel).
+def exact_distributions(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
+                        input_labels: list[str]) -> list[dict[str, float]]:
+    """Per input, the outcome distribution over measured-qubit bit strings.
 
-    Branches over per-CZ loss/leak events; a lost or leaked participant
-    freezes (gates act as identity on its partner for that CZ) and reads out
-    dark (1) or bright (0) respectively.  Each branch is one unnormalized
-    density matrix keyed by its per-qubit status, so histories that leave the
-    same atoms lost or leaked are summed: at most 3^n branches.
+    One pass of the exact channel serves every input.  It branches over per-CZ
+    loss/leak events; a lost or leaked participant freezes (gates act as
+    identity on its partner for that CZ) and reads out dark (1) or bright (0).
+    Each branch, keyed by its per-qubit status, is a stack of unnormalized
+    density matrices, one per input: at most 3^n branches.
 
     The depolarizing twirl on a qubit is a partial trace, Tr_q(rho) (x) I/2
     (two-qubit mode: the twirl on one participant, then on the other).  A
@@ -249,10 +255,10 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     bit at a time.
     """
     circuit.validate()
-    n = circuit.n
-    k = _state_index(input_label, n)
-    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    rho0[k, k] = 1.0
+    n, count = circuit.n, len(input_labels)
+    k = [_state_index(label, n) for label in input_labels]
+    rho0 = np.zeros((count, 2 ** n, 2 ** n), dtype=complex)
+    rho0[np.arange(count), k, k] = 1.0
     branches = {(ACTIVE,) * n: rho0}
     same, flipped = _bit_tables(n)
     sigma = noise.depolarizing
@@ -262,9 +268,7 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
              if p != 0.0]
     for op in circuit.ops:
         if op[0] != "cz":
-            q, u = _single(op)
-            full = _lift(u, q, n)
-            dag = full.conj().T
+            q, full, dag = _lifted(op, n)
             branches = {status: full @ rho @ dag if status[q] == ACTIVE else rho
                         for status, rho in branches.items()}
             continue
@@ -284,44 +288,52 @@ def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
                 if st[i] == ACTIVE and st[j] == ACTIVE:
                     r = d[:, None] * r * np.conj(d)[None, :]
                     for qubits in twirled if sigma else ():
-                        t = r
+                        t = r.reshape(-1, 4 ** n)
                         for q in qubits:        # Tr_q(t) (x) I/2
-                            t = 0.5 * (t + t.take(flipped[q])) * same[q]
-                        r = (1.0 - sigma) * r + sigma * t
+                            t = 0.5 * (t + t.take(flipped[q], 1)) * same[q]
+                        r = (1.0 - sigma) * r + sigma * t.reshape(r.shape)
                 nxt[st] = nxt[st] + r if st in nxt else r
         branches = nxt
 
-    # readout: every branch's diagonal onto the measured outcomes, the
-    # first measured qubit most significant
+    # readout: each branch's diagonal onto (input, measured bits), MSB first
     status = np.array(list(branches))
-    p = np.array([rho.diagonal().real for rho in branches.values()])
+    p = np.array(list(branches.values())).diagonal(0, 2, 3).real.copy()
     p[p <= 1e-16] = 0.0
     idx = np.arange(2 ** n)
-    key = 0
+    key = np.arange(count)[:, None]
     for q in circuit.measured:
-        st = status[:, q, None]
+        st = status[:, q, None, None]
         key = 2 * key + np.where(st == ACTIVE, (idx >> (n - 1 - q)) & 1,
                                  st == LOST)
     m = len(circuit.measured)
-    probs = np.bincount(key.ravel(), weights=p.ravel(), minlength=2 ** m)
+    probs = np.bincount(key.ravel(), weights=p.ravel(), minlength=count << m)
     if noise.spam:
-        probs = probs.reshape((2,) * m)
-        for axis in range(m):
+        probs = probs.reshape((count,) + (2,) * m)
+        for axis in range(1, m + 1):
             probs = ((1.0 - noise.spam) * probs
                      + noise.spam * np.flip(probs, axis))
-    return {format(o, f"0{m}b"): p
-            for o, p in enumerate(probs.ravel().tolist()) if p > 0.0}
+    return [{format(o, f"0{m}b"): p for o, p in enumerate(row) if p > 0.0}
+            for row in probs.reshape(count, 2 ** m).tolist()]
+
+
+def exact_distribution(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
+                       input_label: str) -> dict[str, float]:
+    """`exact_distributions` for one input: a batch of one."""
+    return exact_distributions(circuit, noise, [input_label])[0]
+
+
+def _deterministic(label: str, dist: dict[str, float]) -> str:
+    best, p = max(dist.items(), key=lambda kv: kv[1])
+    if p < 1.0 - 1e-9:
+        raise CircuitError(f"noiseless circuit is not deterministic on input "
+                           f"{label!r} (max outcome probability {p:.6f})")
+    return best
 
 
 def ideal_outcome(circuit: PlaquetteCircuit, input_label: str) -> str:
     """Deterministic noiseless outcome for a computational-basis input."""
-    dist = exact_distribution(circuit, NoiseChannelParams(), input_label)
-    best, p = max(dist.items(), key=lambda kv: kv[1])
-    if p < 1.0 - 1e-9:
-        raise CircuitError(
-            f"noiseless circuit is not deterministic on input {input_label!r} "
-            f"(max outcome probability {p:.6f})")
-    return best
+    return _deterministic(input_label, exact_distribution(
+        circuit, NoiseChannelParams(), input_label))
 
 
 def predicted_fqnd(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
@@ -329,9 +341,10 @@ def predicted_fqnd(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     """Average probability of the correct outcome over the input set."""
     if input_labels is None:
         input_labels = [format(i, f"0{circuit.n}b") for i in range(2 ** circuit.n)]
-    total = sum(exact_distribution(circuit, noise, label).get(
-        ideal_outcome(circuit, label), 0.0) for label in input_labels)
-    return total / len(input_labels)
+    ideal = list(map(_deterministic, input_labels, exact_distributions(
+        circuit, NoiseChannelParams(), input_labels)))
+    noisy = exact_distributions(circuit, noise, input_labels)
+    return sum(d.get(b, 0.0) for d, b in zip(noisy, ideal)) / len(input_labels)
 
 
 def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
@@ -340,7 +353,7 @@ def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
     """Per input label, a histogram of ``shots`` independent outcome strings.
 
     The shots are independent, so each histogram is one Multinomial(shots,
-    p) draw over the exact distribution p (`exact_distribution`).  Stream
+    p) draw over the exact distribution p (`exact_distributions`).  Stream
     contract: one ``default_rng(seed)``; labels in the order given, one
     ``multinomial`` call each, over that label's outcomes in index order
     (first measured qubit most significant) with p normalized by its sum.
@@ -352,8 +365,8 @@ def simulate(circuit: PlaquetteCircuit, noise: NoiseChannelParams,
         raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
     rng = np.random.default_rng(seed)
     results: dict[str, dict[str, int]] = {}
-    for label in input_labels:
-        dist = exact_distribution(circuit, noise, label)
+    for label, dist in zip(input_labels,
+                           exact_distributions(circuit, noise, input_labels)):
         outcomes = sorted(dist)
         p = np.array([dist[o] for o in outcomes])
         counts = rng.multinomial(shots, p / p.sum())

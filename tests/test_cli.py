@@ -179,6 +179,32 @@ def test_cli_surface_options():
         "budget run", "budget exclude", "sweep 2d", "sweep adiabatic"}
 
 
+def test_parser_built_once_and_reused(tmp_path, gate_file, capsys):
+    assert build_parser() is build_parser()
+    counts = tmp_path / "counts.csv"
+    counts.write_text("00,93,7\n01,90,10\n")
+    # a call that argparse rejects leaves the shared parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "qnd", "--data", str(counts), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert main(["analyze", "qnd", "--data", str(counts),
+                 "--out", str(tmp_path / "qnd")]) == 0
+    # explicit values in earlier runs do not leak into later defaults
+    assert main(["budget", "run", "--config", "current", "--gate", gate_file,
+                 "--shots", "120", "--seed", "7",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "2d", "--config", "current", "--gate", gate_file,
+                 "--t-grid", "4:4:1", "--p-grid", "2.8:2.8:1", "--shots", "120",
+                 "--seed", "9", "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    parse = build_parser().parse_args
+    run = parse(["budget", "run", "--config", "current"])
+    sweep = parse(["sweep", "2d", "--config", "current", "--t-grid", "4:4:1",
+                   "--p-grid", "2.8:2.8:1"])
+    assert (run.shots, run.seed, run.out) == (10000, 0, ".")
+    assert (sweep.shots, sweep.seed, sweep.out) == (500, 0, ".")
+
+
 @pytest.mark.parametrize("command", ["budget run", "sweep adiabatic",
                                      "laser rabi-error", "analyze qnd",
                                      "qnd simulate"])
@@ -740,7 +766,7 @@ def test_qnd_simulate_duplicate_labels_exit_code(tmp_path, capsys):
 
 
 def test_qnd_simulate_nondeterministic_circuit_spends_no_shots(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     # F_QND needs a deterministic noiseless output; the check runs first
     golden = json.loads(
         (Path(__file__).parent / "golden_qnd.json").read_text())["simulate"]
@@ -754,6 +780,19 @@ def test_qnd_simulate_nondeterministic_circuit_spends_no_shots(
     rc = main(["qnd", "simulate", "--circuit", str(circuit),
                "--shots", "100", "--out", str(tmp_path)])
     assert rc == 4
+    assert not (tmp_path / "histogram.csv").exists()
+
+    # the ancilla ends on a pole for data 0 and on the equator for data 1:
+    # the error names the first nondeterministic input in --inputs order
+    circuit = tmp_path / "half.txt"
+    circuit.write_text("qubit d rb data\nqubit a cs ancilla\nr a pi/4 0\n"
+                       "cz d a\nr a pi/4 pi\nmeasure d a\n")
+    capsys.readouterr()
+    rc = main(["qnd", "simulate", "--circuit", str(circuit),
+               "--inputs", "00,10,11", "--shots", "100", "--out", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "input '10'" in err and "'00'" not in err and "'11'" not in err
     assert not (tmp_path / "histogram.csv").exists()
 
 

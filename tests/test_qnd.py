@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rydsim.qnd import (CircuitError, NoiseChannelParams, PlaquetteCircuit,
-                        Qubit, exact_distribution, ideal_outcome,
-                        parse_circuit, predicted_fqnd, simulate)
+                        Qubit, exact_distribution, exact_distributions,
+                        ideal_outcome, parse_circuit, predicted_fqnd, simulate)
 
 from oracles import exact_distribution_reference, simulate_rows
 
@@ -248,6 +249,26 @@ def test_exact_distribution_matches_operator_sums(case):
     flips give the Pauli sums, projector pairs and flip patterns they
     replace, outcome for outcome."""
     _assert_matches_reference(*case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(noisy_circuits(), st.randoms(use_true_random=False))
+@example(_EIGHT_CZ, random.Random(0))
+@example((_EIGHT_CZ[0],
+          replace(_EIGHT_CZ[1], depolarizing_mode="one-qubit-each"),
+          _EIGHT_CZ[2]), random.Random(1))
+def test_exact_distributions_equal_per_label_calls(case, rng):
+    """One batched pass gives every input's distribution bit for bit, over
+    all inputs in index order and over a shuffled subset."""
+    circuit, noise, _ = case
+    labels = [format(i, f"0{circuit.n}b") for i in range(2 ** circuit.n)]
+    single = {label: exact_distribution(circuit, noise, label)
+              for label in labels}
+    assert exact_distributions(circuit, noise, labels) == [
+        single[label] for label in labels]
+    subset = rng.sample(labels, rng.randint(1, len(labels)))
+    assert exact_distributions(circuit, noise, subset) == [
+        single[label] for label in subset]
 
 
 @pytest.mark.parametrize("mode", ["two-qubit", "one-qubit-each"])
