@@ -23,8 +23,7 @@ to keep B h / 2 pi at or below 0.75, below the first peak.
 of n shots as plain arrays, one row per atom.  `evolve_batch`,
 `pulse_state_nominal` and `bell_errors_batch` take both and are the ways
 into the engine; a single drive is a batch of one.  As an independent
-check, `build_hamiltonian` gives the full 9x9 matrix of one shot of a batch,
-and `evolve_dense_reference` integrates it with plain RK4.
+check, `build_hamiltonian` gives the full 9x9 matrix of one shot of a batch.
 """
 
 from __future__ import annotations
@@ -160,9 +159,7 @@ def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
 # step control and the sector propagator
 # ---------------------------------------------------------------------------
 
-# every sector takes at least this many steps; a sector needing more than
-# _MAX_STEPS raises IntegrationError
-_MIN_STEPS = 16
+# a sector needing more than _MAX_STEPS steps raises IntegrationError
 _MAX_STEPS = 5_000_000
 
 # the [1:, 1:] sector takes at least 4/3 steps per period of the largest
@@ -175,13 +172,14 @@ _BLOCKADE_STEPS_PER_PERIOD = 4.0 / 3.0
 
 def _steps_for(duration: float, scale: float, steps_per_period: float) -> int:
     """Steps resolving the period of the angular frequency ``scale`` with
-    ``steps_per_period`` points."""
+    ``steps_per_period`` points; the scale is floored at 2 pi / duration,
+    so the count is at least ``steps_per_period``."""
     dt_max = TWO_PI / (steps_per_period * max(scale, TWO_PI / duration))
     steps = duration / dt_max if dt_max > 0 else math.inf
     if not steps <= _MAX_STEPS:
         raise IntegrationError(f"step size underflow: {steps:.3g} steps "
                                f"exceed limit {_MAX_STEPS}")
-    return max(math.ceil(steps), _MIN_STEPS)
+    return math.ceil(steps)
 
 
 # A step of h is five exponential-midpoint stages of lengths _STAGES * h,
@@ -296,10 +294,11 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
     for norm loss.  Each sector takes one fixed step count for the whole
     batch: ``steps_per_period`` points per period of the batch's fastest
-    non-blockade frequency, and at least 16 (`_steps_for`); the [1:, 1:]
-    sector takes more where the batch's largest blockade B needs them to
-    keep B h / 2 pi <= 0.75.  At the default of 70 a sampled shot's Bell
-    error is within 2e-8 of an 800-point run on both presets.  Raises
+    non-blockade frequency, or per pulse if the pulse is shorter than that
+    period (`_steps_for`); the [1:, 1:] sector takes more where the batch's
+    largest blockade B needs them to keep B h / 2 pi <= 0.75.  At the
+    default of 70 a sampled shot's Bell error is within 2e-8 of an
+    800-point run on both presets.  Raises
     IntegrationError before stepping if a shot's drive holds a non-finite
     value or a negative Rabi frequency, or a sector needs more than
     `_MAX_STEPS` steps, and after stepping if any shot's norm grew by more
@@ -345,35 +344,6 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
         raise IntegrationError(
             f"norm grew by {np.nanmax(growth):.3e} in {int(np.sum(bad))} "
             f"of {len(psi)} shots; integration unstable")
-    return psi
-
-
-def evolve_dense_reference(psi, batch: DriveBatch, gate: GateParams,
-                           nsteps: int, shot: int = 0) -> np.ndarray:
-    """Plain RK4 on the full 9x9 `build_hamiltonian` matrix of one shot
-    through the pulse ``gate`` (validation path); returns the evolved 9
-    amplitudes."""
-    psi = np.array(psi, dtype=complex)
-    dt = gate.duration / nsteps
-    d, u = _hamiltonian_parts(batch, shot)
-    d, up, down = -1j * d, -1j * u, -1j * u.T
-
-    def rhs_matrix(t):
-        """-i H(t)."""
-        e = np.exp(1j * float(waveform_phase(gate, t)))
-        return d + e * up + np.conj(e) * down
-
-    t = 0.0
-    m_end = rhs_matrix(t)
-    for _ in range(nsteps):
-        m_start, m_mid = m_end, rhs_matrix(t + 0.5 * dt)
-        m_end = rhs_matrix(t + dt)
-        k1 = m_start @ psi
-        k2 = m_mid @ (psi + 0.5 * dt * k1)
-        k3 = m_mid @ (psi + 0.5 * dt * k2)
-        k4 = m_end @ (psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        t += dt
     return psi
 
 

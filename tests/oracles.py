@@ -270,3 +270,36 @@ def bell_error_matrix_form(psi_after_pulse, rz):
     overlap = psi @ np.conj(bell_target_state())
     err = 1.0 - np.abs(overlap) ** 2
     return err if psi_after_pulse.ndim > 1 else float(err[0])
+
+
+def evolve_dense_reference(psi, batch, gate, nsteps: int, shot: int = 0):
+    """Plain RK4 on the full 9x9 two-atom Hamiltonian of one shot of
+    ``batch`` through the pulse ``gate``; returns the evolved 9 amplitudes.
+
+    An independent check of ``rydsim.gate.evolve_batch``: no sectors, no
+    rotating frame and no stage propagators, only the time-dependent matrix
+    of ``rydsim.gate.build_hamiltonian``.
+    """
+    from rydsim.gate import _hamiltonian_parts, waveform_phase
+    psi = np.array(psi, dtype=complex)
+    dt = gate.duration / nsteps
+    d, u = _hamiltonian_parts(batch, shot)
+    d, up, down = -1j * d, -1j * u, -1j * u.T
+
+    def rhs_matrix(t):
+        """-i H(t)."""
+        e = np.exp(1j * float(waveform_phase(gate, t)))
+        return d + e * up + np.conj(e) * down
+
+    t = 0.0
+    m_end = rhs_matrix(t)
+    for _ in range(nsteps):
+        m_start, m_mid = m_end, rhs_matrix(t + 0.5 * dt)
+        m_end = rhs_matrix(t + dt)
+        k1 = m_start @ psi
+        k2 = m_mid @ (psi + 0.5 * dt * k1)
+        k3 = m_mid @ (psi + 0.5 * dt * k2)
+        k4 = m_end @ (psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        t += dt
+    return psi

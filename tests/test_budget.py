@@ -32,7 +32,7 @@ def test_optimizer_restart_stability(current_params, monkeypatch):
     # still end below the real threshold.
     from scipy import optimize
     real_floor, real_minimize = budget.decay_floor, optimize.minimize
-    monkeypatch.setattr(budget, "_COARSE_MAXFEV", 60)
+    monkeypatch.setattr(budget, "_MAXFEV", 60)
     restart_starts = {}
     for seed in (0, 1):
         floors, starts = [], []
@@ -57,6 +57,25 @@ def test_optimizer_restart_stability(current_params, monkeypatch):
         assert not np.any(restart_starts[seed]
                           == np.array(budget._PULSE_SEEDS))
     assert not np.any(restart_starts[0] == restart_starts[1])
+
+
+@pytest.mark.parametrize("preset", ["current", "projected"])
+def test_reported_error_is_searched_objective(preset, request):
+    # the optimizer scores pulses at the engine's default stepping, so its
+    # reported error is its own objective at the returned pulse
+    params = request.getfixturevalue(f"{preset}_params")
+    res = request.getfixturevalue(f"{preset}_opt")
+    omega, gate = params.rabi_rad_s(), res.gate
+    x = (gate.detuning / omega, gate.duration * omega,
+         gate.phase_mod_rate / omega, gate.phase_mod_depth)
+    assert abs(budget._objective(params, omega)(x) - res.error) <= 1e-12
+
+
+def test_single_seed_finds_low_blockade_optimum(projected_params):
+    # at B/Omega = 5.2 the one pulse seed still reaches the decay floor; a
+    # search from (0.0338, 9.32, 1.35, 0.935) lands about 7e-4 above it
+    res = optimize_gate(replace(projected_params, blockade_mhz=13.0), seed=0)
+    assert res.error <= res.decay_floor + 1e-5
 
 
 def test_projected_optimum(projected_opt):

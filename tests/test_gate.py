@@ -12,13 +12,12 @@ from rydsim.gate import (DriveBatch, GateParams, IntegrationError,
                          bell_error_from_pulse_state, bell_errors_batch,
                          bell_prep_state,
                          build_hamiltonian, evolve_batch,
-                         evolve_dense_reference,
                          ideal_cz_unitary, pair_index, pulse_state_nominal,
                          waveform_phase, G0, G1, RYD)
 from rydsim.noise import (MechanismMask, resolve_drive_batch,
                           resolve_drives, sample_shots)
 
-from oracles import bell_error_matrix_form
+from oracles import bell_error_matrix_form, evolve_dense_reference
 
 
 def drive(rabi=0.0, detuning=0.0, g1=0.0, gr=0.0, ryd=0.0):
@@ -384,10 +383,13 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
 
 @pytest.mark.parametrize("b_mhz, ref_steps",
                          [(12.0, 1000), (100.0, 2000), (1000.0, 16000)])
-def test_batched_engine_matches_dense_reference(b_mhz, ref_steps):
-    # the reference RK4 resolves the blockade (B dt ~ 0.016 at 1 GHz); the
-    # batch's [1:, 1:] sector takes the 16-step floor at 12 and 100 MHz and
-    # the blockade floor of 54 steps (B h / 2 pi = 0.74) at 1 GHz
+def test_batched_engine_matches_dense_reference(b_mhz, ref_steps,
+                                                monkeypatch):
+    # the reference RK4 resolves the blockade (B dt ~ 0.016 at 1 GHz); on
+    # the 40 ns pulse every sector takes 70 steps, the default points per
+    # period of the pulse itself, at all three blockades: the blockade floor
+    # asks for only 54 (B h / 2 pi = 0.74) at 1 GHz
+    steps = _sector_steps(monkeypatch)
     rng = np.random.default_rng(2)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
@@ -405,6 +407,7 @@ def test_batched_engine_matches_dense_reference(b_mhz, ref_steps):
     gate = phase_mod(40e-9)
     batch = batch_of(pairs, blockade)
     out = evolve_batch(np.stack([amps, amps]), batch, gate)
+    assert steps == [70, 70, 70]
     for shot, row in enumerate(out):
         ref = evolve_dense_reference(amps, batch, gate, nsteps=ref_steps,
                                      shot=shot)
