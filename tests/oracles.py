@@ -74,6 +74,35 @@ def trajectory_rabi_error(h0: float, omega0: float, n_half: int,
     return float(np.mean(1.0 - fid))
 
 
+def rabi_error_full_panels(model, omega0: float, n_half: int,
+                           f_max: float | None = None) -> float:
+    """The N*pi rotation error as one 16-point Gauss-Legendre sum of the
+    whole frequency PSD against the rotation filter on every panel of
+    [0, f_max] (default 100 f_res), with panels ending at each filter zero
+    f_res (1 + k/N) and at each bump's b.f + k sigma, |k| <= 10.
+
+    Every node sees the white floor and every bump at once: there is no
+    split into a white and a per-bump part, no cache and no bump window.
+    """
+    from rydsim.laser import psd_frequency
+    f_res = omega0 / (2.0 * np.pi)
+    f_max = 100.0 * f_res if f_max is None else f_max
+    n_lobes = n_half * f_max / f_res
+    zeros = f_res * (1.0 + np.arange(-n_half, n_lobes - n_half + 1) / n_half)
+    grid = np.arange(-10.0, 11.0)
+    edges = np.unique(np.clip(np.concatenate(
+        [[0.0, f_max], zeros, *(b.f + grid * b.sigma for b in model.bumps)]),
+        0.0, f_max))
+    half = 0.5 * np.diff(edges)
+    x, w = np.polynomial.legendre.leggauss(16)
+    f = edges[:-1, None] + half[:, None] * (1.0 + x)
+    pref = 8.0 * np.pi ** 2 * omega0 ** 2 * (np.pi * n_half / omega0) ** 2
+    sinc = np.sinc(n_half * (omega0 - 2.0 * np.pi * f) / omega0)
+    g = (pref * psd_frequency(model, f) * sinc ** 2
+         / (omega0 + 2.0 * np.pi * f) ** 2)
+    return float(g @ w @ half)
+
+
 def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
     """Row-by-row QND trajectory sampler: every shot is its own state row.
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from rydsim.laser import (FitError, LaserNoiseModel, ServoBump, carrier_weight,
                           psd_frequency, psd_phase, rabi_error, read_trace,
                           two_photon_error)
 
-from oracles import trajectory_rabi_error
+from oracles import rabi_error_full_panels, trajectory_rabi_error
 
 TD = 48.9e-6
 
@@ -239,6 +241,19 @@ RABI_MODELS = {
     # sigma above the filter-lobe width f_res / N at every rate below
     "wide": LaserNoiseModel(h0=0.5, bumps=(ServoBump(20.0, 2e6, 1.5e6),),
                             t_d=TD),
+    # centred above f_max = 100 f_res at 0.2 MHz, inside it at the faster
+    # rates, where many filter zeros fall within its +-10 sigma; h is large
+    # so that the bump carries about 1 % of the error there
+    "far": LaserNoiseModel(h0=2.0, bumps=(ServoBump(3e5, 3e7, 2e5),),
+                           t_d=TD),
+    # b.f +- 10 sigma straddles f_max = 20 MHz at 0.2 MHz, where the half
+    # inside carries about 1 % of the error
+    "straddle": LaserNoiseModel(h0=2.0, bumps=(ServoBump(3e6, 2e7, 5e5),),
+                                t_d=TD),
+    # no white floor that could hide an error of the bump part
+    "bump-only": LaserNoiseModel(h0=0.0, bumps=(ServoBump(40.0, 1.2e5, 8e3),
+                                                ServoBump(50.0, 3e4, 5e3)),
+                                 t_d=TD),
 }
 
 
@@ -256,11 +271,30 @@ def test_rabi_error_matches_converged_reference(name, n_half):
             _converged_rabi_error(m, om, 2, f_max=20e6), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("n_half", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(RABI_MODELS))
+def test_rabi_error_matches_full_panel_oracle(name, n_half):
+    """The white part and the windowed bump parts sum to the single
+    full-panel rule to rounding."""
+    m = RABI_MODELS[name]
+    for f_rabi in (0.2e6, 0.7e6, 1.3e6):
+        om = 2 * np.pi * f_rabi
+        assert rabi_error(m, om, n_half) == pytest.approx(
+            rabi_error_full_panels(m, om, n_half), rel=1e-14, abs=0.0)
+        assert rabi_error(m, om, n_half, f_max=20e6) == pytest.approx(
+            rabi_error_full_panels(m, om, n_half, f_max=20e6),
+            rel=1e-14, abs=0.0)
+
+
 def test_rabi_error_input_validation():
-    with pytest.raises(ValueError):
-        rabi_error(white(1.0), -1.0, 2)
-    with pytest.raises(ValueError):
-        rabi_error(white(1.0), 1e6, 0)
+    for kwargs in ({"omega0": -1.0}, {"omega0": 0.0}, {"omega0": math.nan},
+                   {"omega0": math.inf}, {"n_half": 0}, {"n_half": 1.5},
+                   {"n_half": True}, {"n_half": math.nan},
+                   {"n_half": math.inf}, {"f_max": math.nan},
+                   {"f_max": math.inf}, {"f_max": 0.0}, {"f_max": -1e6}):
+        args = {"omega0": 2 * np.pi * 1e6, "n_half": 2, **kwargs}
+        with pytest.raises(ValueError):
+            rabi_error(white(1.0), **args)
 
 
 def test_white_curve_monotone_decreasing():
@@ -275,6 +309,35 @@ def test_bump_curve_exceeds_white_curve():
     full = error_vs_rabi_curve(m, omegas, n_half=2)
     wh = error_vs_rabi_curve(m, omegas, n_half=2, include_bumps=False)
     assert np.all(full > wh)
+
+
+@pytest.mark.parametrize("name", sorted(RABI_MODELS))
+def test_bump_curve_never_below_white_curve(name):
+    """The bump parts are added to the white part, each >= 0, so no rounding
+    can put the full curve below the white-only one."""
+    m = RABI_MODELS[name]
+    omegas = 2 * np.pi * np.linspace(0.2e6, 4e6, 25)
+    for n_half in (1, 2, 3):
+        full = error_vs_rabi_curve(m, omegas, n_half=n_half)
+        wh = error_vs_rabi_curve(m, omegas, n_half=n_half,
+                                 include_bumps=False)
+        assert np.all(full >= wh), (n_half, omegas[full < wh])
+
+
+def test_curve_is_pointwise_rabi_error():
+    m = RABI_MODELS["two-bump"]
+    omegas = 2 * np.pi * np.linspace(0.2e6, 4e6, 25)
+    curve = error_vs_rabi_curve(m, omegas, n_half=2)
+    assert [v.hex() for v in curve] == [
+        rabi_error(m, float(om), 2).hex() for om in omegas]
+
+
+def test_white_curve_computes_one_filter_integral():
+    """A default-range curve, whatever its rates, needs I_N once."""
+    from rydsim.laser import _white_filter_integral
+    _white_filter_integral.cache_clear()
+    error_vs_rabi_curve(white(2.0), 2 * np.pi * np.linspace(0.2e6, 4e6, 60))
+    assert _white_filter_integral.cache_info().misses == 1
 
 
 def test_two_photon_error_adds_linearly():
@@ -312,16 +375,46 @@ def test_read_trace(tmp_path):
 # golden pins
 # ---------------------------------------------------------------------------
 
-def test_golden_rabi_error_pins_floats():
-    """rabi_error on a fixed grid is pinned bit for bit (float.hex)."""
-    import json
-    from pathlib import Path
-    golden = json.loads((Path(__file__).parent / "golden_qnd.json").read_text())
-    spec = golden["rabi_error"]
+_GOLDEN_QND = Path(__file__).parent / "golden_qnd.json"
+_REPIN_MAX_REL_MOVE = 1e-14   # a larger move is a numerical change
+
+
+def _golden_rabi_curves(spec):
+    """Each case of the ``rabi_error`` golden section with its curve as the
+    code computes it now, in float.hex."""
     model = model_from_json(json.dumps(spec["model"]))
     omegas = np.array(spec["omegas_mhz"]) * 2.0 * np.pi * 1e6
     for case in spec["cases"]:
         curve = error_vs_rabi_curve(model, omegas, n_half=case["n_half"],
                                     include_bumps=case["include_bumps"])
-        assert [float(v).hex() for v in curve] == case["values"], (
-            case["include_bumps"], case["n_half"])
+        yield case, [float(v).hex() for v in curve]
+
+
+def test_golden_rabi_error_pins_floats():
+    """rabi_error on a fixed grid is pinned bit for bit (float.hex)."""
+    spec = json.loads(_GOLDEN_QND.read_text())["rabi_error"]
+    for case, values in _golden_rabi_curves(spec):
+        assert values == case["values"], (case["include_bumps"],
+                                          case["n_half"])
+
+
+def repin_golden_rabi() -> float:
+    """Rewrite the ``rabi_error`` pins of ``golden_qnd.json`` from the code as
+    it stands, and return the largest relative move.  Refuses, writing
+    nothing, if a value moves by more than ``_REPIN_MAX_REL_MOVE`` relative;
+    the other sections are left as they are.  Run it from the repository
+    root with ``PYTHONPATH=src:tests python -c "import test_laser as t;
+    print(t.repin_golden_rabi())"``."""
+    golden = json.loads(_GOLDEN_QND.read_text())
+    worst = 0.0
+    for case, values in _golden_rabi_curves(golden["rabi_error"]):
+        for old_hex, new_hex in zip(case["values"], values, strict=True):
+            old, new = float.fromhex(old_hex), float.fromhex(new_hex)
+            move = abs(new - old) / abs(old)
+            if not move <= _REPIN_MAX_REL_MOVE:
+                raise ValueError(f"{old_hex} -> {new_hex} moves by {move:.3g}"
+                                 " relative")
+            worst = max(worst, move)
+        case["values"] = values
+    _GOLDEN_QND.write_text(json.dumps(golden, indent=1) + "\n")
+    return worst
