@@ -27,7 +27,6 @@ from . import analysis, budget, laser, qnd
 from .gate import GateParams, IntegrationError
 from .noise import MechanismMask
 from .params import ConfigError, params_digest, resolve_config
-from .trap import ConvergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,6 +126,8 @@ class _Run:
         if hasattr(args, "config"):
             self.params = resolve_config(args.config)
             self.digest = params_digest(self.params)
+        if hasattr(args, "gate"):   # Monte Carlo commands: before optimizing
+            budget._check_shots(args.shots)
         self.out_dir = args.out
         os.makedirs(self.out_dir, exist_ok=True)
         self.artifacts: list[str] = []
@@ -138,7 +139,7 @@ class _Run:
         if self.args.gate:
             gate = _read_text(self.args.gate, _gate_from_json)
             return gate, {"gate_source": self.args.gate}
-        res = budget.optimize_gate(self.params, seed=0)
+        res = budget.optimize_gate(self.params)
         return res.gate, {"gate_source": "optimized",
                           "noiseless_error": res.error,
                           "decay_floor": res.decay_floor}
@@ -195,7 +196,7 @@ def _gate_from_json(text: str) -> GateParams:
 # ---------------------------------------------------------------------------
 
 def cmd_budget_optimize(run: _Run, args) -> int:
-    res = budget.optimize_gate(run.params, seed=args.seed)
+    res = budget.optimize_gate(run.params)
     doc = asdict(res)
     doc.update(doc.pop("gate"))
     run.write_json("gate.json", doc)
@@ -552,7 +553,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (budget.MonteCarloAbort, budget.OptimizationFailure,
             IntegrationError, laser.FitError, analysis.FitFailure,
-            ConvergenceError, OverflowError) as exc:
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -16,9 +16,9 @@ def projected_params():
 
 @pytest.fixture(scope="session")
 def current_opt(current_params):
-    return optimize_gate(current_params, seed=0)
+    return optimize_gate(current_params)
 
 
 @pytest.fixture(scope="session")
 def projected_opt(projected_params):
-    return optimize_gate(projected_params, seed=0)
+    return optimize_gate(projected_params)

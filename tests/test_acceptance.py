@@ -44,7 +44,7 @@ def test_criterion_1_noiseless_optimized_cz(current_params, current_opt):
                    intermediate_linewidth_mhz=1e-30),
         cs=replace(current_params.cs, rydberg_lifetime_us=1e15,
                    intermediate_linewidth_mhz=1e-30))
-    res_ideal = optimize_gate(no_decay, seed=0)
+    res_ideal = optimize_gate(no_decay)
     ideal_ok = res_ideal.error <= 1e-6
 
     floor_gap = abs(current_opt.error - current_opt.decay_floor)

@@ -354,6 +354,27 @@ def test_too_few_shots_exit_code_before_sampling(tmp_path, gate_file, capsys,
     assert "shots must be >= 100, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("budget run", []), ("budget exclude", []),
+    ("sweep 2d", ["--t-grid", "4:4:1", "--p-grid", "2.8:2.8:1"]),
+    ("sweep adiabatic", ["--powers", "2.8:40:2"])])
+def test_too_few_shots_exit_code_before_optimizing(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   inputs):
+    # without --gate the count is checked before the optimizer runs and
+    # before the output directory is made
+    def optimize_gate(*args, **kwargs):
+        raise AssertionError("optimize_gate called")
+
+    monkeypatch.setattr(budget, "optimize_gate", optimize_gate)
+    out = tmp_path / "out"
+    rc = main(command.split() + inputs + [
+        "--config", "current", "--shots", "50", "--out", str(out)])
+    assert rc == 2
+    assert "shots must be >= 100, got 50" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # more shots than numpy can size an array for: nothing is allocated, so the
 # count cannot pass by allocating lazily
 HUGE_SHOTS = "100000000000000000000000"
