@@ -82,6 +82,7 @@ class OptimizationResult:
     error: float
     decay_floor: float
     nfev: int
+    converged: bool     # False when the search stopped at `_MAXFEV`
 
 
 def _pulse_error(params: SystemParams, gate: GateParams):
@@ -114,7 +115,8 @@ def optimize_gate(params: SystemParams) -> OptimizationResult:
     at the engine's default stepping, so the reported error is the searched
     objective at the returned pulse.  There is no retry: an error at or
     above 10x the decay floor (or 1e-6 when decay is off) raises
-    OptimizationFailure.
+    OptimizationFailure.  A search cut off at `_MAXFEV` evaluations below
+    that threshold is returned with ``converged`` False.
     """
     from scipy.optimize import minimize
     omega = params.rabi_rad_s()
@@ -130,7 +132,8 @@ def optimize_gate(params: SystemParams) -> OptimizationResult:
         raise OptimizationFailure(
             f"optimized error {error:.3e} at or above threshold "
             f"{threshold:.3e} (decay floor {floor:.3e})")
-    return OptimizationResult(gate, max(error, 0.0), floor, res.nfev)
+    return OptimizationResult(gate, max(error, 0.0), floor, res.nfev,
+                              bool(res.success))
 
 
 # ---------------------------------------------------------------------------

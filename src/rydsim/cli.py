@@ -139,7 +139,7 @@ class _Run:
         if self.args.gate:
             gate = _read_text(self.args.gate, _gate_from_json)
             return gate, {"gate_source": self.args.gate}
-        res = budget.optimize_gate(self.params)
+        res = _optimize(self.params)
         return res.gate, {"gate_source": "optimized",
                           "noiseless_error": res.error,
                           "decay_floor": res.decay_floor}
@@ -186,6 +186,16 @@ class _Run:
             fh.write("\n")
 
 
+def _optimize(params) -> budget.OptimizationResult:
+    """`budget.optimize_gate`, with a warning on stderr when the search was
+    cut off at its evaluation limit."""
+    res = budget.optimize_gate(params)
+    if not res.converged:
+        print(f"warning: the pulse search stopped at its evaluation limit "
+              f"({res.nfev} evaluations) without converging", file=sys.stderr)
+    return res
+
+
 def _gate_from_json(text: str) -> GateParams:
     doc = json.loads(text)
     return GateParams(**{f.name: doc[f.name] for f in fields(GateParams)})
@@ -196,9 +206,10 @@ def _gate_from_json(text: str) -> GateParams:
 # ---------------------------------------------------------------------------
 
 def cmd_budget_optimize(run: _Run, args) -> int:
-    res = budget.optimize_gate(run.params)
+    res = _optimize(run.params)
     doc = asdict(res)
     doc.update(doc.pop("gate"))
+    del doc["converged"]
     run.write_json("gate.json", doc)
     run.finish()
     print(f"noiseless error {res.error:.6e} (decay floor {res.decay_floor:.6e})")

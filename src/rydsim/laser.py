@@ -266,6 +266,22 @@ def _white_filter_integral(n_half: int, u_max: float) -> float:
         lambda u: np.sinc(n_half * (1.0 - u)) ** 2 / (1.0 + u) ** 2, edges))
 
 
+def _window_edges(b: ServoBump, grids: np.ndarray, f_res: float,
+                  f_max: float, n_half: int, u_max: float) -> np.ndarray:
+    """The sorted panel edges of `rabi_error` within 10 sigma of b.f: 0,
+    f_max, the filter zeros and every bump's grid points ``grids``, all
+    clipped to [0, f_max].  Only the filter zeros 1 + k/N near the window
+    are built; a zero outside [0, u_max] clips to an edge kept anyway."""
+    lo, hi = (min(max((b.f + s * b.sigma) / f_res, 0.0), u_max)
+              for s in (-11.0, 11.0))
+    k = np.arange(math.floor(n_half * (lo - 1.0)),
+                  math.ceil(n_half * (hi - 1.0)) + 1)
+    edges = np.clip(np.concatenate(
+        [[0.0, f_max], f_res * (1.0 + k / n_half), grids]), 0.0, f_max)
+    return np.unique(
+        edges[(edges - b.f) ** 2 / (2.0 * b.sigma ** 2) <= _BUMP_REACH])
+
+
 def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
                f_max: float | None = None) -> float:
     """Error of an N*pi Rabi rotation at Rabi frequency omega0 (rad/s).
@@ -303,17 +319,14 @@ def rabi_error(model: LaserNoiseModel, omega0: float, n_half: int = 2,
             total = (4.0 * math.pi ** 3 * n_half ** 2 * model.h0
                      * _white_filter_integral(n_half, u_max) / omega0)
             if model.bumps:
-                edges = np.unique(np.clip(np.concatenate(
-                    [[0.0, f_max], f_res * _lobe_zeros(n_half, u_max),
-                     *(b.f + _BUMP_GRID * b.sigma for b in model.bumps)]),
-                    0.0, f_max))
+                grids = np.concatenate(
+                    [b.f + _BUMP_GRID * b.sigma for b in model.bumps])
             for b in model.bumps:
-                near = np.flatnonzero(
-                    (edges - b.f) ** 2 / (2.0 * b.sigma ** 2) <= _BUMP_REACH)
-                if len(near) > 1:   # one run of edges: the exponent is convex
+                edges = _window_edges(b, grids, f_res, f_max, n_half, u_max)
+                if len(edges) > 1:
                     g = _rabi_integrand(replace(model, h0=0.0, bumps=(b,)),
                                         omega0, n_half)
-                    total += _panel_sum(g, edges[near[0]:near[-1] + 1])
+                    total += _panel_sum(g, edges)
     except FloatingPointError as exc:
         raise FitError(f"rabi error integral: {exc}") from exc
     return max(float(total), 0.0)

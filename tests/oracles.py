@@ -332,3 +332,38 @@ def evolve_dense_reference(psi, batch, gate, nsteps: int, shot: int = 0):
         psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         t += dt
     return psi
+
+
+def evolve_sector_stage_loop(psi, diag, omegas, gate, nsteps: int):
+    """``rydsim.gate._evolve_sector`` as a plain stage loop over whole rows.
+
+    Every stage rotates all rows of the sector state by a broadcast (d, 1)
+    frame phase and applies the stage propagator by one product and one
+    sum; the frame phases of all stages are built at once.  The engine's
+    stepping route for large batches must match it bit for bit.
+    """
+    from rydsim.gate import _STAGES, _propagator, waveform_phase
+    d, n = diag[..., 0].size, diag.shape[-1]
+    h = gate.duration / nsteps
+    re = diag.real.reshape(d, n)
+    mid = 0.5 * (re.max(axis=0) + re.min(axis=0))
+    coups = [0.5 * omega for omega in omegas]
+    props = {c: _propagator(diag - mid, coups, mid, c * h)
+             for c in set(_STAGES)}
+    stages = [props[c] for c in _STAGES]
+
+    ends = np.cumsum((0.0,) + _STAGES)
+    t = h * (np.arange(nsteps)[:, None] + 0.5 * (ends[:-1] + ends[1:]))
+    phi = waveform_phase(gate, t).ravel()
+    n_r = np.indices(diag.shape[:-1]).sum(axis=0).reshape(d, 1)
+    rot = np.exp(1j * np.diff(phi, prepend=0.0)[:, None, None] * n_r)
+    rot = rot.reshape(nsteps, len(_STAGES), d, 1)
+
+    chi = psi.reshape(d, n).copy()
+    prod = np.empty((d, d, n), dtype=complex)
+    for step_rot in rot:
+        for r, prop in zip(step_rot, stages):
+            chi *= r
+            np.multiply(prop, chi, out=prod)
+            np.add.reduce(prod, axis=1, out=chi)
+    return (chi * np.exp(-1j * phi[-1] * n_r)).reshape(psi.shape)

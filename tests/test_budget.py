@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +19,7 @@ from rydsim.params import load_preset
 
 
 def test_optimized_error_sits_at_decay_floor(current_opt):
+    assert current_opt.converged
     assert abs(current_opt.error - current_opt.decay_floor) <= 2e-4
     assert current_opt.error > 0.0
     gate = current_opt.gate
@@ -48,6 +49,24 @@ def test_optimizer_fails_after_one_search(current_params, monkeypatch,
                  "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / "gate.json").exists()
+
+
+def test_search_cut_off_at_the_limit_is_flagged(current_params, monkeypatch,
+                                               tmp_path, capsys):
+    # 60 evaluations stop the search short of converging but below the
+    # failure threshold: the pulse comes back flagged, and the CLI warns on
+    # stderr and writes gate.json with the keys it always has
+    from rydsim.cli import main
+    monkeypatch.setattr(budget, "_MAXFEV", 60)
+    res = optimize_gate(current_params)
+    assert not res.converged and res.nfev >= 60
+    out = tmp_path / "opt"
+    assert main(["budget", "optimize", "--config", "current",
+                 "--out", str(out)]) == 0
+    assert "evaluation limit" in capsys.readouterr().err
+    doc = json.loads((out / "gate.json").read_text())
+    assert set(doc) == ({f.name for f in fields(GateParams)}
+                        | {"error", "decay_floor", "nfev"})
 
 
 @pytest.mark.parametrize("preset", ["current", "projected"])

@@ -240,10 +240,11 @@ def test_manifest_keys(tmp_path, gate_file, command):
 # budget commands
 # ---------------------------------------------------------------------------
 
-def test_budget_optimize_cli_round_trip(tmp_path):
+def test_budget_optimize_cli_round_trip(tmp_path, capsys):
     out = tmp_path / "opt"
     rc = main(["budget", "optimize", "--config", "current", "--out", str(out)])
     assert rc == 0
+    assert "warning" not in capsys.readouterr().err
     doc = json.loads((out / "gate.json").read_text())
     assert doc["error"] <= doc["decay_floor"] + 2e-4
     out2 = tmp_path / "run"

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from rydsim.gate import (DriveBatch, GateParams, IntegrationError,
 from rydsim.noise import (MechanismMask, resolve_drive_batch,
                           resolve_drives, sample_shots)
 
-from oracles import bell_error_matrix_form, evolve_dense_reference
+from oracles import (bell_error_matrix_form, evolve_dense_reference,
+                     evolve_sector_stage_loop)
 
 
 def drive(rabi=0.0, detuning=0.0, g1=0.0, gr=0.0, ryd=0.0):
@@ -577,3 +580,102 @@ def test_norm_never_grows(case):
     out = evolve_batch(psi0, batch, pulse(duration, depth, rate))
     assert np.all(np.sum(np.abs(out) ** 2, axis=1) <= 1.0 + 1e-9)
 
+
+
+# ---------------------------------------------------------------------------
+# the two routes of _evolve_sector
+# ---------------------------------------------------------------------------
+
+def _decay_off(params):
+    """Acceptance criterion 1's decay-off config: B = 2 pi 1 GHz."""
+    return replace(
+        params, blockade_mhz=1000.0,
+        rb=replace(params.rb, rydberg_lifetime_us=1e15,
+                   intermediate_linewidth_mhz=1e-30),
+        cs=replace(params.cs, rydberg_lifetime_us=1e15,
+                   intermediate_linewidth_mhz=1e-30))
+
+
+def _sampled_batch(case, n, request):
+    """The optimized gate of a preset and n shots drawn under the full
+    mask; "decay-off" draws them from criterion 1's config on `current`."""
+    preset = "current" if case == "decay-off" else case
+    params = request.getfixturevalue(f"{preset}_params")
+    gate = request.getfixturevalue(f"{preset}_opt").gate
+    if case == "decay-off":
+        params = _decay_off(params)
+    batch = resolve_drive_batch(params, sample_shots(params, 3, n),
+                                MechanismMask(), gate)
+    return gate, batch
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("preset", ["current", "projected"])
+def test_stepping_route_matches_stage_loop(preset, chunk, request,
+                                           monkeypatch):
+    # the stepping route rotates only the rows holding |r> and writes the
+    # 2-level update out, which changes no bit; nor do the chunks of frame
+    # rotations (88 steps in chunks of 7 leave 4 over)
+    gate, batch = _sampled_batch(preset, 2048, request)
+    if chunk:
+        monkeypatch.setattr(gate_mod, "_CHUNK_STEPS", chunk)
+    out = pulse_state_nominal(gate, batch)
+    monkeypatch.setattr(gate_mod, "_evolve_sector", evolve_sector_stage_loop)
+    assert np.array_equal(out, pulse_state_nominal(gate, batch))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("n", [1, 3, 7, gate_mod._DENSE_MAX_SHOTS,
+                               gate_mod._DENSE_MAX_SHOTS + 1])
+@pytest.mark.parametrize("case", ["current", "projected", "decay-off"])
+def test_dense_route_matches_stepping_route(case, n, chunk, request,
+                                            monkeypatch):
+    gate, batch = _sampled_batch(case, n, request)
+    if chunk:
+        monkeypatch.setattr(gate_mod, "_CHUNK_STEPS", chunk)
+    steps = _sector_steps(monkeypatch)
+    monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n)
+    dense = pulse_state_nominal(gate, batch)
+    monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n - 1)
+    loop = pulse_state_nominal(gate, batch)
+    # no sector's step count is a whole number of chunks, and at 1 GHz the
+    # blockade sector takes several chunks
+    assert all(s % gate_mod._CHUNK_STEPS for s in steps)
+    if case == "decay-off":
+        assert steps[2] > 1000
+    assert np.max(np.abs(dense - loop)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, dense_calls", [
+    (1, 3), (gate_mod._DENSE_MAX_SHOTS, 3), (gate_mod._DENSE_MAX_SHOTS + 1, 0)])
+def test_route_is_picked_by_batch_size(n, dense_calls, monkeypatch):
+    calls, dense = [], gate_mod._dense_product
+
+    def counted(*args):
+        calls.append(1)
+        return dense(*args)
+    monkeypatch.setattr(gate_mod, "_dense_product", counted)
+    omega = 2 * np.pi * 1.2e6
+    batch = batch_of([(drive(rabi=omega), drive(rabi=omega))] * n,
+                     2 * np.pi * 12e6)
+    pulse_state_nominal(phase_mod(1e-6), batch)
+    assert len(calls) == dense_calls
+
+
+def test_dense_route_memory_does_not_grow_with_steps(monkeypatch):
+    # one shot whose [1:, 1:] sector takes 20 000 steps: the dense route
+    # reduces its stage matrices and builds its frame rotations a chunk at a
+    # time, so the peak stays near one chunk's worth (0.7 MB; 14 MB when all
+    # rotations were built at once)
+    steps = _sector_steps(monkeypatch)
+    omega = 2 * np.pi * 1.2e6
+    batch = pair(drive(rabi=omega), drive(rabi=omega), 2 * np.pi * 15e9)
+    psi0 = bell_prep_state()[None, :]
+    tracemalloc.start()
+    try:
+        evolve_batch(psi0, batch, phase_mod(1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps[2] == 20_000
+    assert peak < 2e6
