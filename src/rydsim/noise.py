@@ -8,11 +8,16 @@ velocities, pulse energies, pointing), 2 uniforms on +-rabi_mismatch_halfwidth,
 4 normals (magnetic, electric and the two laser detunings), then its
 separation-floor redraws, 3 + 3 normals each.  `sample_shots` seeds a whole
 block with one vectorized run of numpy's seed hash and resets one generator
-to each shot's state, which reproduces that stream bit for bit.  Sampling
-takes no mask: `sample_shots` returns the unmasked draws as one record
-array, and `resolve_drive_batch` applies the mask when it turns them into
-drives.  Runs with different masks therefore share their draws by
-construction (common random numbers, which tighten exclusion-table
+to each shot's state, which reproduces that stream bit for bit.  A shot is
+one `SHOT_DTYPE` record whose per-atom fields have the atom on their first
+axis, row 0 Rb (atom A) and row 1 Cs (atom B) as in `DriveBatch`: (2, 3)
+positions and velocities, (2, 2) ``energy`` over [atom, (red, blue)], (2, 2)
+pointing and static offsets over [atom, (x, y)].  Flattened in field order,
+a record without ``static_nm`` and ``redraws`` is its shot's fixed block in
+stream order.  Sampling takes no mask: `sample_shots` returns the unmasked
+draws as one record array, and `resolve_drive_batch` applies the mask when
+it turns them into drives.  Runs with different masks therefore share their
+draws by construction (common random numbers, which tighten exclusion-table
 differences), and one sample serves every mask.  Static beam misalignment is
 drawn once per run (per seed), not per shot.  A resolved `DriveBatch` is plain
 per-shot data; the pulse itself is described by `GateParams` alone.
@@ -81,45 +86,38 @@ class MechanismMask:
 MECHANISM_FLAGS = tuple(f.name for f in fields(MechanismMask))
 
 
-# One record per shot.  Every field holds the unmasked draw; the masks act
+# One record per shot, atom first in each per-atom field (0 = Rb, 1 = Cs);
+# ``energy`` is [atom, (red, blue)] and ``static_nm`` the per-run draw.  In
+# field order, the fields but ``static_nm`` and ``redraws`` flatten to the
+# stream's fixed block.  Every field holds the unmasked draw; the masks act
 # only in `resolve_drive_batch`.
 SHOT_DTYPE = np.dtype([
-    ("position_rb_um", float, 3),
-    ("position_cs_um", float, 3),
-    ("velocity_rb_ms", float, 3),
-    ("velocity_cs_ms", float, 3),
-    ("energy_red_rb", float),
-    ("energy_blue_rb", float),
-    ("energy_red_cs", float),
-    ("energy_blue_cs", float),
-    ("pointing_rb_nm", float, 2),
-    ("pointing_cs_nm", float, 2),
-    ("static_rb_nm", float, 2),           # per-run draw
-    ("static_cs_nm", float, 2),
-    ("rabi_mismatch_rb", float),
-    ("rabi_mismatch_cs", float),
+    ("position_um", float, (2, 3)),
+    ("velocity_ms", float, (2, 3)),
+    ("energy", float, (2, 2)),
+    ("pointing_nm", float, (2, 2)),
+    ("static_nm", float, (2, 2)),
+    ("rabi_mismatch", float, 2),
     ("detuning_magnetic_khz", float),     # correlated between atoms
     ("detuning_electric_khz", float),     # correlated between atoms
-    ("detuning_laser_rb_khz", float),     # uncorrelated per atom
-    ("detuning_laser_cs_khz", float),
+    ("detuning_laser_khz", float, 2),     # uncorrelated per atom
     # a Python int, so per-record counts sum to a plain (JSON-ready) int
     ("redraws", object),
 ])
 
-# draw-level mask flags: the record fields each one switches off, and the
-# nominal value those fields then take
+# draw-level mask flags: the record field each one switches off, the index
+# within the field, and the nominal value it then takes
 _DRAW_FIELDS = {
-    "atom_localization": (("position_rb_um", "position_cs_um"), 0.0),
-    "atom_velocity": (("velocity_rb_ms", "velocity_cs_ms"), 0.0),
-    "pulse_energy_red": (("energy_red_rb", "energy_red_cs"), 1.0),
-    "pulse_energy_blue": (("energy_blue_rb", "energy_blue_cs"), 1.0),
-    "pointing_fluctuation": (("pointing_rb_nm", "pointing_cs_nm"), 0.0),
-    "static_misalignment": (("static_rb_nm", "static_cs_nm"), 0.0),
-    "rabi_mismatch": (("rabi_mismatch_rb", "rabi_mismatch_cs"), 1.0),
-    "magnetic_noise": (("detuning_magnetic_khz",), 0.0),
-    "electric_noise": (("detuning_electric_khz",), 0.0),
-    "laser_frequency_noise": (("detuning_laser_rb_khz",
-                               "detuning_laser_cs_khz"), 0.0),
+    "atom_localization": ("position_um", ..., 0.0),
+    "atom_velocity": ("velocity_ms", ..., 0.0),
+    "pulse_energy_red": ("energy", (..., 0), 1.0),
+    "pulse_energy_blue": ("energy", (..., 1), 1.0),
+    "pointing_fluctuation": ("pointing_nm", ..., 0.0),
+    "static_misalignment": ("static_nm", ..., 0.0),
+    "rabi_mismatch": ("rabi_mismatch", ..., 1.0),
+    "magnetic_noise": ("detuning_magnetic_khz", ..., 0.0),
+    "electric_noise": ("detuning_electric_khz", ..., 0.0),
+    "laser_frequency_noise": ("detuning_laser_khz", ..., 0.0),
 }
 
 
@@ -127,10 +125,9 @@ def masked_draws(shots: np.recarray, mask: MechanismMask) -> np.recarray:
     """Copy of ``shots`` with every draw that ``mask`` switches off set to
     its nominal value."""
     shots = shots.copy()
-    for flag, (names, nominal) in _DRAW_FIELDS.items():
+    for flag, (name, index, nominal) in _DRAW_FIELDS.items():
         if not getattr(mask, flag):
-            for name in names:
-                shots[name] = nominal
+            shots[name][index] = nominal
     return shots
 
 
@@ -222,14 +219,19 @@ def _pcg64_states(seed: int, start: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def static_offsets_nm(params: SystemParams,
-                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run static misalignment: fixed radius, uniform random direction."""
+def static_offsets_nm(params: SystemParams, seed: int) -> np.ndarray:
+    """Per-run static misalignment, (2, 2) over [atom, (x, y)]: fixed
+    radius, uniform random direction per atom."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    r = params.pointing_static_nm
-    rb, cs = (r * np.array([math.cos(a), math.sin(a)]) for a in angles)
-    return rb, cs
+    return params.pointing_static_nm * np.array(
+        [[math.cos(a), math.sin(a)] for a in angles])
+
+
+def _separation_um(params: SystemParams, position_um):
+    """B minus A of (..., 2, 3) positions, plus the nominal separation."""
+    return (np.array([params.atom_separation_um, 0.0, 0.0])
+            + position_um[..., 1, :] - position_um[..., 0, :])
 
 
 def _pcg64_state(state: int, inc: int) -> dict:
@@ -247,14 +249,18 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
     cannot clear the floor raises ConfigError even for a run that switches
     atom_localization off.
     """
-    seed, start_index = operator.index(seed), operator.index(start_index)
-    if seed < 0 or start_index < 0:
-        raise ValueError(f"seed and start_index must be >= 0, got seed "
-                         f"{seed} and start_index {start_index}")
-    srho_rb, sz_rb = params.localization_um("rb")
-    srho_cs, sz_cs = params.localization_um("cs")
-    sig_rb = np.array([srho_rb, srho_rb, sz_rb])
-    sig_cs = np.array([srho_cs, srho_cs, sz_cs])
+    checked = {"seed": seed, "shots": shots, "start_index": start_index}
+    for name, value in checked.items():
+        try:
+            checked[name] = operator.index(value)
+        except TypeError:
+            checked[name] = -1
+        if checked[name] < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got "
+                             f"{name} {value!r}")
+    seed, shots, start_index = checked.values()
+    sig = np.array([[rho, rho, z] for rho, z in (
+        params.localization_um(sp) for sp in ("rb", "cs"))])
     hw = params.rabi_mismatch_halfwidth
 
     # one generator, reset to each shot's seeded state in turn
@@ -282,101 +288,43 @@ def sample_shots(params: SystemParams, seed: int, shots: int,
     u = -hw + (hw - -hw) * draws[:, 20:22]
 
     out = np.zeros(shots, dtype=SHOT_DTYPE).view(np.recarray)
-    out.position_rb_um = z[:, 0:3] * sig_rb
-    out.position_cs_um = z[:, 3:6] * sig_cs
-    out.velocity_rb_ms = z[:, 6:9] * params.velocity_sigma_ms("rb")
-    out.velocity_cs_ms = z[:, 9:12] * params.velocity_sigma_ms("cs")
-    out.energy_red_rb = 1.0 + z[:, 12] * params.red_pulse_energy_std
-    out.energy_blue_rb = 1.0 + z[:, 13] * params.blue_pulse_energy_std
-    out.energy_red_cs = 1.0 + z[:, 14] * params.red_pulse_energy_std
-    out.energy_blue_cs = 1.0 + z[:, 15] * params.blue_pulse_energy_std
-    out.pointing_rb_nm = z[:, 16:18] * params.pointing_dynamic_nm
-    out.pointing_cs_nm = z[:, 18:20] * params.pointing_dynamic_nm
-    out.static_rb_nm, out.static_cs_nm = static_offsets_nm(params, seed)
-    out.rabi_mismatch_rb = 1.0 + u[:, 0]
-    out.rabi_mismatch_cs = 1.0 + u[:, 1]
+    out.position_um = z[:, 0:6].reshape(shots, 2, 3) * sig
+    out.velocity_ms = z[:, 6:12].reshape(shots, 2, 3) * np.array(
+        [[params.velocity_sigma_ms(sp)] for sp in ("rb", "cs")])
+    out.energy = 1.0 + z[:, 12:16].reshape(shots, 2, 2) * np.array(
+        [params.red_pulse_energy_std, params.blue_pulse_energy_std])
+    out.pointing_nm = (z[:, 16:20].reshape(shots, 2, 2)
+                       * params.pointing_dynamic_nm)
+    out.static_nm = static_offsets_nm(params, seed)
+    out.rabi_mismatch = 1.0 + u
     out.detuning_magnetic_khz = d[:, 0] * params.detuning_magnetic_khz
     out.detuning_electric_khz = d[:, 1] * params.detuning_electric_khz
-    out.detuning_laser_rb_khz = d[:, 2] * params.detuning_laser_khz
-    out.detuning_laser_cs_khz = d[:, 3] * params.detuning_laser_khz
+    out.detuning_laser_khz = d[:, 2:] * params.detuning_laser_khz
 
     # screen with a margin of a few ulp, then decide on the exact per-shot
     # norm; redraws continue the shot's stream after its fixed block, which
     # is drawn again to get there
-    sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
-    sep = sep0 + out.position_cs_um - out.position_rb_um
+    pos = out.position_um
+    sep = _separation_um(params, pos)
     floor2 = (1 + 1e-9) * SEPARATION_FLOOR_UM ** 2
     near = np.einsum("ij,ij->i", sep, sep) < floor2
     for i in np.flatnonzero(near):
         fixed_block(seeded[i], np.empty(26))
-        pos_rb, pos_cs = out.position_rb_um[i], out.position_cs_um[i]
-        while np.linalg.norm(sep0 + pos_cs - pos_rb) < SEPARATION_FLOOR_UM:
+        while np.linalg.norm(_separation_um(params, pos[i])) \
+                < SEPARATION_FLOOR_UM:
             out.redraws[i] += 1
             if out.redraws[i] > MAX_REDRAWS:
                 raise ConfigError(
                     f"atom_separation_um = {params.atom_separation_um}: "
                     f"{MAX_REDRAWS} position redraws did not clear the "
                     f"{SEPARATION_FLOOR_UM} um separation floor")
-            pos_rb = rng.normal(size=3) * sig_rb
-            pos_cs = rng.normal(size=3) * sig_cs
-        out.position_rb_um[i], out.position_cs_um[i] = pos_rb, pos_cs
+            pos[i] = rng.normal(size=(2, 3)) * sig
     return out
 
 
 # ---------------------------------------------------------------------------
 # drive resolution
 # ---------------------------------------------------------------------------
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
-def _resolve_atom(params: SystemParams, species: str, gate: GateParams,
-                  mask: MechanismMask, shots: np.recarray,
-                  extra_detuning_rad_s):
-    """Per-atom (rabi, detuning, gamma1, gammar) arrays over shots; gammar
-    is the total |r> loss, scattering plus Rydberg decay."""
-    sp = params.species(species)
-    pos_um = shots[f"position_{species}_um"]
-    beam_off_um = (shots[f"pointing_{species}_nm"]
-                   + shots[f"static_{species}_nm"]) * 1e-3
-    dx = pos_um[..., 0] - beam_off_um[..., 0]
-    dy = pos_um[..., 1] - beam_off_um[..., 1]
-    rho2 = dx * dx + dy * dy
-    g_blue = np.exp(-2.0 * rho2 / sp.blue_waist_um ** 2) \
-        if mask.finite_beam_blue else np.ones_like(rho2)
-    g_red = np.exp(-2.0 * rho2 / sp.red_waist_um ** 2) \
-        if mask.finite_beam_red else np.ones_like(rho2)
-    i_blue = shots[f"energy_blue_{species}"] * g_blue
-    i_red = shots[f"energy_red_{species}"] * g_red
-
-    rabi = (params.rabi_rad_s() * np.sqrt(i_blue * i_red)
-            * shots[f"rabi_mismatch_{species}"])
-    axis = _AXIS_INDEX[params.doppler_axis]
-    doppler = sp.doppler_k_eff() * shots[f"velocity_{species}_ms"][..., axis]
-    delta = (gate.detuning + doppler
-             + sp.stark_coeff_blue() * (i_blue - 1.0)
-             + sp.stark_coeff_red() * (i_red - 1.0)
-             + extra_detuning_rad_s)
-    if mask.intermediate_state_decay:
-        gamma1 = sp.scattering_rate_1() * i_blue
-        gammar_sc = sp.scattering_rate_r() * i_red
-    else:
-        gamma1 = np.zeros_like(i_blue)
-        gammar_sc = np.zeros_like(i_red)
-    ryd = sp.rydberg_decay_rate if mask.rydberg_decay else 0.0
-    return rabi, delta, gamma1, gammar_sc + ryd
-
-
-def _blockade_rad_s(params: SystemParams, mask: MechanismMask,
-                    pos_rb_um, pos_cs_um):
-    b0 = params.blockade_rad_s()
-    if not mask.blockade_fluctuation:
-        return np.full(len(pos_rb_um), b0)
-    sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
-    sep = sep0 + pos_cs_um - pos_rb_um
-    r = np.maximum(np.linalg.norm(sep, axis=-1), SEPARATION_FLOOR_UM)
-    return b0 * (params.atom_separation_um / r) ** 6
-
 
 def resolve_drive_batch(params: SystemParams, shots: np.recarray,
                         mask: MechanismMask, gate: GateParams) -> DriveBatch:
@@ -385,23 +333,49 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
     Only the nominal two-photon detuning is read from ``gate``; its duration
     and waveform go to the engine beside the returned batch.  This is the one
     place a mechanism flag acts: the draw-level flags set their fields
-    nominal (`masked_draws`); the beam-profile, scattering and Rydberg decay
-    flags act in `_resolve_atom`, and blockade fluctuation in
-    `_blockade_rad_s`.  Row 0 of each per-atom array is Rb (atom A), row 1
-    Cs (atom B).
+    nominal (`masked_draws`); the beam-profile, scattering, Rydberg decay and
+    blockade fluctuation flags act here, on (2, n) per-atom arrays: the
+    record's atom axis moved to the front.  ``gammar`` is the total |r> loss.
     """
     if len(shots) == 0:
         raise ValueError("no shots to resolve")
     shots = masked_draws(shots, mask)
+    # per-atom constants as (2, 1) columns
+    w2_blue, w2_red, k_eff, stark_blue, stark_red, scatter_1, scatter_r, \
+        ryd = np.array([(sp.blue_waist_um ** 2, sp.red_waist_um ** 2,
+                         sp.doppler_k_eff(), sp.stark_coeff_blue(),
+                         sp.stark_coeff_red(), sp.scattering_rate_1(),
+                         sp.scattering_rate_r(), sp.rydberg_decay_rate)
+                        for sp in (params.rb, params.cs)]).T[..., None]
+
+    dx, dy = (shots["position_um"][..., :2] - (
+        shots["pointing_nm"] + shots["static_nm"]) * 1e-3).T   # (2, n) each
+    rho2 = dx * dx + dy * dy
+    g_blue = np.exp(-2.0 * rho2 / w2_blue) if mask.finite_beam_blue else 1.0
+    g_red = np.exp(-2.0 * rho2 / w2_red) if mask.finite_beam_red else 1.0
+    energy_red, energy_blue = shots["energy"].T
+    i_blue, i_red = energy_blue * g_blue, energy_red * g_red
+
+    rabi = (params.rabi_rad_s() * np.sqrt(i_blue * i_red)
+            * shots["rabi_mismatch"].T)
+    doppler = k_eff * shots["velocity_ms"].T["xyz".index(params.doppler_axis)]
     corr = (shots["detuning_magnetic_khz"]
             + shots["detuning_electric_khz"]) * KHZ
+    delta = (gate.detuning + doppler
+             + stark_blue * (i_blue - 1.0) + stark_red * (i_red - 1.0)
+             + (corr + shots["detuning_laser_khz"].T * KHZ))
+    if mask.intermediate_state_decay:
+        gamma1, gammar = scatter_1 * i_blue, scatter_r * i_red
+    else:
+        gamma1, gammar = np.zeros_like(i_blue), np.zeros_like(i_red)
+    gammar = gammar + (ryd if mask.rydberg_decay else 0.0)
 
-    omega, delta, gamma1, gammar = np.stack([
-        _resolve_atom(params, species, gate, mask, shots,
-                      corr + shots[f"detuning_laser_{species}_khz"] * KHZ)
-        for species in ("rb", "cs")], axis=1)
-    return DriveBatch(omega, delta, gamma1, gammar, _blockade_rad_s(
-        params, mask, shots["position_rb_um"], shots["position_cs_um"]))
+    blockade = np.full(len(shots), params.blockade_rad_s())
+    if mask.blockade_fluctuation:
+        r = np.maximum(np.linalg.norm(_separation_um(
+            params, shots["position_um"]), axis=-1), SEPARATION_FLOOR_UM)
+        blockade *= (params.atom_separation_um / r) ** 6
+    return DriveBatch(*np.array([rabi, delta, gamma1, gammar]), blockade)
 
 
 def resolve_drives(params: SystemParams, gate: GateParams) -> DriveBatch:

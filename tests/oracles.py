@@ -367,3 +367,75 @@ def evolve_sector_stage_loop(psi, diag, omegas, gate, nsteps: int):
             np.multiply(prop, chi, out=prod)
             np.add.reduce(prod, axis=1, out=chi)
     return (chi * np.exp(-1j * phi[-1] * n_r)).reshape(psi.shape)
+
+
+def resolve_drive_batch_per_species(params, shots, mask, gate):
+    """``rydsim.noise.resolve_drive_batch`` written species by species.
+
+    Each atom's draws are read as per-atom slices of the shot record (row 0
+    Rb, row 1 Cs), each draw-level flag sets its draws nominal where it is
+    read, and the rates are built one species at a time and stacked.  The
+    vectorized resolver must match it bit for bit under every mask.
+    """
+    from rydsim.constants import KHZ
+    from rydsim.gate import DriveBatch
+    from rydsim.trap import SEPARATION_FLOOR_UM
+
+    def draw(flag, values, nominal):
+        return values if getattr(mask, flag) else np.full_like(values, nominal)
+
+    def position(atom):
+        return draw("atom_localization", shots["position_um"][:, atom], 0.0)
+
+    corr = (draw("magnetic_noise", shots["detuning_magnetic_khz"], 0.0)
+            + draw("electric_noise", shots["detuning_electric_khz"], 0.0)
+            ) * KHZ
+    rates = []
+    for atom, sp in enumerate((params.rb, params.cs)):
+        pos_um = position(atom)
+        beam_off_um = (
+            draw("pointing_fluctuation", shots["pointing_nm"][:, atom], 0.0)
+            + draw("static_misalignment", shots["static_nm"][:, atom], 0.0)
+        ) * 1e-3
+        dx = pos_um[..., 0] - beam_off_um[..., 0]
+        dy = pos_um[..., 1] - beam_off_um[..., 1]
+        rho2 = dx * dx + dy * dy
+        g_blue = np.exp(-2.0 * rho2 / sp.blue_waist_um ** 2) \
+            if mask.finite_beam_blue else np.ones_like(rho2)
+        g_red = np.exp(-2.0 * rho2 / sp.red_waist_um ** 2) \
+            if mask.finite_beam_red else np.ones_like(rho2)
+        i_blue = draw("pulse_energy_blue", shots["energy"][:, atom, 1],
+                      1.0) * g_blue
+        i_red = draw("pulse_energy_red", shots["energy"][:, atom, 0],
+                     1.0) * g_red
+
+        rabi = (params.rabi_rad_s() * np.sqrt(i_blue * i_red)
+                * draw("rabi_mismatch", shots["rabi_mismatch"][:, atom], 1.0))
+        axis = "xyz".index(params.doppler_axis)
+        velocity = draw("atom_velocity", shots["velocity_ms"][:, atom], 0.0)
+        doppler = sp.doppler_k_eff() * velocity[..., axis]
+        laser = draw("laser_frequency_noise",
+                     shots["detuning_laser_khz"][:, atom], 0.0)
+        delta = (gate.detuning + doppler
+                 + sp.stark_coeff_blue() * (i_blue - 1.0)
+                 + sp.stark_coeff_red() * (i_red - 1.0)
+                 + (corr + laser * KHZ))
+        if mask.intermediate_state_decay:
+            gamma1 = sp.scattering_rate_1() * i_blue
+            gammar_sc = sp.scattering_rate_r() * i_red
+        else:
+            gamma1 = np.zeros_like(i_blue)
+            gammar_sc = np.zeros_like(i_red)
+        ryd = sp.rydberg_decay_rate if mask.rydberg_decay else 0.0
+        rates.append((rabi, delta, gamma1, gammar_sc + ryd))
+
+    b0 = params.blockade_rad_s()
+    if mask.blockade_fluctuation:
+        sep0 = np.array([params.atom_separation_um, 0.0, 0.0])
+        sep = sep0 + position(1) - position(0)
+        r = np.maximum(np.linalg.norm(sep, axis=-1), SEPARATION_FLOOR_UM)
+        blockade = b0 * (params.atom_separation_um / r) ** 6
+    else:
+        blockade = np.full(len(shots), b0)
+    omega, delta, gamma1, gammar = np.stack(rates, axis=1)
+    return DriveBatch(omega, delta, gamma1, gammar, blockade)

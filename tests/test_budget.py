@@ -240,13 +240,13 @@ def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
     gate, shots = projected_opt.gate, 300
     clean = monte_carlo_error(projected_params, gate, shots=shots, seed=2)
     bad_pos = budget.sample_shots(projected_params, 2, shots)[123][
-        "position_rb_um"].copy()
+        "position_um"][0].copy()
     resolve, evolve = budget.resolve_drive_batch, gate_mod.evolve_batch
     calls = []
 
     def poisoned(params, samples, mask, g):
         batch = resolve(params, samples, mask, g)
-        hit = np.all(samples["position_rb_um"] == bad_pos, axis=-1)
+        hit = np.all(samples["position_um"][:, 0] == bad_pos, axis=-1)
         gammar = batch.gammar.copy()
         gammar[0, hit] = -1e5
         return replace(batch, gammar=gammar)
