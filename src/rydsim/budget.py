@@ -4,11 +4,11 @@ The noiseless optimization includes decay and finite blockade but no
 shot-to-shot noise.  Monte Carlo runs draw one sample per shot, resolve it to
 drive-level perturbations under the run's mechanism mask, and score the
 Bell-test error; runs over several masks (the exclusion table, the adiabatic
-trace) sample once and resolve the same draws under each mask.  Shots are
-scored in blocks of `_BLOCK_SHOTS`, one after another, through the batched
-gate propagator; a block whose propagation fails is bisected down to
-single shots, so the failing shots are counted as integration failures and
-left out of the mean.
+trace) sample once and resolve the same draws under each mask.  Each
+(sample, mask) is resolved once and scored by one call into the gate engine,
+which plans the batch and steps it in blocks; a batch whose propagation
+fails is bisected down to single shots, so the failing shots are counted as
+integration failures and left out of the mean.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ _MAXFEV = 3000
 
 # a Monte Carlo run with a larger share of failed shots aborts
 _MAX_FAILURE_FRACTION = 0.01
-
-# shots per `evolve_batch` call: the blockade sector of a block keeps two
-# (4, 4, 2048) stage propagators and a product buffer of that size (1.5 MB)
-# alive; 2048 ran as fast as 4096 on 4096 shots and 5 % faster on 40k, and
-# kept the peak RSS 4.6 MB lower; 1024 was 10-25 % slower
-_BLOCK_SHOTS = 2048
 
 
 class OptimizationFailure(RuntimeError):
@@ -162,8 +156,8 @@ def monte_carlo_error(params: SystemParams, gate: GateParams,
                       shots: int = 10_000, seed: int = 0) -> MonteCarloReport:
     """Mean Bell-test error over seeded shots.
 
-    Deterministic in (params, gate, mask, shots, seed).  Shots are evolved in
-    blocks (see `_score_shots`); more than 1 % failing shots aborts the run.
+    Deterministic in (params, gate, mask, shots, seed).  The shots are
+    scored as one batch (`_score_shots`); more than 1 % failing ones abort.
     The draws do not depend on the mask, so ``rejected_shots`` counts the
     same separation-floor redraws under every mask.
     """
@@ -183,28 +177,26 @@ def _score_shots(params: SystemParams, gate: GateParams,
                  seed: int) -> MonteCarloReport:
     """`monte_carlo_error` on draws already sampled for run ``seed``.
 
-    Shots are evolved `_BLOCK_SHOTS` per call, and each block takes its step
-    count from its fastest shot.  A failing block is bisected down to single
-    shots, so one bad shot of n costs at most 2 ceil(log2 n) + 1 calls and
-    is left out as NaN.
+    The draws are resolved once and scored by one engine call.  A failing
+    batch is bisected down to single shots, each half a new call with its
+    own plan, so one bad shot of n costs at most 2 ceil(log2 n) + 1 calls
+    and is left out as NaN.
     """
-    shots = len(samples)
-    rejected = int(np.sum(samples.redraws))
-
+    shots, rejected = len(samples), int(np.sum(samples.redraws))
+    batch = resolve_drive_batch(params, samples, mask, gate)
+    del samples     # the engine needs only the drives
     errors = np.full(shots, np.nan)
 
     def score(lo, hi):
         try:
-            errors[lo:hi] = bell_errors_batch(gate, resolve_drive_batch(
-                params, samples[lo:hi], mask, gate))
+            errors[lo:hi] = bell_errors_batch(gate, DriveBatch(
+                *(rates[..., lo:hi] for rates in vars(batch).values())))
         except IntegrationError:
             if hi - lo > 1:
                 score(lo, (lo + hi) // 2)
                 score((lo + hi) // 2, hi)
 
-    for start in range(0, shots, _BLOCK_SHOTS):
-        score(start, min(start + _BLOCK_SHOTS, shots))
-
+    score(0, shots)
     failures = int(np.count_nonzero(np.isnan(errors)))
     if failures > _MAX_FAILURE_FRACTION * shots:
         raise MonteCarloAbort(

@@ -12,20 +12,20 @@ batch of shots in the frame that follows the drive phase, where the
 Hamiltonian is constant per shot and only a diagonal frame phase, shared by
 all shots, changes with time.  A step is Suzuki's fourth-order composition
 of five exponential-midpoint stages; each applies one of two per-shot
-propagators exp(-i tau H0), built once per call, which take the constant
+propagators exp(-i tau H0), built once per block, which take the constant
 blockade shift B exactly.  The splitting error still peaks where B h is a
 multiple of 2 pi (h the step length; Hairer, Lubich & Wanner, Geometric
 Numerical Integration, ch. XIII), so the [1:, 1:] sector takes enough steps
 to keep B h / 2 pi at or below 0.75, below the first peak.
 
-A sector takes one of two routes, by batch size, with the same stages.  A
-batch of at most `_DENSE_MAX_SHOTS` shots (the noiseless pulse scoring of
-the optimizer and the decay floor) folds each stage's frame phase into its
-propagator and multiplies the stage matrices, a chunk of steps at a time,
-into one matrix per shot by a pairwise matmul tree, which it applies to the
-states once.  A larger batch (Monte Carlo blocks) steps its states through
-the stages, rotating only the rows that hold |r>.  The two agree to rounding
-(about 3e-15 in the amplitudes).
+A call plans its whole batch once (step counts, Taylor norm bounds and one
+of two routes, by batch size), then steps it `_BLOCK_SHOTS` shots at a time.
+A batch of at most `_DENSE_MAX_SHOTS` shots (the optimizer, the decay floor)
+folds each stage's frame phase into its propagator and multiplies the stage
+matrices, a chunk of steps at a time, into one matrix per shot by a pairwise
+matmul tree, which it applies to the states once.  A larger batch (a Monte
+Carlo run) steps its states through the stages, rotating only the rows that
+hold |r>.  The two agree to rounding (about 3e-15 in the amplitudes).
 
 `GateParams` is the one description of the pulse, shared by every shot; a
 `DriveBatch` (built by `noise.resolve_drive_batch`) holds the per-shot drives
@@ -235,26 +235,36 @@ def _taylor_action(psi, diag, coups, m):
 # stage (the crossover scan is in CHANGES.md)
 _DENSE_MAX_SHOTS = 8
 
+# shots stepped at once: a blockade-sector block keeps 1.5 MB of stage
+# buffers alive; 2048 ran as fast as 4096 on 4096 shots, 5 % faster on 40k
+# with a 4.6 MB lower peak RSS; 1024 was 10-25 % slower
+_BLOCK_SHOTS = 2048
+
 # steps per chunk of frame rotations and, on the dense route, of stage
 # matrices reduced at once, so memory does not grow with the step count
 _CHUNK_STEPS = 256
 
 
-def _propagator(diag, coups, mid, tau):
-    """exp(-i tau (M + mid)) per shot as (d, d, n) [row, column, shot]
-    matrices, where M = diag + the couplings (see `_taylor_action`) and mid
-    is a real shift per shot.  The identity columns are summed on an axis
-    before the shot axis: all at once for a batch the dense route takes, one
-    at a time for a larger batch, whose arrays then stay in cache (2.9 ms
-    against 5.2 ms per 4x4 propagator at 2048 shots)."""
+def _centered(diag):
+    """``diag`` less its per-shot real midpoint, and the midpoints."""
+    re = diag.real.reshape(-1, diag.shape[-1])
+    mid = 0.5 * (re.max(axis=0) + re.min(axis=0))
+    return diag - mid, mid
+
+
+def _propagator(diag, coups, mid, tau, norm: float, dense: bool):
+    """exp(-i tau (M + mid)) per shot as (d, d, n) [row, column, shot],
+    M = diag + the couplings (`_taylor_action`), ||M|| <= norm, and mid a
+    real shift per shot.  The identity columns are summed on an axis before
+    the shot axis: all at once on the dense route, one at a time when
+    stepping, whose arrays then stay in cache (2.9 ms against 5.2 ms)."""
     d, n = diag[..., 0].size, diag.shape[-1]
-    theta = abs(tau) * (float(np.max(np.abs(diag)))
-                        + sum(float(np.max(c)) for c in coups))
+    theta = abs(tau) * norm
     s = math.ceil(math.log2(max(theta, 1.0)))
     a = -1j * tau / 2.0 ** s
     m = _taylor_terms(theta / 2.0 ** s)
     a_diag, a_coups = (a * diag)[..., None, :], [a * c for c in coups]
-    step = d if n <= _DENSE_MAX_SHOTS else 1
+    step = d if dense else 1
     prop = np.empty((d, d, n), dtype=complex)
     for j in range(0, d, step):
         cols = np.broadcast_to(np.eye(d, dtype=complex)[:, j:j + step, None],
@@ -330,8 +340,9 @@ def _step_states(chi, stages, rotations):
     return last
 
 
-def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int):
-    """Evolve a batch of sector states through ``gate`` in nsteps steps.
+def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
+                   norm: float, dense: bool):
+    """Evolve a block of sector states through ``gate`` in nsteps steps.
 
     psi : (2,) * k + (n,) complex; axis i is the level (|1>, |r>) of the
         i-th driven atom, the last axis the shot
@@ -339,31 +350,30 @@ def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int):
     omegas : Rabi frequency per driven atom; its coupling is
         0.5 * omega * exp(i phi(t)) from |r> into |1>, with phi the gate's
         waveform
+    norm, dense : the batch's `_propagator` bound and route
 
     With psi = P(phi) chi and P(phi) = exp(-i phi n_r), n_r counting the
     atoms in |r>, H(t) = P(phi(t)) H0 P(phi(t))^dagger with H0 = H at phi =
     0.  A midpoint stage of length tau therefore rotates chi into the frame
     of its midpoint phase, one phase per component shared by all shots, and
-    applies the constant per-shot propagator exp(-i tau H0).  Batches of at
-    most `_DENSE_MAX_SHOTS` shots fold the rotations into the propagators
-    and multiply the stage matrices into one per shot (`_dense_product`);
-    larger batches step the states (`_step_states`).
+    applies the constant per-shot propagator exp(-i tau H0).  The dense route
+    folds the rotations into the propagators and multiplies the stage
+    matrices into one per shot (`_dense_product`); else `_step_states` runs.
     """
     d, n = diag[..., 0].size, diag.shape[-1]
     h = gate.duration / nsteps
     # the midpoint of the real diagonal is taken out of the Taylor sums and
     # put back as a phase per shot
-    re = diag.real.reshape(d, n)
-    mid = 0.5 * (re.max(axis=0) + re.min(axis=0))
+    diag, mid = _centered(diag)
     coups = [0.5 * omega for omega in omegas]
-    props = {c: _propagator(diag - mid, coups, mid, c * h)
+    props = {c: _propagator(diag, coups, mid, c * h, norm, dense)
              for c in set(_STAGES)}
     stages = [props[c] for c in _STAGES]
 
     n_r = np.indices(diag.shape[:-1]).sum(axis=0).ravel()
     rotations = _frame_rotations(gate, h, nsteps, n_r)
     chi = psi.reshape(d, n)
-    if n <= _DENSE_MAX_SHOTS:
+    if dense:
         total, last = _dense_product(stages, rotations)
         chi = np.einsum("nij,jn->in", total, chi)
     else:
@@ -372,28 +382,44 @@ def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int):
     return (chi * np.exp(-1j * last * n_r)[:, None]).reshape(psi.shape)
 
 
+def _sector_drives(batch: DriveBatch, block=np.s_[:]):
+    """(slice, diagonal of H, Rabi frequencies) of each driven sector of
+    the (level of A, level of B, shot) amplitudes, for the shots ``block``."""
+    omega, delta, gamma1, gammar = (rates[:, block] for rates in (
+        batch.omega, batch.delta, batch.gamma1, batch.gammar))
+    # diagonal of H on (|1>, |r>) per atom; the [1:, 1:] sector's diagonal
+    # is the sum of both plus the blockade on |rr>
+    diag = np.stack([-0.5j * gamma1, -delta - 0.5j * gammar], axis=1)
+    diag_ab = diag[0][:, None] + diag[1][None, :]
+    diag_ab[1, 1] += batch.blockade[block]
+    return ((np.s_[1:, G0], diag[0], omega[:1]),
+            (np.s_[G0, 1:], diag[1], omega[1:]),
+            (np.s_[1:, 1:], diag_ab, omega))
+
+
 def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
                  steps_per_period: int = 70) -> np.ndarray:
     """Evolve a batch of 9-dim amplitude vectors through the pulse ``gate``
     under per-shot drives.
 
     psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
-    for norm loss.  Each sector takes one fixed step count for the whole
-    batch: ``steps_per_period`` points per period of the batch's fastest
+    for norm loss.  The whole batch is planned once and then stepped
+    `_BLOCK_SHOTS` shots at a time, so a shot's result does not depend on
+    its block.  Per sector, the plan is the route, the Taylor norm bound and
+    ``steps_per_period`` points per period of the batch's fastest
     non-blockade frequency, or per pulse if the pulse is shorter than that
     period (`_steps_for`); the [1:, 1:] sector takes more where the batch's
     largest blockade B needs them to keep B h / 2 pi <= 0.75.  At the
-    default of 70 a sampled shot's Bell error is within 2e-8 of an
-    800-point run on both presets.  Raises
-    IntegrationError before stepping if a shot's drive holds a non-finite
-    value or a negative Rabi frequency, or a sector needs more than
-    `_MAX_STEPS` steps, and after stepping if any shot's norm grew by more
-    than 1e-9.
+    default of 70 a sampled shot's Bell error is within 2e-8 of an 800-point
+    run on both presets.  Raises IntegrationError before stepping if a
+    shot's drive holds a non-finite value or a negative Rabi frequency, or a
+    sector needs more than `_MAX_STEPS` steps, and after stepping if any
+    shot's norm grew by more than 1e-9.
     """
     psi = np.array(psi, dtype=complex)
     n = len(psi)
-    rates = np.stack([batch.omega, batch.delta, batch.gamma1, batch.gammar])
-    bad = (~np.all(np.isfinite(rates), axis=(0, 1))
+    bad = (~np.all(np.isfinite([batch.omega, batch.delta, batch.gamma1,
+                                batch.gammar]), axis=(0, 1))
            | ~np.isfinite(batch.blockade) | np.any(batch.omega < 0, axis=0))
     if np.any(bad):
         raise IntegrationError(
@@ -402,27 +428,23 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
     # fastest non-blockade angular frequency of each atom's single-driven
     # sector
-    scale = np.maximum(np.max(np.abs(rates[:2]), axis=(0, 2)),
+    scale = np.maximum(np.max(np.abs([batch.omega, batch.delta]), axis=(0, 2)),
                        phase_bandwidth(gate))
-    # diagonal of H on (|1>, |r>) per atom; the [1:, 1:] sector's diagonal
-    # is the sum of both plus the blockade on |rr>
-    diag = np.stack([-0.5j * batch.gamma1,
-                     -batch.delta - 0.5j * batch.gammar], axis=1)
-    diag_ab = diag[0][:, None] + diag[1][None, :]
-    diag_ab[1, 1] += batch.blockade
-    # (level of A, level of B, shot), a view of psi
-    amps = psi.reshape(n, 3, 3).transpose(1, 2, 0)
     steps = [_steps_for(gate.duration, s, steps_per_period)
              for s in (scale[0], scale[1], max(scale))]
     steps[2] = max(steps[2], _steps_for(
         gate.duration, float(np.max(np.abs(batch.blockade))),
         _BLOCKADE_STEPS_PER_PERIOD))
-    for sector, nsteps, sector_diag, omegas in (
-            (np.s_[1:, G0], steps[0], diag[0], batch.omega[:1]),
-            (np.s_[G0, 1:], steps[1], diag[1], batch.omega[1:]),
-            (np.s_[1:, 1:], steps[2], diag_ab, batch.omega)):
-        amps[sector] = _evolve_sector(amps[sector], sector_diag, omegas,
-                                      gate, nsteps)
+    norms = [float(np.max(np.abs(_centered(diag)[0])))
+             + sum(float(np.max(0.5 * omega)) for omega in omegas)
+             for _, diag, omegas in _sector_drives(batch)]
+    for lo in range(0, n, _BLOCK_SHOTS):
+        block = np.s_[lo:lo + _BLOCK_SHOTS]
+        amps = psi[block].reshape(-1, 3, 3).transpose(1, 2, 0)   # a view
+        for (sector, diag, omegas), nsteps, norm in zip(
+                _sector_drives(batch, block), steps, norms):
+            amps[sector] = _evolve_sector(amps[sector], diag, omegas, gate,
+                                          nsteps, norm, n <= _DENSE_MAX_SHOTS)
 
     growth = np.sum(np.abs(psi) ** 2, axis=1) - norm_in
     bad = ~(growth <= 1e-9)

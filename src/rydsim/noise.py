@@ -15,10 +15,11 @@ positions and velocities, (2, 2) ``energy`` over [atom, (red, blue)], (2, 2)
 pointing and static offsets over [atom, (x, y)].  Flattened in field order,
 a record without ``static_nm`` and ``redraws`` is its shot's fixed block in
 stream order.  Sampling takes no mask: `sample_shots` returns the unmasked
-draws as one record array, and `resolve_drive_batch` applies the mask when
-it turns them into drives.  Runs with different masks therefore share their
-draws by construction (common random numbers, which tighten exclusion-table
-differences), and one sample serves every mask.  Static beam misalignment is
+draws as one record array, and `resolve_drive_batch` applies the mask, with
+no copy of the record, when it turns them into drives.  Runs with different
+masks therefore share their draws by construction (common random numbers,
+which tighten exclusion-table differences); one sample, resolved once per
+mask, serves every mask.  Static beam misalignment is
 drawn once per run (per seed), not per shot.  A resolved `DriveBatch` is plain
 per-shot data; the pulse itself is described by `GateParams` alone.
 """
@@ -105,36 +106,11 @@ SHOT_DTYPE = np.dtype([
     ("redraws", object),
 ])
 
-# draw-level mask flags: the record field each one switches off, the index
-# within the field, and the nominal value it then takes
-_DRAW_FIELDS = {
-    "atom_localization": ("position_um", ..., 0.0),
-    "atom_velocity": ("velocity_ms", ..., 0.0),
-    "pulse_energy_red": ("energy", (..., 0), 1.0),
-    "pulse_energy_blue": ("energy", (..., 1), 1.0),
-    "pointing_fluctuation": ("pointing_nm", ..., 0.0),
-    "static_misalignment": ("static_nm", ..., 0.0),
-    "rabi_mismatch": ("rabi_mismatch", ..., 1.0),
-    "magnetic_noise": ("detuning_magnetic_khz", ..., 0.0),
-    "electric_noise": ("detuning_electric_khz", ..., 0.0),
-    "laser_frequency_noise": ("detuning_laser_khz", ..., 0.0),
-}
-
-
-def masked_draws(shots: np.recarray, mask: MechanismMask) -> np.recarray:
-    """Copy of ``shots`` with every draw that ``mask`` switches off set to
-    its nominal value."""
-    shots = shots.copy()
-    for flag, (name, index, nominal) in _DRAW_FIELDS.items():
-        if not getattr(mask, flag):
-            shots[name][index] = nominal
-    return shots
-
-
 def nominal_shot() -> np.recarray:
     """One record with every draw at its nominal value."""
-    return masked_draws(np.zeros(1, dtype=SHOT_DTYPE).view(np.recarray),
-                        MechanismMask.all_off())
+    shot = np.zeros(1, dtype=SHOT_DTYPE).view(np.recarray)
+    shot.energy = shot.rabi_mismatch = 1.0
+    return shot
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
@@ -332,14 +308,19 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
 
     Only the nominal two-photon detuning is read from ``gate``; its duration
     and waveform go to the engine beside the returned batch.  This is the one
-    place a mechanism flag acts: the draw-level flags set their fields
-    nominal (`masked_draws`); the beam-profile, scattering, Rydberg decay and
-    blockade fluctuation flags act here, on (2, n) per-atom arrays: the
-    record's atom axis moved to the front.  ``gammar`` is the total |r> loss.
+    place a mechanism flag acts, on (2, n) per-atom arrays: the record's atom
+    axis moved to the front.  A draw switched off is read as a nominal view,
+    so the record is never copied; the beam-profile, scattering, Rydberg
+    decay and blockade fluctuation flags act on the rates.  ``gammar`` is
+    the total |r> loss.
     """
     if len(shots) == 0:
         raise ValueError("no shots to resolve")
-    shots = masked_draws(shots, mask)
+
+    def draw(flag, values, nominal=0.0):
+        return (values if getattr(mask, flag)
+                else np.broadcast_to(nominal, values.shape))
+
     # per-atom constants as (2, 1) columns
     w2_blue, w2_red, k_eff, stark_blue, stark_red, scatter_1, scatter_r, \
         ryd = np.array([(sp.blue_waist_um ** 2, sp.red_waist_um ** 2,
@@ -348,22 +329,27 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
                          sp.scattering_rate_r(), sp.rydberg_decay_rate)
                         for sp in (params.rb, params.cs)]).T[..., None]
 
-    dx, dy = (shots["position_um"][..., :2] - (
-        shots["pointing_nm"] + shots["static_nm"]) * 1e-3).T   # (2, n) each
+    position = draw("atom_localization", shots["position_um"])
+    dx, dy = (position[..., :2] - (
+        draw("pointing_fluctuation", shots["pointing_nm"])
+        + draw("static_misalignment", shots["static_nm"])) * 1e-3).T  # (2, n)
     rho2 = dx * dx + dy * dy
     g_blue = np.exp(-2.0 * rho2 / w2_blue) if mask.finite_beam_blue else 1.0
     g_red = np.exp(-2.0 * rho2 / w2_red) if mask.finite_beam_red else 1.0
     energy_red, energy_blue = shots["energy"].T
-    i_blue, i_red = energy_blue * g_blue, energy_red * g_red
+    i_blue = draw("pulse_energy_blue", energy_blue, 1.0) * g_blue
+    i_red = draw("pulse_energy_red", energy_red, 1.0) * g_red
 
     rabi = (params.rabi_rad_s() * np.sqrt(i_blue * i_red)
-            * shots["rabi_mismatch"].T)
-    doppler = k_eff * shots["velocity_ms"].T["xyz".index(params.doppler_axis)]
-    corr = (shots["detuning_magnetic_khz"]
-            + shots["detuning_electric_khz"]) * KHZ
+            * draw("rabi_mismatch", shots["rabi_mismatch"].T, 1.0))
+    doppler = k_eff * draw("atom_velocity", shots["velocity_ms"]).T[
+        "xyz".index(params.doppler_axis)]
+    corr = (draw("magnetic_noise", shots["detuning_magnetic_khz"])
+            + draw("electric_noise", shots["detuning_electric_khz"])) * KHZ
     delta = (gate.detuning + doppler
              + stark_blue * (i_blue - 1.0) + stark_red * (i_red - 1.0)
-             + (corr + shots["detuning_laser_khz"].T * KHZ))
+             + (corr + draw("laser_frequency_noise",
+                            shots["detuning_laser_khz"].T) * KHZ))
     if mask.intermediate_state_decay:
         gamma1, gammar = scatter_1 * i_blue, scatter_r * i_red
     else:
@@ -372,8 +358,8 @@ def resolve_drive_batch(params: SystemParams, shots: np.recarray,
 
     blockade = np.full(len(shots), params.blockade_rad_s())
     if mask.blockade_fluctuation:
-        r = np.maximum(np.linalg.norm(_separation_um(
-            params, shots["position_um"]), axis=-1), SEPARATION_FLOOR_UM)
+        r = np.maximum(np.linalg.norm(_separation_um(params, position),
+                                      axis=-1), SEPARATION_FLOOR_UM)
         blockade *= (params.atom_separation_um / r) ** 6
     return DriveBatch(*np.array([rabi, delta, gamma1, gammar]), blockade)
 

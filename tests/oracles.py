@@ -334,13 +334,16 @@ def evolve_dense_reference(psi, batch, gate, nsteps: int, shot: int = 0):
     return psi
 
 
-def evolve_sector_stage_loop(psi, diag, omegas, gate, nsteps: int):
+def evolve_sector_stage_loop(psi, diag, omegas, gate, nsteps: int,
+                             norm: float, dense: bool):
     """``rydsim.gate._evolve_sector`` as a plain stage loop over whole rows.
 
     Every stage rotates all rows of the sector state by a broadcast (d, 1)
     frame phase and applies the stage propagator by one product and one
-    sum; the frame phases of all stages are built at once.  The engine's
-    stepping route for large batches must match it bit for bit.
+    sum; the frame phases of all stages are built at once.  The batch's
+    norm bound and route go to the propagators only: the states are always
+    stepped.  The engine's stepping route for large batches must match it
+    bit for bit.
     """
     from rydsim.gate import _STAGES, _propagator, waveform_phase
     d, n = diag[..., 0].size, diag.shape[-1]
@@ -348,7 +351,7 @@ def evolve_sector_stage_loop(psi, diag, omegas, gate, nsteps: int):
     re = diag.real.reshape(d, n)
     mid = 0.5 * (re.max(axis=0) + re.min(axis=0))
     coups = [0.5 * omega for omega in omegas]
-    props = {c: _propagator(diag - mid, coups, mid, c * h)
+    props = {c: _propagator(diag - mid, coups, mid, c * h, norm, dense)
              for c in set(_STAGES)}
     stages = [props[c] for c in _STAGES]
 

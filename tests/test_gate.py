@@ -479,9 +479,9 @@ def _sector_steps(monkeypatch):
     """Step counts of every `_evolve_sector` call, in call order."""
     steps, evolve = [], gate_mod._evolve_sector
 
-    def counted(psi, diag, omegas, gate, nsteps):
+    def counted(psi, diag, omegas, gate, nsteps, norm, dense):
         steps.append(nsteps)
-        return evolve(psi, diag, omegas, gate, nsteps)
+        return evolve(psi, diag, omegas, gate, nsteps, norm, dense)
     monkeypatch.setattr(gate_mod, "_evolve_sector", counted)
     return steps
 

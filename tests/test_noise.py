@@ -12,15 +12,20 @@ from rydsim.budget import EXCLUSION_MECHANISMS
 from rydsim.constants import KB, KHZ, MASS_CS133, MASS_RB87, MHZ
 from rydsim.gate import GateParams
 from rydsim.noise import (MECHANISM_FLAGS, SHOT_DTYPE, MechanismMask,
-                          _pcg64_states, masked_draws, nominal_shot,
-                          resolve_drive_batch, resolve_drives, sample_shots,
-                          static_offsets_nm)
+                          _pcg64_states, nominal_shot, resolve_drive_batch,
+                          resolve_drives, sample_shots, static_offsets_nm)
 from rydsim.params import ConfigError, load_preset
 from rydsim.trap import SEPARATION_FLOOR_UM
 
 from oracles import resolve_drive_batch_per_species
 
 BATCH_FIELDS = ("omega", "delta", "gamma1", "gammar", "blockade")
+
+# the flags that switch a draw of the shot record
+DRAW_FLAGS = ("atom_localization", "atom_velocity", "pulse_energy_red",
+              "pulse_energy_blue", "pointing_fluctuation",
+              "static_misalignment", "rabi_mismatch", "magnetic_noise",
+              "electric_noise", "laser_frequency_noise")
 
 
 def one_shot(params, seed, index):
@@ -38,15 +43,31 @@ def gate():
 # sampling
 # ---------------------------------------------------------------------------
 
-def test_all_off_mask_is_nominal(current_params):
-    s = masked_draws(one_shot(current_params, seed=3, index=17),
-                     MechanismMask.all_off())[0]
+def resolve(params, shot, gate, mask=None):
+    return resolve_drive_batch(params, shot, mask or MechanismMask(), gate)
+
+
+def assert_same_drives(a, b, what):
+    for f in BATCH_FIELDS:
+        assert np.array_equal(getattr(a, f), getattr(b, f)), (what, f)
+
+
+def test_all_off_mask_is_nominal(current_params, gate):
+    s = nominal_shot()[0]
     assert np.all(s.position_um == 0) and np.all(s.velocity_ms == 0)
     assert np.all(s.energy == 1.0)
     assert np.all(s.pointing_nm == 0) and np.all(s.static_nm == 0)
     assert np.all(s.rabi_mismatch == 1.0)
     assert s.detuning_magnetic_khz == 0.0 and s.detuning_electric_khz == 0.0
-    assert np.all(s.detuning_laser_khz == 0.0)
+    assert np.all(s.detuning_laser_khz == 0.0) and s.redraws == 0
+    # a drawn shot resolves to the nominal shot's drives once its draws are
+    # off: all off, and with only the draws off, where beam profiles,
+    # scattering and the blockade's r^-6 would show any draw left on
+    shot = one_shot(current_params, seed=3, index=17)
+    for mask in (MechanismMask.all_off(), MechanismMask().without(*DRAW_FLAGS)):
+        assert_same_drives(resolve(current_params, shot, gate, mask),
+                           resolve(current_params, nominal_shot(), gate, mask),
+                           mask)
 
 
 def test_position_spreads_converge(current_params):
@@ -60,14 +81,21 @@ def test_position_spreads_converge(current_params):
     assert np.std(pos[:, 2]) == pytest.approx(0.71, rel=0.02)
 
 
-def test_magnetic_only_mask(current_params):
-    mask = MechanismMask.only("magnetic_noise")
-    shots = masked_draws(sample_shots(current_params, seed=8, shots=20_000),
-                         mask)
+def test_magnetic_only_mask(current_params, gate):
+    # with the magnetic draw the only one on, both atoms' detunings move by
+    # that one draw, 7 kHz rms, and every other drive stays nominal, also
+    # with the beam profiles, scattering and blockade fluctuation on
+    shots = sample_shots(current_params, seed=8, shots=20_000)
     mags = shots.detuning_magnetic_khz
     assert np.std(mags) == pytest.approx(7.0, rel=0.03)
-    assert all(s.detuning_electric_khz == 0.0 for s in shots[:100])
-    assert all(np.all(s.position_um[0] == 0) for s in shots[:100])
+    for mask in (MechanismMask.only("magnetic_noise"), MechanismMask().without(
+            *(f for f in DRAW_FLAGS if f != "magnetic_noise"))):
+        b = resolve(current_params, shots, gate, mask)
+        nominal = resolve(current_params, nominal_shot(), gate, mask)
+        assert np.array_equal(b.delta, np.broadcast_to(
+            gate.detuning + mags * KHZ, (2, len(shots)))), mask
+        for f in ("omega", "gamma1", "gammar", "blockade"):
+            assert np.all(getattr(b, f) == getattr(nominal, f)), (mask, f)
 
 
 def test_velocity_distribution_both_species(current_params):
@@ -95,8 +123,9 @@ def test_sampling_determinism(current_params):
 def test_mask_linearity_field_by_field(current_params, gate):
     """Disabling one mechanism zeroes exactly its draws and no others.
 
-    Resolving with the flag off equals resolving the draws with exactly
-    those draws at their nominal value.
+    Resolving with the flag off equals resolving, under the full mask, the
+    draws with exactly those draws at their nominal value; and resolving
+    leaves the record as it was.
     """
     base = one_shot(current_params, seed=7, index=5)
     # the field and the draws within it, both atoms' unless indexed
@@ -114,22 +143,18 @@ def test_mask_linearity_field_by_field(current_params, gate):
         "pulse_energy_blue": ("energy", (..., 1)),
         "rabi_mismatch": ("rabi_mismatch", ...),
     }
-    sample_fields = [f for f in base.dtype.names if f != "redraws"]
+    assert set(zeroed_fields) | set(unit_fields) == set(DRAW_FLAGS)
+    before = base.copy()
     for flag, (field, index) in {**zeroed_fields, **unit_fields}.items():
-        mask = MechanismMask().without(flag)
-        s = masked_draws(base, mask)
-        target = 0.0 if flag in zeroed_fields else 1.0
-        assert np.all(s[field][index] == target), flag
         nominal = base.copy()
-        nominal[field][index] = target
-        for f in sample_fields:
-            assert np.array_equal(s[f], nominal[f]), (flag, f)
-        masked = resolve_drive_batch(current_params, base, mask, gate)
-        direct = resolve_drive_batch(current_params, nominal, MechanismMask(),
-                                     gate)
-        for f in BATCH_FIELDS:
-            assert np.array_equal(getattr(masked, f), getattr(direct, f)), \
-                (flag, f)
+        nominal[field][index] = 0.0 if flag in zeroed_fields else 1.0
+        assert not np.array_equal(nominal[field], base[field]), flag
+        assert_same_drives(
+            resolve(current_params, base, gate,
+                    MechanismMask().without(flag)),
+            resolve(current_params, nominal, gate), flag)
+        for f in base.dtype.names:
+            assert np.array_equal(base[f], before[f]), (flag, f)
 
 
 def test_static_offset_is_per_run(current_params):
@@ -267,10 +292,6 @@ def test_block_sampler_matches_per_shot_oracle(stream_params, preset, seed,
 # drive resolution
 # ---------------------------------------------------------------------------
 
-def resolve(params, shot, gate, mask=None):
-    return resolve_drive_batch(params, shot, mask or MechanismMask(), gate)
-
-
 def test_nominal_drives_match_table(current_params, gate):
     b = resolve_drives(current_params, gate)
     assert b.omega[0, 0] == pytest.approx(2 * np.pi * 1.2e6, rel=1e-12)
@@ -385,11 +406,9 @@ def test_resolver_matches_per_species_oracle(stream_params, preset, gate):
     masks = [MechanismMask(), MechanismMask.all_off()] + [
         MechanismMask().without(flag) for flag in MECHANISM_FLAGS]
     for mask in masks:
-        got = resolve_drive_batch(params, shots, mask, gate)
-        want = resolve_drive_batch_per_species(params, shots, mask, gate)
-        for f in BATCH_FIELDS:
-            assert np.array_equal(getattr(got, f), getattr(want, f)), \
-                (mask, f)
+        assert_same_drives(
+            resolve_drive_batch(params, shots, mask, gate),
+            resolve_drive_batch_per_species(params, shots, mask, gate), mask)
 
 
 def test_mask_helpers():
