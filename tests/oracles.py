@@ -103,6 +103,56 @@ def rabi_error_full_panels(model, omega0: float, n_half: int,
     return float(g @ w @ half)
 
 
+def rabi_error_per_point(model, omega0: float, n_half: int,
+                         f_max: float | None = None) -> float:
+    """`rydsim.laser.rabi_error` as one point at a time: the white part
+    4 pi^3 N^2 h0 I_N / omega0 and, for each bump, one 16-point
+    Gauss-Legendre sum over that point's own sorted, unique panel edges
+    within 10 sigma of the bump, each panel summed by a dot product.
+
+    The reference for the batched curve, which pads each point's edges
+    with zero-width panels and sums them by a fixed tree of pairs instead.
+    """
+    from dataclasses import replace
+
+    from rydsim.laser import (_BUMP_GRID, _BUMP_REACH, _gauss_legendre,
+                              _rabi_integrand)
+
+    def panel_sum(g, edges):
+        half = 0.5 * np.diff(edges)
+        x, w = _gauss_legendre()
+        return g(edges[:-1, None] + half[:, None] * (1.0 + x)) @ w @ half
+
+    def window_edges(b, grids):
+        lo, hi = (min(max((b.f + s * b.sigma) / f_res, 0.0), u_max)
+                  for s in (-11.0, 11.0))
+        k = np.arange(np.floor(n_half * (lo - 1.0)),
+                      np.ceil(n_half * (hi - 1.0)) + 1)
+        edges = np.clip(np.concatenate(
+            [[0.0, f_max], f_res * (1.0 + k / n_half), grids]), 0.0, f_max)
+        return np.unique(
+            edges[(edges - b.f) ** 2 / (2.0 * b.sigma ** 2) <= _BUMP_REACH])
+
+    f_res = omega0 / (2.0 * np.pi)
+    u_max = 100.0 if f_max is None else f_max / f_res
+    f_max = u_max * f_res if f_max is None else f_max
+    zeros = 1.0 + np.arange(-n_half, n_half * u_max - n_half + 1) / n_half
+    lobes = np.unique(np.clip(np.concatenate([[0.0, u_max], zeros]),
+                              0.0, u_max))
+    i_n = panel_sum(lambda u: np.sinc(n_half * (1.0 - u)) ** 2
+                    / (1.0 + u) ** 2, lobes)
+    total = 4.0 * np.pi ** 3 * n_half ** 2 * model.h0 * float(i_n) / omega0
+    if model.bumps:
+        grids = np.concatenate([b.f + _BUMP_GRID * b.sigma
+                                for b in model.bumps])
+    for b in model.bumps:
+        edges = window_edges(b, grids)
+        if len(edges) > 1:
+            total += panel_sum(_rabi_integrand(
+                replace(model, h0=0.0, bumps=(b,)), omega0, n_half), edges)
+    return max(float(total), 0.0)
+
+
 def simulate_rows(circuit, noise, input_labels, shots: int, seed: int = 0):
     """Row-by-row QND trajectory sampler: every shot is its own state row.
 

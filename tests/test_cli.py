@@ -485,6 +485,48 @@ def test_laser_rabi_error_curve(tmp_path):
     assert at_1mhz[2] < 1e-3
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_laser_fit_singular_covariance_is_strict_json(tmp_path):
+    # a bump fitted to a white-noise trace clamps its height to 1e-300,
+    # which leaves the covariance singular: NaN, written as null
+    truth = LaserNoiseModel(h0=2.0, s_dark=1e-10, t_d=48.9e-6)
+    rng = np.random.default_rng(0)
+    f = np.linspace(2e3, 6e5, 500)
+    y = heterodyne_spectrum(truth, f) * (1 + 0.01 * rng.normal(size=500))
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(f"{fi} {yi}" for fi, yi in zip(f, y)))
+    start = LaserNoiseModel(h0=3.0, bumps=(ServoBump(30.0, 1.25e5, 6e3),),
+                            s_dark=5e-11, t_d=48.9e-6)
+    init = tmp_path / "init.json"
+    init.write_text(model_to_json(start))
+    out = tmp_path / "fit"
+    rc = main(["laser", "fit", "--trace", str(trace), "--initial", str(init),
+               "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "fit.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert doc["bumps"][0]["h"] == 1e-300
+    assert doc["covariance"] == [[None] * 5] * 5
+    assert doc["h0"] == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("spec, words", [
+    ("0:4:60", ["0.0", "index 0"]), ("4:-1:6", ["0.0", "index 4"])])
+def test_laser_rabi_error_nonpositive_grid_point_exit_code(tmp_path, capsys,
+                                                         spec, words):
+    mf = tmp_path / "model.json"
+    mf.write_text(model_to_json(LaserNoiseModel(h0=2.0)))
+    rc = main(["laser", "rabi-error", "--model", str(mf),
+               "--omega-grid", spec, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not (tmp_path / "out" / "rabi_error.csv").exists()
+
+
 def test_laser_rabi_error_model_without_h0_exit_code(tmp_path, capsys):
     mf = tmp_path / "model.json"
     mf.write_text(json.dumps({"bumps": [], "t_d": 48.9e-6}))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from rydsim.laser import (FitError, LaserNoiseModel, ServoBump, carrier_weight,
@@ -12,7 +13,8 @@ from rydsim.laser import (FitError, LaserNoiseModel, ServoBump, carrier_weight,
                           psd_frequency, psd_phase, rabi_error, read_trace,
                           two_photon_error)
 
-from oracles import rabi_error_full_panels, trajectory_rabi_error
+from oracles import (rabi_error_full_panels, rabi_error_per_point,
+                     trajectory_rabi_error)
 
 TD = 48.9e-6
 
@@ -148,6 +150,57 @@ def test_fit_flags_white_only_regime():
     f, y = _synthetic_trace(truth, 0.005, 1)
     fit = fit_heterodyne(f, y, white(0.1, s_dark=5e-7))
     assert fit.white_only
+
+
+_PERFBENCH_DATA = Path(__file__).parent.parent / "perfbench" / "data"
+
+
+def _central_jacobian(x, f):
+    """Central differences of heterodyne_spectrum(_unpack(x)) at steps of
+    1e-5 |x_i|."""
+    from rydsim.laser import _unpack
+    cols = []
+    for i, step in enumerate(1e-5 * np.abs(x)):
+        up, down = x.copy(), x.copy()
+        up[i] += step
+        down[i] -= step
+        cols.append((heterodyne_spectrum(_unpack(up, TD), f)
+                     - heterodyne_spectrum(_unpack(down, TD), f)) / (2 * step))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("point", [
+    "truth", "start", "noisy-start", "white-start", "perfbench-initial",
+    "h0-clamped", "h-clamped"])
+def test_fit_jacobian_matches_central_differences(point):
+    """The closed-form Jacobian the fit uses, column by column within 1e-6
+    of the column's largest entry; a clamped parameter's column, and the
+    f and sigma columns of a bump whose h is clamped, are zero."""
+    from rydsim.laser import _het_jacobian, _pack
+    bump = (ServoBump(40.0, 1.2e5, 8e3),)
+    x = _pack({
+        "truth": LaserNoiseModel(h0=2.0, bumps=bump, s_dark=1e-10, t_d=TD),
+        "start": LaserNoiseModel(h0=3.0, bumps=(ServoBump(30.0, 1.25e5, 6e3),),
+                                 s_dark=5e-11, t_d=TD),
+        "noisy-start": LaserNoiseModel(
+            h0=3.5, bumps=(ServoBump(25.0, 1.3e5, 6e3),), s_dark=3e-10,
+            t_d=TD),
+        "white-start": white(0.1, s_dark=5e-7),
+        "perfbench-initial": model_from_json(
+            (_PERFBENCH_DATA / "laser_initial.json").read_text()),
+    }.get(point, LaserNoiseModel(h0=2.0, bumps=bump, s_dark=1e-10, t_d=TD)))
+    if point == "h0-clamped":
+        x[0] = -0.5
+    if point == "h-clamped":
+        x[2] = -1.0
+    f = np.linspace(2e3, 6e5, 500)
+    jac, ref = _het_jacobian(x, TD, f), _central_jacobian(x, f)
+    for i in range(len(x)):
+        scale = np.max(np.abs(jac[:, i]))
+        assert np.max(np.abs(jac[:, i] - ref[:, i])) <= 1e-6 * scale, i
+    zero = {"h0-clamped": [0], "h-clamped": [2, 3, 4]}.get(point, [])
+    assert all(not jac[:, i].any() for i in zero)
+    assert all(jac[:, i].any() for i in range(len(x)) if i not in zero)
 
 
 def test_fit_requires_enough_samples():
@@ -295,6 +348,53 @@ def test_rabi_error_input_validation():
         args = {"omega0": 2 * np.pi * 1e6, "n_half": 2, **kwargs}
         with pytest.raises(ValueError):
             rabi_error(white(1.0), **args)
+
+
+@pytest.mark.parametrize("n_half", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RABI_MODELS))
+def test_curve_matches_per_point_oracle(name, n_half):
+    """The batched curve against the per-point integration it replaced,
+    with the default f_max and an explicit one.  RABI_MODELS["perfbench"]
+    is also the model of the golden pins."""
+    from rydsim.laser import _rabi_errors
+    m = RABI_MODELS[name]
+    omegas = 2 * np.pi * np.linspace(0.2e6, 4e6, 25)
+    for f_max, curve in ((None, error_vs_rabi_curve(m, omegas, n_half)),
+                         (20e6, _rabi_errors(m, omegas, n_half, 20e6))):
+        ref = [rabi_error_per_point(m, om, n_half, f_max) for om in omegas]
+        assert curve == pytest.approx(ref, rel=1e-15, abs=0.0), f_max
+
+
+_SPLIT_GRID = 2 * np.pi * np.linspace(0.2e6, 4e6, 40)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(RABI_MODELS)), n_half=st.integers(1, 3),
+       order=st.permutations(range(len(_SPLIT_GRID))),
+       size=st.integers(1, len(_SPLIT_GRID)),
+       cuts=st.lists(st.integers(1, len(_SPLIT_GRID) - 1), max_size=4))
+def test_curve_point_does_not_depend_on_the_rest_of_the_grid(
+        name, n_half, order, size, cuts):
+    """Any subset, reordering or split of a grid gives every point the same
+    float as the whole grid."""
+    m = RABI_MODELS[name]
+    whole = error_vs_rabi_curve(m, _SPLIT_GRID, n_half)
+    picked = np.array(order[:size])
+    for part in np.split(picked, sorted(c for c in cuts if c < size)):
+        values = error_vs_rabi_curve(m, _SPLIT_GRID[part], n_half)
+        assert [v.hex() for v in values] == [whole[i].hex() for i in part]
+
+
+def test_curve_rejects_bad_grids():
+    m = RABI_MODELS["two-bump"]
+    for omegas, words in (([2e6, 3e6, math.nan], ["nan", "index 2"]),
+                          ([2e6, -1.0], ["-1.0", "index 1"]),
+                          ([0.0], ["0.0", "index 0"]),
+                          ([2e6, math.inf], ["inf", "index 1"]),
+                          (2e6, ["1-D"]), ([[2e6, 3e6]], ["1-D"])):
+        with pytest.raises(ValueError) as err:
+            error_vs_rabi_curve(m, omegas)
+        assert all(w in str(err.value) for w in words), (omegas, err.value)
 
 
 def test_white_curve_monotone_decreasing():
