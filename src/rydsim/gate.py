@@ -7,16 +7,18 @@ tracked as accumulated loss.  The two-atom Hamiltonian is block diagonal in
 the four sectors defined by whether each atom occupies |0> or the driven
 {|1>, |r>} manifold.  With the 9 amplitudes of a shot viewed as a (3, 3)
 tensor over (level of A, level of B), the driven sectors are the slices
-[1:, 0], [0, 1:] and [1:, 1:].  Each driven sector is propagated for a whole
-batch of shots in the frame that follows the drive phase, where the
+[1:, 0], [0, 1:] and [1:, 1:].  The first two, one atom driven alone, are
+stepped as one single-atom sector, A's [1:, 0] amplitudes then B's [0, 1:]
+on one shot axis; the pair sector is [1:, 1:].  Each is propagated for a
+whole batch of shots in the frame that follows the drive phase, where the
 Hamiltonian is constant per shot and only a diagonal frame phase, shared by
 all shots, changes with time.  A step is Suzuki's fourth-order composition
 of five exponential-midpoint stages; each applies one of two per-shot
 propagators exp(-i tau H0), built once per block, which take the constant
 blockade shift B exactly.  The splitting error still peaks where B h is a
 multiple of 2 pi (h the step length; Hairer, Lubich & Wanner, Geometric
-Numerical Integration, ch. XIII), so the [1:, 1:] sector takes enough steps
-to keep B h / 2 pi at or below 0.75, below the first peak.
+Numerical Integration, ch. XIII), so the pair sector takes enough steps to
+keep B h / 2 pi at or below 0.75, below the first peak.
 
 A call plans its whole batch once (step counts, Taylor norm bounds and one
 of two routes, by batch size), then steps it `_BLOCK_SHOTS` shots at a time.
@@ -171,7 +173,7 @@ def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
 # a sector needing more than _MAX_STEPS steps raises IntegrationError
 _MAX_STEPS = 5_000_000
 
-# the [1:, 1:] sector takes at least 4/3 steps per period of the largest
+# the pair sector takes at least 4/3 steps per period of the largest
 # blockade of its batch, so B h / 2 pi <= 0.75.  On the nominal projected
 # drives at 70 points per period, the Bell error is within 7.7e-9 of a
 # 3200-point run from B h / 2 pi = 0.5 to 0.75, 1.2e-8 off at 0.8 and
@@ -235,7 +237,7 @@ def _taylor_action(psi, diag, coups, m):
 # stage (the crossover scan is in CHANGES.md)
 _DENSE_MAX_SHOTS = 8
 
-# shots stepped at once: a blockade-sector block keeps 1.5 MB of stage
+# shots stepped at once: a pair-sector block keeps 1.5 MB of stage
 # buffers alive; 2048 ran as fast as 4096 on 4096 shots, 5 % faster on 40k
 # with a 4.6 MB lower peak RSS; 1024 was 10-25 % slower
 _BLOCK_SHOTS = 2048
@@ -310,31 +312,18 @@ def _dense_product(stages, rotations):
 
 def _step_states(chi, stages, rotations):
     """Apply the stages to the (d, n) states chi in place, one after another,
-    and return the last phase.  Only the rows holding |r> rotate: row 1 of a
-    2-level sector, rows 1 and 2 (one atom in |r>) and row 3 (|rr>) of the
-    4-level sector.  A 2-level stage is four products and two sums."""
-    if len(chi) == 2:
-        c0, c1 = chi
-        t00, t01, t10, t11 = np.empty((4, chi.shape[1]), dtype=complex)
-        rows = [(p[0, 0], p[0, 1], p[1, 0], p[1, 1]) for p in stages]
-        for rot, last in rotations:
-            for step in rot[:, :, 1].tolist():
-                for r, (p00, p01, p10, p11) in zip(step, rows):
-                    c1 *= r
-                    np.multiply(p00, c0, out=t00)
-                    np.multiply(p01, c1, out=t01)
-                    np.multiply(p10, c0, out=t10)
-                    np.multiply(p11, c1, out=t11)
-                    np.add(t00, t01, out=c0)
-                    np.add(t10, t11, out=c1)
-        return last
-    one_r, rr = chi[1:3], chi[3]
+    and return the last phase.  A stage turns the rows holding |r> into its
+    frame, by one scalar phase for the rows with one atom in |r> (none in
+    the single-atom sector) and one for the last row (a broadcast column of
+    phases was 10 % slower), then applies its propagator by one product and
+    one sum."""
+    one_r, last_row = chi[1:-1], chi[-1]
     prod = np.empty(stages[0].shape, dtype=complex)
     for rot, last in rotations:
-        for step in rot[:, :, 1::2].tolist():
-            for (r, r_rr), prop in zip(step, stages):
+        for step in rot[:, :, [1, -1]].tolist():
+            for (r, r_last), prop in zip(step, stages):
                 one_r *= r
-                rr *= r_rr
+                last_row *= r_last
                 np.multiply(prop, chi, out=prod)
                 np.add.reduce(prod, axis=1, out=chi)
     return last
@@ -382,19 +371,25 @@ def _evolve_sector(psi, diag, omegas, gate: GateParams, nsteps: int,
     return (chi * np.exp(-1j * last * n_r)[:, None]).reshape(psi.shape)
 
 
+# the sectors as index arrays into the (level of A, level of B, shot)
+# amplitudes: (level, atom) of the single-atom sector, then [1:, 1:]
+_SECTORS = (([[G1, G0], [RYD, G0]], [[G0, G1], [G0, RYD]]),
+            np.ix_([G1, RYD], [G1, RYD]))
+
+
 def _sector_drives(batch: DriveBatch, block=np.s_[:]):
-    """(slice, diagonal of H, Rabi frequencies) of each driven sector of
-    the (level of A, level of B, shot) amplitudes, for the shots ``block``."""
+    """(diagonal of H, Rabi frequencies) of each sector of `_SECTORS` for
+    the shots ``block``, each built when the sector is reached."""
     omega, delta, gamma1, gammar = (rates[:, block] for rates in (
         batch.omega, batch.delta, batch.gamma1, batch.gammar))
-    # diagonal of H on (|1>, |r>) per atom; the [1:, 1:] sector's diagonal
-    # is the sum of both plus the blockade on |rr>
-    diag = np.stack([-0.5j * gamma1, -delta - 0.5j * gammar], axis=1)
-    diag_ab = diag[0][:, None] + diag[1][None, :]
-    diag_ab[1, 1] += batch.blockade[block]
-    return ((np.s_[1:, G0], diag[0], omega[:1]),
-            (np.s_[G0, 1:], diag[1], omega[1:]),
-            (np.s_[1:, 1:], diag_ab, omega))
+    # diagonal of H on (|1>, |r>) per atom, as (level, atom, shot)
+    diag = np.stack([-0.5j * gamma1, -delta - 0.5j * gammar])
+    yield diag.reshape(2, -1), [omega.ravel()]
+    # the pair sector's is the sum of both plus the blockade on |rr>;
+    # rebinding diag frees the single-atom arrays before the pair steps
+    diag = diag[:, None, 0] + diag[None, :, 1]
+    diag[1, 1] += batch.blockade[block]
+    yield diag, omega
 
 
 def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
@@ -405,16 +400,17 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
     for norm loss.  The whole batch is planned once and then stepped
     `_BLOCK_SHOTS` shots at a time, so a shot's result does not depend on
-    its block.  Per sector, the plan is the route, the Taylor norm bound and
-    ``steps_per_period`` points per period of the batch's fastest
-    non-blockade frequency, or per pulse if the pulse is shorter than that
-    period (`_steps_for`); the [1:, 1:] sector takes more where the batch's
-    largest blockade B needs them to keep B h / 2 pi <= 0.75.  At the
-    default of 70 a sampled shot's Bell error is within 2e-8 of an 800-point
-    run on both presets.  Raises IntegrationError before stepping if a
-    shot's drive holds a non-finite value or a negative Rabi frequency, or a
-    sector needs more than `_MAX_STEPS` steps, and after stepping if any
-    shot's norm grew by more than 1e-9.
+    its block.  The plan is the route and, per sector, a Taylor norm bound
+    and a step count.  The single-atom sector takes ``steps_per_period``
+    points per period of the batch's fastest non-blockade frequency over
+    both atoms, or per pulse if the pulse is shorter than that period
+    (`_steps_for`).  The pair sector takes the same count, or more where
+    the batch's largest blockade B needs them to keep B h / 2 pi <= 0.75.
+    At the default of 70 a sampled shot's Bell error is within 2e-8 of an
+    800-point run on both presets.  Raises IntegrationError before stepping
+    if a shot's drive holds a non-finite value or a negative Rabi
+    frequency, or a sector needs more than `_MAX_STEPS` steps, and after
+    stepping if any shot's norm grew by more than 1e-9.
     """
     psi = np.array(psi, dtype=complex)
     n = len(psi)
@@ -426,25 +422,25 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
             f"non-finite drive or negative Rabi frequency in "
             f"{int(np.sum(bad))} of {n} shots")
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
-    # fastest non-blockade angular frequency of each atom's single-driven
-    # sector
-    scale = np.maximum(np.max(np.abs([batch.omega, batch.delta]), axis=(0, 2)),
-                       phase_bandwidth(gate))
-    steps = [_steps_for(gate.duration, s, steps_per_period)
-             for s in (scale[0], scale[1], max(scale))]
-    steps[2] = max(steps[2], _steps_for(
+    # the fastest non-blockade angular frequency of the batch
+    scale = max(float(np.max(np.abs([batch.omega, batch.delta]))),
+                phase_bandwidth(gate))
+    base = _steps_for(gate.duration, scale, steps_per_period)
+    steps = (base, max(base, _steps_for(
         gate.duration, float(np.max(np.abs(batch.blockade))),
-        _BLOCKADE_STEPS_PER_PERIOD))
+        _BLOCKADE_STEPS_PER_PERIOD)))
     norms = [float(np.max(np.abs(_centered(diag)[0])))
              + sum(float(np.max(0.5 * omega)) for omega in omegas)
-             for _, diag, omegas in _sector_drives(batch)]
+             for diag, omegas in _sector_drives(batch)]
     for lo in range(0, n, _BLOCK_SHOTS):
         block = np.s_[lo:lo + _BLOCK_SHOTS]
         amps = psi[block].reshape(-1, 3, 3).transpose(1, 2, 0)   # a view
-        for (sector, diag, omegas), nsteps, norm in zip(
-                _sector_drives(batch, block), steps, norms):
-            amps[sector] = _evolve_sector(amps[sector], diag, omegas, gate,
-                                          nsteps, norm, n <= _DENSE_MAX_SHOTS)
+        # a sector's entries come out (2, 2, shots), go in shaped as its diag
+        for sector, (diag, omegas), nsteps, norm in zip(
+                _SECTORS, _sector_drives(batch, block), steps, norms):
+            amps[sector] = _evolve_sector(
+                amps[sector].reshape(diag.shape), diag, omegas, gate,
+                nsteps, norm, n <= _DENSE_MAX_SHOTS).reshape(2, 2, -1)
 
     growth = np.sum(np.abs(psi) ** 2, axis=1) - norm_in
     bad = ~(growth <= 1e-9)
@@ -522,11 +518,10 @@ def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
     return err if psi_after_pulse.ndim > 1 else float(err[0])
 
 
-def pulse_state_nominal(gate: GateParams, batch: DriveBatch,
-                        steps_per_period: int = 70) -> np.ndarray:
+def pulse_state_nominal(gate: GateParams, batch: DriveBatch) -> np.ndarray:
     """Post-pulse (n, 9) amplitudes from the Bell prep state (pre-Rz)."""
     psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
-    return evolve_batch(psi0, batch, gate, steps_per_period)
+    return evolve_batch(psi0, batch, gate)
 
 
 def bell_errors_batch(gate: GateParams, batch: DriveBatch) -> np.ndarray:

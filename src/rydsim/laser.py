@@ -195,6 +195,7 @@ def fit_heterodyne(freqs, psd_samples,
     the forward differences of earlier versions the fitted parameters moved
     by up to 2.4e-9 relative on the benchmark traces.  A singular
     covariance is NaN, which `HeterodyneFit.as_dict` writes as null.
+    Raises FitError if the fit drives a bump's centre to zero.
     Flags the white-only regime when the fitted noise floor sits below the
     dark level across the whole band.
     """
@@ -212,6 +213,8 @@ def fit_heterodyne(freqs, psd_samples,
 
     def residual(x):
         m = _unpack(x, initial.t_d)
+        if any(b.f ** 2 == 0.0 for b in m.bumps):
+            raise FitError("spectrum fit drove a servo bump's centre to zero")
         return heterodyne_spectrum(m, freqs) - psd_samples
 
     res = least_squares(residual, x0, method="lm", max_nfev=20000,

@@ -240,7 +240,9 @@ def test_block_size_does_not_change_results(preset, current_opt, block,
 def test_each_mask_resolves_its_sample_once(current_params, current_opt,
                                             monkeypatch):
     # a 300-shot exclusion table resolves its one sample once per mask, 15
-    # times, and the engine steps each of those batches in 64-shot blocks
+    # times, and the engine steps each of those batches in 64-shot blocks:
+    # the single-atom sector holds both atoms' shots of a block, the pair
+    # sector one per shot
     resolve, evolve = budget.resolve_drive_batch, gate_mod._evolve_sector
     resolved, sectors = [], []
 
@@ -249,7 +251,7 @@ def test_each_mask_resolves_its_sample_once(current_params, current_opt,
         return resolve(params, samples, mask, g)
 
     def counted_sector(psi, *args):
-        sectors.append(psi.shape[-1])
+        sectors.append(psi.shape)
         return evolve(psi, *args)
 
     monkeypatch.setattr(gate_mod, "_BLOCK_SHOTS", 64)
@@ -257,7 +259,8 @@ def test_each_mask_resolves_its_sample_once(current_params, current_opt,
     monkeypatch.setattr(gate_mod, "_evolve_sector", counted_sector)
     exclusion_table(current_params, current_opt.gate, shots=300, seed=5)
     assert resolved == [300] * (1 + len(EXCLUSION_MECHANISMS)) == [300] * 15
-    assert sectors == ([64] * 12 + [44] * 3) * 15
+    assert sectors == ([(2, 128), (2, 2, 64)] * 4
+                       + [(2, 88), (2, 2, 44)]) * 15
 
 
 @pytest.mark.parametrize("poison", ["norm_growth", "nan_omega"])

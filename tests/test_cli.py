@@ -513,6 +513,27 @@ def test_laser_fit_singular_covariance_is_strict_json(tmp_path):
     assert doc["h0"] == pytest.approx(2.0, rel=0.01)
 
 
+def test_laser_fit_bump_centre_at_zero_exit_code(tmp_path, capsys):
+    # on this white-noise trace the fit drives the bump's centre below zero
+    # and `_unpack` clamps it to 1e-300: a numerical failure, not a crash
+    truth = LaserNoiseModel(h0=2.0, s_dark=1e-10, t_d=48.9e-6)
+    rng = np.random.default_rng(28)
+    f = np.linspace(2e3, 6e5, 500)
+    y = heterodyne_spectrum(truth, f) * (1 + 0.01 * rng.normal(size=500))
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(f"{fi} {yi}" for fi, yi in zip(f, y)))
+    start = LaserNoiseModel(h0=3.0, bumps=(ServoBump(30.0, 1.25e5, 6e3),),
+                            s_dark=5e-11, t_d=48.9e-6)
+    init = tmp_path / "init.json"
+    init.write_text(model_to_json(start))
+    out = tmp_path / "fit"
+    rc = main(["laser", "fit", "--trace", str(trace), "--initial", str(init),
+               "--out", str(out)])
+    assert rc == 3
+    assert "centre to zero" in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
+
+
 @pytest.mark.parametrize("spec, words", [
     ("0:4:60", ["0.0", "index 0"]), ("4:-1:6", ["0.0", "index 4"])])
 def test_laser_rabi_error_nonpositive_grid_point_exit_code(tmp_path, capsys,

@@ -65,6 +65,12 @@ def pair_state(a, b):
     return amps
 
 
+def bell_pulse_state(gate, batch, steps_per_period):
+    """`pulse_state_nominal` at ``steps_per_period`` points per period."""
+    psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
+    return evolve_batch(psi0, batch, gate, steps_per_period)
+
+
 def bell_error_of(gate, da, db, blockade):
     return float(bell_errors_batch(gate, pair(da, db, blockade))[0])
 
@@ -221,15 +227,21 @@ def test_block_engine_matches_dense_reference():
 
 
 @pytest.mark.parametrize("detuned", [0, 1], ids=["a", "b"])
-def test_single_atom_sectors_take_own_step_count(detuned):
-    # the detuned atom's sector needs its own 40 MHz scale: with the two
-    # atoms' step scales swapped it is 6.5e-7 off the reference, not 1.7e-9
+def test_single_atom_sector_takes_the_fastest_atoms_step_count(detuned,
+                                                               monkeypatch):
+    # the detuned atom's 40 MHz scale sets the single-atom sector's 2800
+    # steps for both atoms' halves, where the other atom alone would take
+    # 101, and the pair sector's, above its blockade floor of 16; stepped
+    # at the other atom's count the detuned atom was 6.5e-7 off the
+    # reference, not 1.7e-9
+    steps = _sector_steps(monkeypatch)
     omega = 2 * np.pi * 1e6
     drives = [drive(rabi=omega), drive(rabi=omega)]
     drives[detuned] = drive(rabi=omega, detuning=2 * np.pi * 40e6)
     batch, gate = pair(*drives, 2 * np.pi * 12e6), phase_mod(1e-6)
     psi0 = bell_prep_state()
     out = evolve_batch(psi0[None, :], batch, gate)[0]
+    assert steps == [((2, 2), 2800), ((2, 2, 1), 2800)]
     ref = evolve_dense_reference(psi0, batch, gate, nsteps=20000)
     single = [pair_index(G1, G0), pair_index(RYD, G0), pair_index(G0, G1),
               pair_index(G0, RYD)]
@@ -336,7 +348,7 @@ def test_convergence_under_step_halving(current_params, current_opt):
     gate = current_opt.gate
     batch = resolve_drives(current_params, gate)
     e1, e2 = (bell_error_from_pulse_state(
-        pulse_state_nominal(gate, batch, steps)[0], gate.virtual_rz)
+        bell_pulse_state(gate, batch, steps)[0], gate.virtual_rz)
         for steps in (100, 200))
     assert abs(e1 - e2) < 1e-6
 
@@ -389,7 +401,7 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
 def test_batched_engine_matches_dense_reference(b_mhz, ref_steps,
                                                 monkeypatch):
     # the reference RK4 resolves the blockade (B dt ~ 0.016 at 1 GHz); on
-    # the 40 ns pulse every sector takes 70 steps, the default points per
+    # the 40 ns pulse both sectors take 70 steps, the default points per
     # period of the pulse itself, at all three blockades: the blockade floor
     # asks for only 54 (B h / 2 pi = 0.74) at 1 GHz
     steps = _sector_steps(monkeypatch)
@@ -410,7 +422,7 @@ def test_batched_engine_matches_dense_reference(b_mhz, ref_steps,
     gate = phase_mod(40e-9)
     batch = batch_of(pairs, blockade)
     out = evolve_batch(np.stack([amps, amps]), batch, gate)
-    assert steps == [70, 70, 70]
+    assert steps == [((2, 4), 70), ((2, 2, 2), 70)]
     for shot, row in enumerate(out):
         ref = evolve_dense_reference(amps, batch, gate, nsteps=ref_steps,
                                      shot=shot)
@@ -476,11 +488,13 @@ def test_sampled_shots_match_dense_reference(preset, request):
 
 
 def _sector_steps(monkeypatch):
-    """Step counts of every `_evolve_sector` call, in call order."""
+    """(sector shape, step count) of every `_evolve_sector` call, in call
+    order: (2, 2n) is the single-atom sector of n shots, (2, 2, n) the pair
+    sector; ``dict`` of it gives each sector's latest count."""
     steps, evolve = [], gate_mod._evolve_sector
 
     def counted(psi, diag, omegas, gate, nsteps, norm, dense):
-        steps.append(nsteps)
+        steps.append((psi.shape, nsteps))
         return evolve(psi, diag, omegas, gate, nsteps, norm, dense)
     monkeypatch.setattr(gate_mod, "_evolve_sector", counted)
     return steps
@@ -498,8 +512,8 @@ def test_blockade_sector_steps_grow_linearly_with_blockade(monkeypatch):
         batch = pair(drive(rabi=omega), drive(rabi=omega),
                      2 * np.pi * b_mhz * 1e6)
         out = evolve_batch(psi0, batch, gate, steps_per_period=70)[0]
-        counts[b_mhz] = steps[-1]
-    assert counts[12.0] == steps[0] == 101
+        counts[b_mhz] = dict(steps)[(2, 2, 1)]
+    assert counts[12.0] == dict(steps)[(2, 2)] == 101
     assert counts[1000.0] == math.ceil(1000e6 * gate.duration / 0.75) == 1334
     for b_mhz in (500.0, 1000.0):
         assert counts[b_mhz] <= 2 * counts[b_mhz / 2]
@@ -527,7 +541,7 @@ def test_blockade_resonance_is_stepped_over(drives, turns, projected_params):
     h = gate.duration / gate_mod._steps_for(gate.duration, scale, 70)
     batch.blockade[:] = turns * 2 * np.pi / h
     err, ref = (bell_error_from_pulse_state(
-        pulse_state_nominal(gate, batch, steps)[0], gate.virtual_rz)
+        bell_pulse_state(gate, batch, steps)[0], gate.virtual_rz)
         for steps in (70, 3200))
     assert abs(err - ref) <= 1e-7
 
@@ -541,7 +555,7 @@ def test_sampled_shot_step_error(preset, request):
     batch = resolve_drive_batch(params, sample_shots(params, 7, 256),
                                 MechanismMask(), gate)
     e70, e140 = (bell_error_from_pulse_state(
-        pulse_state_nominal(gate, batch, steps), gate.virtual_rz)
+        bell_pulse_state(gate, batch, steps), gate.virtual_rz)
         for steps in (70, 140))
     assert np.max(np.abs(e70 - e140)) * 16.0 / 15.0 <= 1e-7
 
@@ -613,15 +627,46 @@ def _sampled_batch(case, n, request):
 @pytest.mark.parametrize("preset", ["current", "projected"])
 def test_stepping_route_matches_stage_loop(preset, chunk, request,
                                            monkeypatch):
-    # the stepping route rotates only the rows holding |r> and writes the
-    # 2-level update out, which changes no bit; nor do the chunks of frame
-    # rotations (88 steps in chunks of 7 leave 4 over)
+    # the stepping route rotates only the rows holding |r>, which changes
+    # no bit; nor do the chunks of frame rotations (88 steps in chunks of 7
+    # leave 4 over)
     gate, batch = _sampled_batch(preset, 2048, request)
     if chunk:
         monkeypatch.setattr(gate_mod, "_CHUNK_STEPS", chunk)
     out = pulse_state_nominal(gate, batch)
     monkeypatch.setattr(gate_mod, "_evolve_sector", evolve_sector_stage_loop)
     assert np.array_equal(out, pulse_state_nominal(gate, batch))
+
+
+def _hex(a):
+    """float.hex of every real and imaginary part of ``a``."""
+    return [float(v).hex() for v in np.ravel([a.real, a.imag])]
+
+
+@pytest.mark.parametrize("n, dense", [
+    (1, True), (gate_mod._DENSE_MAX_SHOTS, True), (2, False), (300, False)])
+@pytest.mark.parametrize("preset", ["current", "projected"])
+def test_single_atom_sector_equals_each_atom_alone(preset, n, dense, request,
+                                                   monkeypatch):
+    # the engine's single-atom sector call, split into atom A's and atom
+    # B's halves, each evolved alone at the same count and bound, gives the
+    # same bits on both routes (a one-shot half on the stepping route is
+    # 2e-15 off, as numpy takes another path for length-1 products)
+    gate, batch = _sampled_batch(preset, n, request)
+    monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n if dense else n - 1)
+    calls, evolve = [], gate_mod._evolve_sector
+
+    def recorded(*args):
+        calls.append(args)
+        return evolve(*args)
+    monkeypatch.setattr(gate_mod, "_evolve_sector", recorded)
+    pulse_state_nominal(gate, batch)
+    psi, diag, (omega,), *plan = calls[0]
+    assert psi.shape == (2, 2 * n) and plan[-1] == dense
+    halves = [evolve(psi[:, half], diag[:, half], [omega[half]], *plan)
+              for half in (np.s_[:n], np.s_[n:])]
+    assert _hex(evolve(psi, diag, [omega], *plan)) == _hex(
+        np.concatenate(halves, axis=1))
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -639,15 +684,15 @@ def test_dense_route_matches_stepping_route(case, n, chunk, request,
     monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n - 1)
     loop = pulse_state_nominal(gate, batch)
     # no sector's step count is a whole number of chunks, and at 1 GHz the
-    # blockade sector takes several chunks
-    assert all(s % gate_mod._CHUNK_STEPS for s in steps)
+    # pair sector takes several chunks
+    assert all(s % gate_mod._CHUNK_STEPS for _, s in steps)
     if case == "decay-off":
-        assert steps[2] > 1000
+        assert dict(steps)[(2, 2, n)] > 1000
     assert np.max(np.abs(dense - loop)) <= 1e-13
 
 
 @pytest.mark.parametrize("n, dense_calls", [
-    (1, 3), (gate_mod._DENSE_MAX_SHOTS, 3), (gate_mod._DENSE_MAX_SHOTS + 1, 0)])
+    (1, 2), (gate_mod._DENSE_MAX_SHOTS, 2), (gate_mod._DENSE_MAX_SHOTS + 1, 0)])
 def test_route_is_picked_by_batch_size(n, dense_calls, monkeypatch):
     calls, dense = [], gate_mod._dense_product
 
@@ -663,7 +708,7 @@ def test_route_is_picked_by_batch_size(n, dense_calls, monkeypatch):
 
 
 def test_dense_route_memory_does_not_grow_with_steps(monkeypatch):
-    # one shot whose [1:, 1:] sector takes 20 000 steps: the dense route
+    # one shot whose pair sector takes 20 000 steps: the dense route
     # reduces its stage matrices and builds its frame rotations a chunk at a
     # time, so the peak stays near one chunk's worth (0.7 MB; 14 MB when all
     # rotations were built at once)
@@ -677,5 +722,5 @@ def test_dense_route_memory_does_not_grow_with_steps(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert steps[2] == 20_000
+    assert dict(steps)[(2, 2, 1)] == 20_000
     assert peak < 2e6

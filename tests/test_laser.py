@@ -208,6 +208,18 @@ def test_fit_requires_enough_samples():
         fit_heterodyne(np.arange(1, 10), np.ones(9), white(1.0))
 
 
+@pytest.mark.parametrize("centre", [1e-300, 1.25e5], ids=["start", "driven"])
+def test_fit_raises_when_a_bump_centre_reaches_zero(centre):
+    # a centre at `_unpack`'s 1e-300 floor has f^2 = 0, where the bump's
+    # spectrum is not finite: given so at the start, or driven there by the
+    # fit of a white-noise trace, which used to raise ZeroDivisionError
+    f, y = _synthetic_trace(white(2.0, s_dark=1e-10), 0.01, 28)
+    start = LaserNoiseModel(h0=3.0, bumps=(ServoBump(30.0, centre, 6e3),),
+                            s_dark=5e-11, t_d=TD)
+    with pytest.raises(FitError, match="centre to zero"):
+        fit_heterodyne(f, y, start)
+
+
 # ---------------------------------------------------------------------------
 # Rabi rotation error
 # ---------------------------------------------------------------------------
