@@ -6,8 +6,8 @@ drive-level perturbations under the run's mechanism mask, and score the
 Bell-test error; runs over several masks (the exclusion table, the adiabatic
 trace) sample once and resolve the same draws under each mask.  Each
 (sample, mask) is resolved once and scored by one call into the gate engine,
-which plans the batch and steps it in blocks; a batch whose propagation
-fails is bisected down to single shots, so the failing shots are counted as
+which plans the batch and steps it in blocks; the engine returns each shot
+that fails to integrate as NaN, so the failing shots are counted as
 integration failures and left out of the mean.
 """
 
@@ -18,11 +18,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .gate import (DriveBatch, GateParams, IntegrationError,
-                   bell_error_from_pulse_state, bell_errors_batch,
-                   optimal_virtual_rz, pulse_state_nominal)
+from .gate import (DriveBatch, GateParams, bell_error_from_pulse_state,
+                   bell_errors_batch, optimal_virtual_rz, pulse_state_nominal)
 from .noise import MechanismMask, resolve_drive_batch, resolve_drives, sample_shots
-from .params import SystemParams
+from .params import ConfigError, SystemParams
 
 # dimensionless pulse seed (detuning/Omega, Omega*T, rate/Omega, depth): the
 # perfect-blockade optimum.  One search from it finds the best known optimum
@@ -177,26 +176,14 @@ def _score_shots(params: SystemParams, gate: GateParams,
                  seed: int) -> MonteCarloReport:
     """`monte_carlo_error` on draws already sampled for run ``seed``.
 
-    The draws are resolved once and scored by one engine call.  A failing
-    batch is bisected down to single shots, each half a new call with its
-    own plan, so one bad shot of n costs at most 2 ceil(log2 n) + 1 calls
-    and is left out as NaN.
+    The draws are resolved once and scored by one engine call, which
+    returns each shot that fails to integrate as NaN; those shots are
+    counted and left out, and the others' errors do not depend on them.
     """
     shots, rejected = len(samples), int(np.sum(samples.redraws))
     batch = resolve_drive_batch(params, samples, mask, gate)
     del samples     # the engine needs only the drives
-    errors = np.full(shots, np.nan)
-
-    def score(lo, hi):
-        try:
-            errors[lo:hi] = bell_errors_batch(gate, DriveBatch(
-                *(rates[..., lo:hi] for rates in vars(batch).values())))
-        except IntegrationError:
-            if hi - lo > 1:
-                score(lo, (lo + hi) // 2)
-                score((lo + hi) // 2, hi)
-
-    score(0, shots)
+    errors = bell_errors_batch(gate, batch)
     failures = int(np.count_nonzero(np.isnan(errors)))
     if failures > _MAX_FAILURE_FRACTION * shots:
         raise MonteCarloAbort(
@@ -341,6 +328,8 @@ def adiabatic_trace(params: SystemParams, gate: GateParams, powers_mw,
     """
     _check_shots(shots)
     powers_mw = np.atleast_1d(np.asarray(powers_mw, dtype=float))
+    if not np.all(powers_mw > 0):
+        raise ConfigError("trap_power_mw must be positive")
     t_anchor = params.atom_temperature_uk
     p_anchor = params.trap_power_mw
     temps = t_anchor * np.sqrt(powers_mw / p_anchor)

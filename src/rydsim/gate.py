@@ -20,8 +20,9 @@ multiple of 2 pi (h the step length; Hairer, Lubich & Wanner, Geometric
 Numerical Integration, ch. XIII), so the pair sector takes enough steps to
 keep B h / 2 pi at or below 0.75, below the first peak.
 
-A call plans its whole batch once (step counts, Taylor norm bounds and one
-of two routes, by batch size), then steps it `_BLOCK_SHOTS` shots at a time.
+A call marks the shots that fail to integrate as NaN rows, plans the others
+once (step counts, Taylor norm bounds and one of two routes, by batch
+size), then steps them `_BLOCK_SHOTS` shots at a time.
 A batch of at most `_DENSE_MAX_SHOTS` shots (the optimizer, the decay floor)
 folds each stage's frame phase into its propagator and multiplies the stage
 matrices, a chunk of steps at a time, into one matrix per shot by a pairwise
@@ -56,8 +57,8 @@ def pair_index(a: int, b: int) -> int:
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a batch cannot be propagated: a drive value is not finite,
-    a step count exceeds its limit, or a shot's norm grows."""
+    """Raised by `pulse_state_nominal` when a shot of its batch failed to
+    integrate; `evolve_batch` itself returns a failing shot as a NaN row."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def build_hamiltonian(batch: DriveBatch, gate: GateParams, t: float,
 # step control and the sector propagator
 # ---------------------------------------------------------------------------
 
-# a sector needing more than _MAX_STEPS steps raises IntegrationError
+# a shot needing more than _MAX_STEPS steps in a sector fails
 _MAX_STEPS = 5_000_000
 
 # the pair sector takes at least 4/3 steps per period of the largest
@@ -181,16 +182,13 @@ _MAX_STEPS = 5_000_000
 _BLOCKADE_STEPS_PER_PERIOD = 4.0 / 3.0
 
 
-def _steps_for(duration: float, scale: float, steps_per_period: float) -> int:
-    """Steps resolving the period of the angular frequency ``scale`` with
-    ``steps_per_period`` points; the scale is floored at 2 pi / duration,
-    so the count is at least ``steps_per_period``."""
-    dt_max = TWO_PI / (steps_per_period * max(scale, TWO_PI / duration))
-    steps = duration / dt_max if dt_max > 0 else math.inf
-    if not steps <= _MAX_STEPS:
-        raise IntegrationError(f"step size underflow: {steps:.3g} steps "
-                               f"exceed limit {_MAX_STEPS}")
-    return math.ceil(steps)
+def _steps_for(duration: float, scale, steps_per_period: float):
+    """Steps per shot, not rounded up, resolving the period of each angular
+    frequency of ``scale`` with ``steps_per_period`` points; a scale is
+    floored at 2 pi / duration, so a count is at least ``steps_per_period``."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return duration / (TWO_PI / (steps_per_period
+                                     * np.maximum(scale, TWO_PI / duration)))
 
 
 # A step of h is five exponential-midpoint stages of lengths _STAGES * h,
@@ -397,57 +395,60 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     """Evolve a batch of 9-dim amplitude vectors through the pulse ``gate``
     under per-shot drives.
 
-    psi : (n, 9) complex.  Returns the evolved (n, 9) array; callers account
-    for norm loss.  The whole batch is planned once and then stepped
-    `_BLOCK_SHOTS` shots at a time, so a shot's result does not depend on
-    its block.  The plan is the route and, per sector, a Taylor norm bound
-    and a step count.  The single-atom sector takes ``steps_per_period``
-    points per period of the batch's fastest non-blockade frequency over
-    both atoms, or per pulse if the pulse is shorter than that period
-    (`_steps_for`).  The pair sector takes the same count, or more where
-    the batch's largest blockade B needs them to keep B h / 2 pi <= 0.75.
-    At the default of 70 a sampled shot's Bell error is within 2e-8 of an
-    800-point run on both presets.  Raises IntegrationError before stepping
-    if a shot's drive holds a non-finite value or a negative Rabi
-    frequency, or a sector needs more than `_MAX_STEPS` steps, and after
-    stepping if any shot's norm grew by more than 1e-9.
+    psi : (n, 9) complex, a row per shot of ``batch``.  Returns the evolved
+    (n, 9) array; callers account for norm loss.  A failing shot is a NaN
+    row: a shot whose drive holds a non-finite value or a negative Rabi
+    frequency, or that needs more than `_MAX_STEPS` steps in a sector, is
+    not stepped, and one whose norm grew by more than 1e-9 is marked after.
+    The other shots are planned once and stepped `_BLOCK_SHOTS` at a time,
+    so a shot's result depends neither on its block nor on the shots not
+    stepped.  The plan is the route and, per sector, a Taylor norm bound
+    and the largest step count of its shots (`_steps_for`): a shot's
+    single-atom count is ``steps_per_period`` points per period of its
+    fastest non-blockade frequency over both atoms, or per pulse if the
+    pulse is shorter, and its pair count the same or more, to keep its
+    B h / 2 pi <= 0.75.  At the default of 70 a sampled shot's Bell error
+    is within 2e-8 of an 800-point run on both presets.
     """
     psi = np.array(psi, dtype=complex)
-    n = len(psi)
-    bad = (~np.all(np.isfinite([batch.omega, batch.delta, batch.gamma1,
-                                batch.gammar]), axis=(0, 1))
-           | ~np.isfinite(batch.blockade) | np.any(batch.omega < 0, axis=0))
-    if np.any(bad):
-        raise IntegrationError(
-            f"non-finite drive or negative Rabi frequency in "
-            f"{int(np.sum(bad))} of {n} shots")
+    if len(psi) != len(batch):
+        raise ValueError(f"psi has {len(psi)} rows for a batch of "
+                         f"{len(batch)} shots")
+    ok = (np.all(np.isfinite([batch.omega, batch.delta, batch.gamma1,
+                              batch.gammar]), axis=(0, 1))
+          & np.isfinite(batch.blockade) & np.all(batch.omega >= 0, axis=0))
+    # each shot's step counts, from its fastest non-blockade frequency
+    base = _steps_for(gate.duration, np.maximum(
+        np.max(np.abs([batch.omega, batch.delta]), axis=(0, 1)),
+        phase_bandwidth(gate)), steps_per_period)
+    pair = np.maximum(base, _steps_for(gate.duration, np.abs(batch.blockade),
+                                       _BLOCKADE_STEPS_PER_PERIOD))
+    ok &= pair <= _MAX_STEPS
+    psi[~ok] = np.nan
+    shots = np.flatnonzero(ok)
+    if not len(shots):
+        return psi
+    steps = [math.ceil(np.max(s[shots])) for s in (base, pair)]
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
-    # the fastest non-blockade angular frequency of the batch
-    scale = max(float(np.max(np.abs([batch.omega, batch.delta]))),
-                phase_bandwidth(gate))
-    base = _steps_for(gate.duration, scale, steps_per_period)
-    steps = (base, max(base, _steps_for(
-        gate.duration, float(np.max(np.abs(batch.blockade))),
-        _BLOCKADE_STEPS_PER_PERIOD)))
     norms = [float(np.max(np.abs(_centered(diag)[0])))
              + sum(float(np.max(0.5 * omega)) for omega in omegas)
-             for diag, omegas in _sector_drives(batch)]
-    for lo in range(0, n, _BLOCK_SHOTS):
-        block = np.s_[lo:lo + _BLOCK_SHOTS]
-        amps = psi[block].reshape(-1, 3, 3).transpose(1, 2, 0)   # a view
+             for diag, omegas in _sector_drives(batch, shots)]
+    for lo in range(0, len(shots), _BLOCK_SHOTS):
+        block = shots[lo:lo + _BLOCK_SHOTS]
+        # a run of shots is stepped in place, not copied (peak memory)
+        if block[-1] - block[0] == len(block) - 1:
+            block = np.s_[block[0]:block[-1] + 1]
+        rows = psi[block]
+        amps = rows.reshape(-1, 3, 3).transpose(1, 2, 0)   # a view of rows
         # a sector's entries come out (2, 2, shots), go in shaped as its diag
         for sector, (diag, omegas), nsteps, norm in zip(
                 _SECTORS, _sector_drives(batch, block), steps, norms):
             amps[sector] = _evolve_sector(
                 amps[sector].reshape(diag.shape), diag, omegas, gate,
-                nsteps, norm, n <= _DENSE_MAX_SHOTS).reshape(2, 2, -1)
+                nsteps, norm, len(shots) <= _DENSE_MAX_SHOTS).reshape(2, 2, -1)
+        psi[block] = rows
 
-    growth = np.sum(np.abs(psi) ** 2, axis=1) - norm_in
-    bad = ~(growth <= 1e-9)
-    if np.any(bad):
-        raise IntegrationError(
-            f"norm grew by {np.nanmax(growth):.3e} in {int(np.sum(bad))} "
-            f"of {len(psi)} shots; integration unstable")
+    psi[~(np.sum(np.abs(psi) ** 2, axis=1) - norm_in <= 1e-9)] = np.nan
     return psi
 
 
@@ -519,14 +520,22 @@ def bell_error_from_pulse_state(psi_after_pulse: np.ndarray,
 
 
 def pulse_state_nominal(gate: GateParams, batch: DriveBatch) -> np.ndarray:
-    """Post-pulse (n, 9) amplitudes from the Bell prep state (pre-Rz)."""
+    """Post-pulse (n, 9) amplitudes from the Bell prep state (pre-Rz).
+    Raises IntegrationError if a shot fails to integrate."""
     psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
-    return evolve_batch(psi0, batch, gate)
+    psi = evolve_batch(psi0, batch, gate)
+    failed = int(np.count_nonzero(np.isnan(psi[:, 0])))
+    if failed:
+        raise IntegrationError(f"{failed} of {len(psi)} shots failed to "
+                               f"integrate")
+    return psi
 
 
 def bell_errors_batch(gate: GateParams, batch: DriveBatch) -> np.ndarray:
-    """Bell-circuit error per shot for a batch of resolved drives."""
-    psi = pulse_state_nominal(gate, batch)
+    """Bell-circuit error per shot for a batch of resolved drives; NaN for
+    a shot that failed to integrate (`evolve_batch`)."""
+    psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
+    psi = evolve_batch(psi0, batch, gate)
     return np.clip(bell_error_from_pulse_state(psi, gate.virtual_rz), 0.0, 1.0)
 
 

@@ -15,7 +15,7 @@ from rydsim.budget import (EXCLUSION_MECHANISMS, MonteCarloReport,
 from rydsim import budget, gate as gate_mod
 from rydsim.gate import GateParams, bell_errors_batch
 from rydsim.noise import MechanismMask, nominal_shot, resolve_drive_batch
-from rydsim.params import load_preset
+from rydsim.params import ConfigError, load_preset
 
 
 def test_optimized_error_sits_at_decay_floor(current_opt):
@@ -200,6 +200,15 @@ def test_sweep_single_point(current_params, current_opt):
     assert grid.errors.shape == (1, 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_adiabatic_trace_rejects_nonpositive_powers(current_params,
+                                                    current_opt):
+    # the powers are checked before T ~ sqrt(P) is taken, with no warning
+    with pytest.raises(ConfigError, match="trap_power_mw must be positive"):
+        adiabatic_trace(current_params, current_opt.gate, [-1.0, 0.0, 1.0],
+                        shots=100)
+
+
 def test_adiabatic_trace_curve_shapes(current_params, current_opt):
     powers = np.array([2.8, 7.0, 16.0, 40.0])
     tr = adiabatic_trace(current_params, current_opt.gate, powers,
@@ -263,42 +272,111 @@ def test_each_mask_resolves_its_sample_once(current_params, current_opt,
                        + [(2, 88), (2, 2, 44)]) * 15
 
 
-@pytest.mark.parametrize("poison", ["norm_growth", "nan_omega"])
-def test_one_failing_shot_is_bisected_out(projected_params, projected_opt,
-                                          monkeypatch, poison):
-    # one shot of 300 gets a negative Rydberg decay rate, so its norm grows,
-    # or a NaN Rabi frequency, which the engine rejects before stepping; so
-    # every batch holding it raises IntegrationError
-    gate, shots = projected_opt.gate, 300
-    clean = monte_carlo_error(projected_params, gate, shots=shots, seed=2)
-    bad_pos = budget.sample_shots(projected_params, 2, shots)[123][
-        "position_um"][0].copy()
-    resolve, evolve = budget.resolve_drive_batch, gate_mod.evolve_batch
-    calls = []
+def _poison(resolve, poison, shot, mask=None):
+    """``resolve_drive_batch`` with the shot whose atom A position is
+    ``shot`` failing to integrate, under ``mask`` only when it is given: a
+    negative Rydberg decay rate makes its norm grow, a NaN Rabi frequency is
+    rejected before stepping, and a blockade of 1e20 rad/s needs more than
+    `gate._MAX_STEPS` steps."""
+    def poisoned(params, samples, mask_, g):
+        batch = resolve(params, samples, mask_, g)
+        if mask is not None and mask_ != mask:
+            return batch
+        hit = np.all(samples["position_um"][:, 0] == shot, axis=-1)
+        field, value = {"norm_growth": ("gammar", -1e5),
+                        "nan_omega": ("omega", np.nan),
+                        "step_limit": ("blockade", 1e20)}[poison]
+        rates = getattr(batch, field).copy()
+        rates[..., hit] = value
+        return replace(batch, **{field: rates})
+    return poisoned
 
-    def poisoned(params, samples, mask, g):
-        batch = resolve(params, samples, mask, g)
-        hit = np.all(samples["position_um"][:, 0] == bad_pos, axis=-1)
-        if poison == "norm_growth":
-            gammar = batch.gammar.copy()
-            gammar[0, hit] = -1e5
-            return replace(batch, gammar=gammar)
-        omega = batch.omega.copy()
-        omega[0, hit] = np.nan
-        return replace(batch, omega=omega)
+
+def _counted_evolve(monkeypatch):
+    """Patch `gate.evolve_batch` to record each call's shot count."""
+    evolve, calls = gate_mod.evolve_batch, []
 
     def counted(*args, **kwargs):
         calls.append(len(args[0]))
         return evolve(*args, **kwargs)
-
-    monkeypatch.setattr(budget, "resolve_drive_batch", poisoned)
     monkeypatch.setattr(gate_mod, "evolve_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("poison", ["norm_growth", "nan_omega", "step_limit"])
+def test_one_failing_shot_is_left_out(projected_params, projected_opt,
+                                      monkeypatch, poison):
+    # one shot of 300 fails to integrate: the run makes one engine call,
+    # that shot comes back NaN, and every other shot's error is the clean
+    # run's
+    gate, shots = projected_opt.gate, 300
+    clean = monte_carlo_error(projected_params, gate, shots=shots, seed=2)
+    bad_pos = budget.sample_shots(projected_params, 2, shots)[123][
+        "position_um"][0].copy()
+    monkeypatch.setattr(budget, "resolve_drive_batch", _poison(
+        budget.resolve_drive_batch, poison, bad_pos))
+    calls = _counted_evolve(monkeypatch)
     rep = monte_carlo_error(projected_params, gate, shots=shots, seed=2)
     assert rep.integration_failures == 1
     assert np.isnan(rep.errors[123])
     others = np.arange(shots) != 123
-    assert np.max(np.abs(rep.errors[others] - clean.errors[others])) <= 1e-9
-    assert len(calls) <= 2 * math.ceil(math.log2(shots)) + 1
+    assert np.array_equal(rep.errors[others], clean.errors[others])
+    assert calls == [shots]
+
+
+def test_every_shot_failing_aborts_after_one_call(projected_params,
+                                                  projected_opt, monkeypatch):
+    resolve = budget.resolve_drive_batch
+
+    def poisoned(params, samples, mask, g):
+        batch = resolve(params, samples, mask, g)
+        return replace(batch, omega=np.full_like(batch.omega, np.nan))
+    monkeypatch.setattr(budget, "resolve_drive_batch", poisoned)
+    calls = _counted_evolve(monkeypatch)
+    with pytest.raises(budget.MonteCarloAbort, match="300/300 shots"):
+        monte_carlo_error(projected_params, projected_opt.gate, shots=300,
+                          seed=2)
+    assert calls == [300]
+
+
+def test_exclusion_row_leaves_out_a_shot_failing_under_its_mask(
+        current_params, current_opt, monkeypatch):
+    # shot 57 fails under the Rydberg-decay-off mask only: that row is the
+    # clean row taken over the other shots, and the others are unchanged
+    gate, shots, flag = current_opt.gate, 200, "rydberg_decay"
+    mask = MechanismMask().without(flag)
+    clean = exclusion_table(current_params, gate, shots=shots, seed=4)
+    base, excl = (monte_carlo_error(current_params, gate, m, shots, seed=4)
+                  for m in (MechanismMask(), mask))
+    bad_pos = budget.sample_shots(current_params, 4, shots)[57][
+        "position_um"][0].copy()
+    monkeypatch.setattr(budget, "resolve_drive_batch", _poison(
+        budget.resolve_drive_batch, "norm_growth", bad_pos, mask))
+    calls = _counted_evolve(monkeypatch)
+    rep = exclusion_table(current_params, gate, shots=shots, seed=4)
+    assert calls == [shots] * (1 + len(EXCLUSION_MECHANISMS))
+    diff = np.delete(base.errors - excl.errors, 57)
+    row = next(i for i, (f, _) in enumerate(EXCLUSION_MECHANISMS)
+               if f == flag)
+    assert rep.rows[row] == budget.BudgetRow(
+        EXCLUSION_MECHANISMS[row][1], float(np.mean(diff)),
+        float(np.std(diff, ddof=1) / math.sqrt(len(diff))))
+    assert [r for i, r in enumerate(rep.rows) if i != row] == [
+        r for i, r in enumerate(clean.rows) if i != row]
+    assert rep.total == clean.total
+
+
+def test_optimize_with_failing_nominal_pulse_exits_3(monkeypatch, tmp_path,
+                                                     capsys):
+    # the nominal pulse needs more steps than allowed: the optimizer's
+    # first evaluation raises IntegrationError and the CLI exits 3
+    from rydsim.cli import main
+    monkeypatch.setattr(gate_mod, "_MAX_STEPS", 8)
+    out = tmp_path / "opt"
+    assert main(["budget", "optimize", "--config", "projected",
+                 "--out", str(out)]) == 3
+    assert "failed to integrate" in capsys.readouterr().err
+    assert not (out / "gate.json").exists()
 
 
 def test_report_dict_round_trips(current_params, current_opt):

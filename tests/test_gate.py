@@ -75,6 +75,17 @@ def bell_error_of(gate, da, db, blockade):
     return float(bell_errors_batch(gate, pair(da, db, blockade))[0])
 
 
+def assert_left_out(batch, gate, bad):
+    """Shot ``bad`` of ``batch`` comes back as a NaN row, and the other rows
+    are, bit for bit, those of the batch without it."""
+    psi0 = np.broadcast_to(bell_prep_state(), (len(batch), 9))
+    out = evolve_batch(psi0, batch, gate)
+    assert np.all(np.isnan(out[bad]))
+    keep = np.arange(len(batch)) != bad
+    rest = DriveBatch(*(rates[..., keep] for rates in vars(batch).values()))
+    assert _hex(out[keep]) == _hex(evolve_batch(psi0[keep], rest, gate))
+
+
 # ---------------------------------------------------------------------------
 # build_hamiltonian
 # ---------------------------------------------------------------------------
@@ -113,19 +124,26 @@ def test_hamiltonian_antihermitian_part_negative_semidefinite():
 
 
 def test_hamiltonian_rejects_nonfinite():
-    psi0 = bell_prep_state()
-    with pytest.raises(IntegrationError):
-        evolve_one(psi0, drive(rabi=np.inf), drive(), 0.0, 1e-6)
-    with pytest.raises(IntegrationError):
-        evolve_one(psi0, drive(), drive(), np.nan, 1e-6)
+    # a non-finite Rabi frequency or blockade fails its shot before stepping
+    da = drive(rabi=2 * np.pi * 1e6)
+    assert_left_out(batch_of([(drive(rabi=np.inf), drive()), (da, da)], 0.0),
+                    pulse(1e-6), 0)
+    batch = batch_of([(da, da)] * 2, 0.0)
+    batch.blockade[1] = np.nan
+    assert_left_out(batch, pulse(1e-6), 1)
 
 
 def test_drive_spec_rejects_negative_rates():
-    psi0 = bell_prep_state()
-    with pytest.raises(IntegrationError):
-        evolve_one(psi0, drive(g1=-1.0), drive(), 0.0, 1e-6)
-    with pytest.raises(IntegrationError):
-        evolve_one(psi0, drive(rabi=-5.0), drive(), 0.0, 1e-6)
+    # a negative Rabi frequency fails its shot before stepping; a negative
+    # loss rate out of |1> is a gain, so that shot's norm grows and it fails
+    # after stepping
+    da = drive(rabi=2 * np.pi * 1e6)
+    assert_left_out(batch_of([(da, da), (drive(rabi=-5.0), drive())], 0.0),
+                    pulse(1e-6), 1)
+    psi0 = np.broadcast_to(bell_prep_state(), (2, 9))
+    out = evolve_batch(psi0, batch_of([(drive(g1=-1.0), drive()), (da, da)],
+                                      0.0), pulse(1e-6))
+    assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -134,15 +152,14 @@ def test_drive_spec_rejects_negative_rates():
     pytest.param(("delta", 1), np.nan, id="delta_b-nan"),
     pytest.param(("gammar", 0), np.inf, id="gammar_a-inf")])
 def test_nonfinite_drive_raises(field, value):
-    # one bad shot of three fails the batch before any step is taken
+    # one bad shot of three fails before any step is taken, and the other
+    # two are planned and stepped without it
     omega = 2 * np.pi * 1.2e6
     da = drive(rabi=omega, g1=100.0, gr=100.0)
     batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
     name, *atom = field
     getattr(batch, name)[(*atom, 1)] = value
-    psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
-    with pytest.raises(IntegrationError, match="in 1 of 3 shots"):
-        evolve_batch(psi0, batch, pulse(1e-6))
+    assert_left_out(batch, pulse(1e-6), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +267,22 @@ def test_single_atom_sector_takes_the_fastest_atoms_step_count(detuned,
 
 def test_integration_error_on_step_underflow(monkeypatch):
     monkeypatch.setattr(gate_mod, "_MAX_STEPS", 8)
-    with pytest.raises(IntegrationError):
-        evolve_one(pair_state(G1, G1), drive(rabi=2 * np.pi * 1e6),
-                   drive(rabi=2 * np.pi * 1e6), 2 * np.pi * 1e9, 1e-6)
+    da = drive(rabi=2 * np.pi * 1e6)
+    assert np.all(np.isnan(evolve_one(pair_state(G1, G1), da, da,
+                                      2 * np.pi * 1e9, 1e-6)))
+    # the nominal pulse state is one check for the optimizer and decay floor
+    with pytest.raises(IntegrationError, match="1 of 1 shots"):
+        pulse_state_nominal(pulse(1e-6), pair(da, da, 2 * np.pi * 1e9))
+
+
+def test_step_limit_fails_only_the_shot_over_it(monkeypatch):
+    # at 70 points per period of 1.2 MHz the shots take 84 steps, and a
+    # 1 GHz blockade asks 1334 of the pair sector: that shot alone fails
+    monkeypatch.setattr(gate_mod, "_MAX_STEPS", 1000)
+    da = drive(rabi=2 * np.pi * 1.2e6, g1=100.0, gr=100.0)
+    batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
+    batch.blockade[2] = 2 * np.pi * 1e9
+    assert_left_out(batch, pulse(1e-6), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +568,8 @@ def test_blockade_resonance_is_stepped_over(drives, turns, projected_params):
         batch = pair(drive(rabi=omega), drive(rabi=omega), 0.0)
     scale = max(float(np.max(np.abs(np.stack([batch.omega, batch.delta])))),
                 gate_mod.phase_bandwidth(gate))
-    h = gate.duration / gate_mod._steps_for(gate.duration, scale, 70)
+    h = gate.duration / math.ceil(gate_mod._steps_for(gate.duration, scale,
+                                                      70))
     batch.blockade[:] = turns * 2 * np.pi / h
     err, ref = (bell_error_from_pulse_state(
         bell_pulse_state(gate, batch, steps)[0], gate.virtual_rz)
@@ -561,15 +592,24 @@ def test_sampled_shot_step_error(preset, request):
 
 
 def test_norm_growth_raises():
-    # a negative |r> loss rate is a gain; one such shot fails the batch
+    # a negative |r> loss rate is a gain: that shot is stepped with the
+    # others, its norm grows, and it alone comes back as a NaN row
     omega = 2 * np.pi * 1.2e6
     da = drive(rabi=omega, g1=100.0, gr=100.0)
     batch = batch_of([(da, da)] * 3, 2 * np.pi * 12e6)
     psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
-    evolve_batch(psi0, batch, pulse(1e-6))
+    assert np.all(np.isfinite(evolve_batch(psi0, batch, pulse(1e-6))))
     batch.gammar[0, 1] = -1e5
-    with pytest.raises(IntegrationError, match="norm grew"):
-        evolve_batch(psi0, batch, pulse(1e-6))
+    out = evolve_batch(psi0, batch, pulse(1e-6))
+    assert np.all(np.isnan(out[1]))
+    assert np.all(np.isfinite(out[[0, 2]]))
+
+
+def test_psi_rows_must_match_the_batch():
+    da = drive(rabi=2 * np.pi * 1.2e6)
+    psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
+    with pytest.raises(ValueError, match="3 rows for a batch of 5 shots"):
+        evolve_batch(psi0, batch_of([(da, da)] * 5, 0.0), pulse(1e-6))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
