@@ -10,6 +10,7 @@ datasets.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +191,7 @@ def fit_decay_oscillation(times, values, model: str = "exponential") -> dict:
     y = A exp(-(t/tau)^2) cos(2 pi f t + phase) + offset; returns amplitude,
     frequency, tau, phase, offset.
     """
-    from scipy.optimize import curve_fit
+    from scipy.optimize import OptimizeWarning, curve_fit
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) < 5:
@@ -238,9 +239,11 @@ def fit_decay_oscillation(times, values, model: str = "exponential") -> dict:
         f0 = float(fgrid[np.argmax(spec[1:]) + 1]) if len(fgrid) > 1 else 1.0
         tau0 = float(np.ptp(times)) or 1.0
         try:
-            popt, pcov = curve_fit(f, times, values,
-                                   p0=(a0, f0, tau0, 0.0, offset0),
-                                   maxfev=40000)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OptimizeWarning)
+                popt, pcov = curve_fit(f, times, values,
+                                       p0=(a0, f0, tau0, 0.0, offset0),
+                                       maxfev=40000)
         except RuntimeError as exc:
             raise FitFailure(f"oscillation fit did not converge: {exc}") from exc
         if not np.all(np.isfinite(pcov)):

@@ -20,9 +20,9 @@ multiple of 2 pi (h the step length; Hairer, Lubich & Wanner, Geometric
 Numerical Integration, ch. XIII), so the pair sector takes enough steps to
 keep B h / 2 pi at or below 0.75, below the first peak.
 
-A call marks the shots that fail to integrate as NaN rows, plans the others
-once (step counts, Taylor norm bounds and one of two routes, by batch
-size), then steps them `_BLOCK_SHOTS` shots at a time.
+`plan_batch` states what a call does: the shots it leaves out as NaN rows,
+one plan for the others (step counts, Taylor norm bounds and one of two
+routes, by batch size) and their blocks of `_BLOCK_SHOTS` shots.
 A batch of at most `_DENSE_MAX_SHOTS` shots (the optimizer, the decay floor)
 folds each stage's frame phase into its propagator and multiplies the stage
 matrices, a chunk of steps at a time, into one matrix per shot by a pairwise
@@ -390,30 +390,30 @@ def _sector_drives(batch: DriveBatch, block=np.s_[:]):
     yield diag, omega
 
 
-def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
-                 steps_per_period: int = 70) -> np.ndarray:
-    """Evolve a batch of 9-dim amplitude vectors through the pulse ``gate``
-    under per-shot drives.
+@dataclass(frozen=True)
+class BatchPlan:
+    """What `evolve_batch` does with a batch, as `plan_batch` decides it."""
 
-    psi : (n, 9) complex, a row per shot of ``batch``.  Returns the evolved
-    (n, 9) array; callers account for norm loss.  A failing shot is a NaN
-    row: a shot whose drive holds a non-finite value or a negative Rabi
-    frequency, or that needs more than `_MAX_STEPS` steps in a sector, is
-    not stepped, and one whose norm grew by more than 1e-9 is marked after.
-    The other shots are planned once and stepped `_BLOCK_SHOTS` at a time,
-    so a shot's result depends neither on its block nor on the shots not
-    stepped.  The plan is the route and, per sector, a Taylor norm bound
-    and the largest step count of its shots (`_steps_for`): a shot's
-    single-atom count is ``steps_per_period`` points per period of its
-    fastest non-blockade frequency over both atoms, or per pulse if the
-    pulse is shorter, and its pair count the same or more, to keep its
-    B h / 2 pi <= 0.75.  At the default of 70 a sampled shot's Bell error
-    is within 2e-8 of an 800-point run on both presets.
+    ok: np.ndarray      # (n,) bool: the shots that are stepped
+    steps: tuple        # step count of each sector of `_SECTORS`
+    norms: tuple        # its `_propagator` Taylor norm bound
+    dense: bool         # the dense route, else the stepping route
+    blocks: tuple       # shots of each block: a slice if a run, else indices
+
+
+def plan_batch(batch: DriveBatch, gate: GateParams,
+               steps_per_period: int = 70) -> BatchPlan:
+    """What `evolve_batch` will do with ``batch``, decided without stepping.
+
+    A shot is left out if a drive is non-finite, a Rabi frequency negative
+    or a sector's step count above `_MAX_STEPS`.  The others share one plan,
+    so a shot's result depends neither on its block of `_BLOCK_SHOTS` nor on
+    the shots left out: the route, dense for at most `_DENSE_MAX_SHOTS`, and
+    per sector a Taylor norm bound and the largest step count of its shots
+    (`_steps_for`).  A shot's single-atom count is ``steps_per_period``
+    points per period of its fastest non-blockade frequency over both atoms
+    or per pulse if shorter; its pair count, no less, keeps B h / 2 pi <= 0.75.
     """
-    psi = np.array(psi, dtype=complex)
-    if len(psi) != len(batch):
-        raise ValueError(f"psi has {len(psi)} rows for a batch of "
-                         f"{len(batch)} shots")
     ok = (np.all(np.isfinite([batch.omega, batch.delta, batch.gamma1,
                               batch.gammar]), axis=(0, 1))
           & np.isfinite(batch.blockade) & np.all(batch.omega >= 0, axis=0))
@@ -424,28 +424,44 @@ def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
     pair = np.maximum(base, _steps_for(gate.duration, np.abs(batch.blockade),
                                        _BLOCKADE_STEPS_PER_PERIOD))
     ok &= pair <= _MAX_STEPS
-    psi[~ok] = np.nan
     shots = np.flatnonzero(ok)
     if not len(shots):
-        return psi
-    steps = [math.ceil(np.max(s[shots])) for s in (base, pair)]
+        return BatchPlan(ok, (), (), True, ())
+    steps = tuple(math.ceil(np.max(s[shots])) for s in (base, pair))
+    norms = tuple(float(np.max(np.abs(_centered(diag)[0])))
+                  + sum(float(np.max(0.5 * omega)) for omega in omegas)
+                  for diag, omegas in _sector_drives(batch, shots))
+    # a run of shots is stepped in place, not copied (peak memory)
+    blocks = tuple(np.s_[b[0]:b[-1] + 1] if b[-1] - b[0] == len(b) - 1 else b
+                   for b in np.split(shots, range(_BLOCK_SHOTS, len(shots),
+                                                  _BLOCK_SHOTS)))
+    return BatchPlan(ok, steps, norms, len(shots) <= _DENSE_MAX_SHOTS, blocks)
+
+
+def evolve_batch(psi, batch: DriveBatch, gate: GateParams,
+                 steps_per_period: int = 70) -> np.ndarray:
+    """Evolve (n, 9) amplitudes, a row per shot of ``batch``, through the
+    pulse ``gate`` as `plan_batch` plans it; callers account for norm loss.
+    A shot the plan leaves out, or whose norm grew by more than 1e-9, is a
+    NaN row.  At 70 points per period a sampled shot's Bell error is within
+    2e-8 of an 800-point run on both presets.
+    """
+    psi = np.array(psi, dtype=complex)
+    if psi.shape != (len(batch), 9):
+        raise ValueError(f"psi has shape {psi.shape}, not ({len(batch)}, 9)")
+    plan = plan_batch(batch, gate, steps_per_period)
+    psi[~plan.ok] = np.nan
     norm_in = np.sum(np.abs(psi) ** 2, axis=1)
-    norms = [float(np.max(np.abs(_centered(diag)[0])))
-             + sum(float(np.max(0.5 * omega)) for omega in omegas)
-             for diag, omegas in _sector_drives(batch, shots)]
-    for lo in range(0, len(shots), _BLOCK_SHOTS):
-        block = shots[lo:lo + _BLOCK_SHOTS]
-        # a run of shots is stepped in place, not copied (peak memory)
-        if block[-1] - block[0] == len(block) - 1:
-            block = np.s_[block[0]:block[-1] + 1]
+    for block in plan.blocks:
         rows = psi[block]
         amps = rows.reshape(-1, 3, 3).transpose(1, 2, 0)   # a view of rows
         # a sector's entries come out (2, 2, shots), go in shaped as its diag
         for sector, (diag, omegas), nsteps, norm in zip(
-                _SECTORS, _sector_drives(batch, block), steps, norms):
+                _SECTORS, _sector_drives(batch, block), plan.steps,
+                plan.norms):
             amps[sector] = _evolve_sector(
                 amps[sector].reshape(diag.shape), diag, omegas, gate,
-                nsteps, norm, len(shots) <= _DENSE_MAX_SHOTS).reshape(2, 2, -1)
+                nsteps, norm, plan.dense).reshape(2, 2, -1)
         psi[block] = rows
 
     psi[~(np.sum(np.abs(psi) ** 2, axis=1) - norm_in <= 1e-9)] = np.nan

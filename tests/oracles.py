@@ -390,10 +390,10 @@ def evolve_sector_stage_loop(psi, diag, omegas, gate, nsteps: int,
 
     Every stage rotates all rows of the sector state by a broadcast (d, 1)
     frame phase and applies the stage propagator by one product and one
-    sum; the frame phases of all stages are built at once.  The batch's
-    norm bound and route go to the propagators only: the states are always
-    stepped.  The engine's stepping route for large batches must match it
-    bit for bit.
+    sum; the frame phases of all stages are built at once.  At the step
+    count, norm bound and route of a `rydsim.gate.plan_batch` plan (the
+    bound and route go to the propagators only: the states are always
+    stepped) it must match the engine's stepping route bit for bit.
     """
     from rydsim.gate import _STAGES, _propagator, waveform_phase
     d, n = diag[..., 0].size, diag.shape[-1]

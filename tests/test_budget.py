@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rydsim.budget import (EXCLUSION_MECHANISMS, MonteCarloReport,
-                           adiabatic_trace, decay_floor, exclusion_table,
-                           monte_carlo_error, optimize_gate,
+from rydsim.budget import (EXCLUSION_MECHANISMS, adiabatic_trace, decay_floor,
+                           exclusion_table, monte_carlo_error, optimize_gate,
                            sweep_temperature_power)
 from rydsim import budget, gate as gate_mod
 from rydsim.gate import GateParams, bell_errors_batch
@@ -249,27 +248,22 @@ def test_block_size_does_not_change_results(preset, current_opt, block,
 def test_each_mask_resolves_its_sample_once(current_params, current_opt,
                                             monkeypatch):
     # a 300-shot exclusion table resolves its one sample once per mask, 15
-    # times, and the engine steps each of those batches in 64-shot blocks:
-    # the single-atom sector holds both atoms' shots of a block, the pair
-    # sector one per shot
-    resolve, evolve = budget.resolve_drive_batch, gate_mod._evolve_sector
-    resolved, sectors = [], []
+    # times, scores each of those batches in one engine call, and the
+    # engine plans each in 64-shot blocks
+    resolve, batches = budget.resolve_drive_batch, []
 
-    def counted_resolve(params, samples, mask, g):
-        resolved.append(len(samples))
-        return resolve(params, samples, mask, g)
-
-    def counted_sector(psi, *args):
-        sectors.append(psi.shape)
-        return evolve(psi, *args)
+    def recorded_resolve(params, samples, mask, g):
+        batches.append(resolve(params, samples, mask, g))
+        return batches[-1]
 
     monkeypatch.setattr(gate_mod, "_BLOCK_SHOTS", 64)
-    monkeypatch.setattr(budget, "resolve_drive_batch", counted_resolve)
-    monkeypatch.setattr(gate_mod, "_evolve_sector", counted_sector)
+    monkeypatch.setattr(budget, "resolve_drive_batch", recorded_resolve)
+    calls = _counted_evolve(monkeypatch)
     exclusion_table(current_params, current_opt.gate, shots=300, seed=5)
-    assert resolved == [300] * (1 + len(EXCLUSION_MECHANISMS)) == [300] * 15
-    assert sectors == ([(2, 128), (2, 2, 64)] * 4
-                       + [(2, 88), (2, 2, 44)]) * 15
+    assert calls == [300] * (1 + len(EXCLUSION_MECHANISMS)) == [300] * 15
+    assert [gate_mod.plan_batch(b, current_opt.gate).blocks
+            for b in batches] == [tuple(
+                slice(lo, min(lo + 64, 300)) for lo in range(0, 300, 64))] * 15
 
 
 def _poison(resolve, poison, shot, mask=None):

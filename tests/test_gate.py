@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydsim.constants import MHZ
 from rydsim import gate as gate_mod
 from rydsim.gate import (DriveBatch, GateParams, IntegrationError,
                          bell_error_from_pulse_state, bell_errors_batch,
                          bell_prep_state,
                          build_hamiltonian, evolve_batch,
-                         ideal_cz_unitary, pair_index, pulse_state_nominal,
-                         waveform_phase, G0, G1, RYD)
+                         ideal_cz_unitary, pair_index, plan_batch,
+                         pulse_state_nominal, waveform_phase, G0, G1, RYD)
 from rydsim.noise import (MechanismMask, resolve_drive_batch,
                           resolve_drives, sample_shots)
 
@@ -244,21 +243,19 @@ def test_block_engine_matches_dense_reference():
 
 
 @pytest.mark.parametrize("detuned", [0, 1], ids=["a", "b"])
-def test_single_atom_sector_takes_the_fastest_atoms_step_count(detuned,
-                                                               monkeypatch):
+def test_single_atom_sector_takes_the_fastest_atoms_step_count(detuned):
     # the detuned atom's 40 MHz scale sets the single-atom sector's 2800
     # steps for both atoms' halves, where the other atom alone would take
     # 101, and the pair sector's, above its blockade floor of 16; stepped
     # at the other atom's count the detuned atom was 6.5e-7 off the
     # reference, not 1.7e-9
-    steps = _sector_steps(monkeypatch)
     omega = 2 * np.pi * 1e6
     drives = [drive(rabi=omega), drive(rabi=omega)]
     drives[detuned] = drive(rabi=omega, detuning=2 * np.pi * 40e6)
     batch, gate = pair(*drives, 2 * np.pi * 12e6), phase_mod(1e-6)
     psi0 = bell_prep_state()
     out = evolve_batch(psi0[None, :], batch, gate)[0]
-    assert steps == [((2, 2), 2800), ((2, 2, 1), 2800)]
+    assert plan_batch(batch, gate).steps == (2800, 2800)
     ref = evolve_dense_reference(psi0, batch, gate, nsteps=20000)
     single = [pair_index(G1, G0), pair_index(RYD, G0), pair_index(G0, G1),
               pair_index(G0, RYD)]
@@ -428,13 +425,11 @@ def test_decay_floor_linear_in_inverse_lifetime(current_opt):
 
 @pytest.mark.parametrize("b_mhz, ref_steps",
                          [(12.0, 1000), (100.0, 2000), (1000.0, 16000)])
-def test_batched_engine_matches_dense_reference(b_mhz, ref_steps,
-                                                monkeypatch):
+def test_batched_engine_matches_dense_reference(b_mhz, ref_steps):
     # the reference RK4 resolves the blockade (B dt ~ 0.016 at 1 GHz); on
     # the 40 ns pulse both sectors take 70 steps, the default points per
     # period of the pulse itself, at all three blockades: the blockade floor
     # asks for only 54 (B h / 2 pi = 0.74) at 1 GHz
-    steps = _sector_steps(monkeypatch)
     rng = np.random.default_rng(2)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
     amps /= np.linalg.norm(amps)
@@ -452,7 +447,7 @@ def test_batched_engine_matches_dense_reference(b_mhz, ref_steps,
     gate = phase_mod(40e-9)
     batch = batch_of(pairs, blockade)
     out = evolve_batch(np.stack([amps, amps]), batch, gate)
-    assert steps == [((2, 4), 70), ((2, 2, 2), 70)]
+    assert plan_batch(batch, gate).steps == (70, 70)
     for shot, row in enumerate(out):
         ref = evolve_dense_reference(amps, batch, gate, nsteps=ref_steps,
                                      shot=shot)
@@ -517,37 +512,23 @@ def test_sampled_shots_match_dense_reference(preset, request):
             ref, gate.virtual_rz)) <= 1e-7
 
 
-def _sector_steps(monkeypatch):
-    """(sector shape, step count) of every `_evolve_sector` call, in call
-    order: (2, 2n) is the single-atom sector of n shots, (2, 2, n) the pair
-    sector; ``dict`` of it gives each sector's latest count."""
-    steps, evolve = [], gate_mod._evolve_sector
-
-    def counted(psi, diag, omegas, gate, nsteps, norm, dense):
-        steps.append((psi.shape, nsteps))
-        return evolve(psi, diag, omegas, gate, nsteps, norm, dense)
-    monkeypatch.setattr(gate_mod, "_evolve_sector", counted)
-    return steps
-
-
-def test_blockade_sector_steps_grow_linearly_with_blockade(monkeypatch):
+def test_blockade_sector_steps_grow_linearly_with_blockade():
     # the [1:, 1:] sector takes 4/3 steps per blockade period once that is
     # more than the 101 the phase bandwidth sets: 1334 at 1 GHz, where 101
     # steps (B h / 2 pi = 9.9) are 1.1e-5 off
-    steps = _sector_steps(monkeypatch)
     omega = 2 * np.pi * 1.2e6
     gate, psi0 = phase_mod(1e-6), bell_prep_state()[None, :]
-    counts = {}
+    steps = {}
     for b_mhz in (12.0, 250.0, 500.0, 1000.0):
         batch = pair(drive(rabi=omega), drive(rabi=omega),
                      2 * np.pi * b_mhz * 1e6)
-        out = evolve_batch(psi0, batch, gate, steps_per_period=70)[0]
-        counts[b_mhz] = dict(steps)[(2, 2, 1)]
-    assert counts[12.0] == dict(steps)[(2, 2)] == 101
-    assert counts[1000.0] == math.ceil(1000e6 * gate.duration / 0.75) == 1334
+        steps[b_mhz] = plan_batch(batch, gate).steps
+    assert steps[12.0] == (101, 101) and steps[1000.0] == (101, 1334)
+    assert math.ceil(1000e6 * gate.duration / 0.75) == 1334
     for b_mhz in (500.0, 1000.0):
-        assert counts[b_mhz] <= 2 * counts[b_mhz / 2]
-    fine = evolve_batch(psi0, batch, gate, steps_per_period=3200)[0]
+        assert steps[b_mhz][1] <= 2 * steps[b_mhz / 2][1]
+    out, fine = (evolve_batch(psi0, batch, gate, points)[0]
+                 for points in (70, 3200))
     assert np.max(np.abs(out - fine)) <= 1e-7
 
 
@@ -566,10 +547,7 @@ def test_blockade_resonance_is_stepped_over(drives, turns, projected_params):
         omega = 2 * np.pi * 1.2e6
         gate = phase_mod(1e-6)
         batch = pair(drive(rabi=omega), drive(rabi=omega), 0.0)
-    scale = max(float(np.max(np.abs(np.stack([batch.omega, batch.delta])))),
-                gate_mod.phase_bandwidth(gate))
-    h = gate.duration / math.ceil(gate_mod._steps_for(gate.duration, scale,
-                                                      70))
+    h = gate.duration / plan_batch(batch, gate).steps[0]
     batch.blockade[:] = turns * 2 * np.pi / h
     err, ref = (bell_error_from_pulse_state(
         bell_pulse_state(gate, batch, steps)[0], gate.virtual_rz)
@@ -580,15 +558,16 @@ def test_blockade_resonance_is_stepped_over(drives, turns, projected_params):
 @pytest.mark.parametrize("preset", ["current", "projected"])
 def test_sampled_shot_step_error(preset, request):
     # the scheme is fourth order, so |e(70) - e(140)| * 16/15 estimates the
-    # step error of e(70) per shot
+    # step error of e(70) per shot; off e(800): 1.67e-8 current, 4.6e-9 projected
     params = request.getfixturevalue(f"{preset}_params")
     gate = request.getfixturevalue(f"{preset}_opt").gate
     batch = resolve_drive_batch(params, sample_shots(params, 7, 256),
                                 MechanismMask(), gate)
-    e70, e140 = (bell_error_from_pulse_state(
+    e70, e140, e800 = (bell_error_from_pulse_state(
         bell_pulse_state(gate, batch, steps), gate.virtual_rz)
-        for steps in (70, 140))
+        for steps in (70, 140, 800))
     assert np.max(np.abs(e70 - e140)) * 16.0 / 15.0 <= 1e-7
+    assert np.max(np.abs(e70 - e800)) <= 2e-8
 
 
 def test_norm_growth_raises():
@@ -606,10 +585,13 @@ def test_norm_growth_raises():
 
 
 def test_psi_rows_must_match_the_batch():
+    # psi must be (n, 9); a wrong row count, row length or rank is named
     da = drive(rabi=2 * np.pi * 1.2e6)
-    psi0 = np.broadcast_to(bell_prep_state(), (3, 9))
-    with pytest.raises(ValueError, match="3 rows for a batch of 5 shots"):
-        evolve_batch(psi0, batch_of([(da, da)] * 5, 0.0), pulse(1e-6))
+    for shape, n in [((3, 9), 5), ((9, 4), 9), ((9,), 9)]:
+        with pytest.raises(ValueError) as exc:
+            evolve_batch(np.ones(shape, dtype=complex),
+                         batch_of([(da, da)] * n, 0.0), pulse(1e-6))
+        assert str(exc.value) == f"psi has shape {shape}, not ({n}, 9)"
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -637,7 +619,7 @@ def test_norm_never_grows(case):
 
 
 # ---------------------------------------------------------------------------
-# the two routes of _evolve_sector
+# the two routes of the plan
 # ---------------------------------------------------------------------------
 
 def _decay_off(params):
@@ -663,19 +645,32 @@ def _sampled_batch(case, n, request):
     return gate, batch
 
 
+def _sector_calls(batch, gate):
+    """The `_evolve_sector` arguments of each sector of the Bell prep state
+    of ``batch``, as one block, at the count, bound and route of its plan."""
+    plan = plan_batch(batch, gate)
+    amps = np.tile(bell_prep_state(), (len(batch), 1)).T.reshape(3, 3, -1)
+    return [(amps[sector].reshape(diag.shape), diag, omegas, gate, nsteps,
+             norm, plan.dense) for sector, (diag, omegas), nsteps, norm in zip(
+                 gate_mod._SECTORS, gate_mod._sector_drives(batch),
+                 plan.steps, plan.norms)]
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("preset", ["current", "projected"])
 def test_stepping_route_matches_stage_loop(preset, chunk, request,
                                            monkeypatch):
     # the stepping route rotates only the rows holding |r>, which changes
     # no bit; nor do the chunks of frame rotations (88 steps in chunks of 7
-    # leave 4 over)
+    # leave 4 over).  The stage loop steps each sector at the plan's count,
+    # bound and route
     gate, batch = _sampled_batch(preset, 2048, request)
     if chunk:
         monkeypatch.setattr(gate_mod, "_CHUNK_STEPS", chunk)
-    out = pulse_state_nominal(gate, batch)
-    monkeypatch.setattr(gate_mod, "_evolve_sector", evolve_sector_stage_loop)
-    assert np.array_equal(out, pulse_state_nominal(gate, batch))
+    out = pulse_state_nominal(gate, batch).T.reshape(3, 3, -1)
+    for sector, args in zip(gate_mod._SECTORS, _sector_calls(batch, gate)):
+        assert not args[-1] and np.array_equal(out[sector].reshape(
+            args[0].shape), evolve_sector_stage_loop(*args))
 
 
 def _hex(a):
@@ -688,25 +683,21 @@ def _hex(a):
 @pytest.mark.parametrize("preset", ["current", "projected"])
 def test_single_atom_sector_equals_each_atom_alone(preset, n, dense, request,
                                                    monkeypatch):
-    # the engine's single-atom sector call, split into atom A's and atom
-    # B's halves, each evolved alone at the same count and bound, gives the
-    # same bits on both routes (a one-shot half on the stepping route is
-    # 2e-15 off, as numpy takes another path for length-1 products)
+    # the engine's single-atom sector is `_evolve_sector` at the plan's
+    # count, bound and route; split into atom A's and atom B's halves, each
+    # evolved alone, it gives the same bits on both routes (a one-shot half
+    # on the stepping route is 2e-15 off, as numpy takes another path for
+    # length-1 products)
     gate, batch = _sampled_batch(preset, n, request)
     monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n if dense else n - 1)
-    calls, evolve = [], gate_mod._evolve_sector
-
-    def recorded(*args):
-        calls.append(args)
-        return evolve(*args)
-    monkeypatch.setattr(gate_mod, "_evolve_sector", recorded)
-    pulse_state_nominal(gate, batch)
-    psi, diag, (omega,), *plan = calls[0]
+    evolve = gate_mod._evolve_sector
+    psi, diag, (omega,), *plan = _sector_calls(batch, gate)[0]
     assert psi.shape == (2, 2 * n) and plan[-1] == dense
+    out = pulse_state_nominal(gate, batch).T.reshape(3, 3, -1)
     halves = [evolve(psi[:, half], diag[:, half], [omega[half]], *plan)
               for half in (np.s_[:n], np.s_[n:])]
-    assert _hex(evolve(psi, diag, [omega], *plan)) == _hex(
-        np.concatenate(halves, axis=1))
+    assert _hex(out[gate_mod._SECTORS[0]]) == _hex(evolve(
+        psi, diag, [omega], *plan)) == _hex(np.concatenate(halves, axis=1))
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -718,43 +709,39 @@ def test_dense_route_matches_stepping_route(case, n, chunk, request,
     gate, batch = _sampled_batch(case, n, request)
     if chunk:
         monkeypatch.setattr(gate_mod, "_CHUNK_STEPS", chunk)
-    steps = _sector_steps(monkeypatch)
     monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n)
     dense = pulse_state_nominal(gate, batch)
     monkeypatch.setattr(gate_mod, "_DENSE_MAX_SHOTS", n - 1)
-    loop = pulse_state_nominal(gate, batch)
-    # no sector's step count is a whole number of chunks, and at 1 GHz the
-    # pair sector takes several chunks
-    assert all(s % gate_mod._CHUNK_STEPS for _, s in steps)
+    loop, plan = pulse_state_nominal(gate, batch), plan_batch(batch, gate)
+    # the second run steps, no sector's step count is a whole number of
+    # chunks, and at 1 GHz the pair sector takes several chunks
+    assert not plan.dense and all(np.mod(plan.steps, gate_mod._CHUNK_STEPS))
     if case == "decay-off":
-        assert dict(steps)[(2, 2, n)] > 1000
+        assert plan.steps[1] > 1000
     assert np.max(np.abs(dense - loop)) <= 1e-13
 
 
-@pytest.mark.parametrize("n, dense_calls", [
+@pytest.mark.parametrize("n, dense_sectors", [
     (1, 2), (gate_mod._DENSE_MAX_SHOTS, 2), (gate_mod._DENSE_MAX_SHOTS + 1, 0)])
-def test_route_is_picked_by_batch_size(n, dense_calls, monkeypatch):
-    calls, dense = [], gate_mod._dense_product
-
-    def counted(*args):
-        calls.append(1)
-        return dense(*args)
-    monkeypatch.setattr(gate_mod, "_dense_product", counted)
+def test_route_is_picked_by_batch_size(n, dense_sectors):
+    # both sectors multiply out their stage matrices for at most
+    # _DENSE_MAX_SHOTS shots, and neither for more
     omega = 2 * np.pi * 1.2e6
     batch = batch_of([(drive(rabi=omega), drive(rabi=omega))] * n,
                      2 * np.pi * 12e6)
-    pulse_state_nominal(phase_mod(1e-6), batch)
-    assert len(calls) == dense_calls
+    plan = plan_batch(batch, phase_mod(1e-6))
+    assert len(plan.steps) * plan.dense == dense_sectors
 
 
-def test_dense_route_memory_does_not_grow_with_steps(monkeypatch):
+def test_dense_route_memory_does_not_grow_with_steps():
     # one shot whose pair sector takes 20 000 steps: the dense route
     # reduces its stage matrices and builds its frame rotations a chunk at a
     # time, so the peak stays near one chunk's worth (0.7 MB; 14 MB when all
     # rotations were built at once)
-    steps = _sector_steps(monkeypatch)
     omega = 2 * np.pi * 1.2e6
     batch = pair(drive(rabi=omega), drive(rabi=omega), 2 * np.pi * 15e9)
+    plan = plan_batch(batch, phase_mod(1e-6))
+    assert plan.dense and plan.steps[1] == 20_000
     psi0 = bell_prep_state()[None, :]
     tracemalloc.start()
     try:
@@ -762,5 +749,4 @@ def test_dense_route_memory_does_not_grow_with_steps(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dict(steps)[(2, 2, 1)] == 20_000
     assert peak < 2e6
